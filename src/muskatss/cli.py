@@ -124,10 +124,7 @@ def _profile_json(profile, report, N: int) -> str:
     doc = {
         "meta": {"version": "1", "N": N, "s": profile.s},
         "values": [float(v) for v in profile.values],
-        "residual_norm": report.residual_norm,
-        "iterations": report.iterations,
-        "converged": report.converged,
-        "lambda_history": list(report.lambda_history),
+        **report.to_dict(),
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -189,7 +186,7 @@ def cmd_continue(args, file_cfg) -> int:
 def _load_branch_or_exit(path) -> Branch:
     try:
         branch = load_branch(path)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         print(f"cannot read branch file {path}: {exc}", file=sys.stderr)
         raise SystemExit(EX_DATA)
     if not branch.steps:
@@ -200,21 +197,20 @@ def _load_branch_or_exit(path) -> Branch:
 
 def cmd_validate(args, file_cfg) -> int:
     branch = _load_branch_or_exit(args.branch)
-    small = [st for st in branch.steps if st.s <= args.s_window + 1e-12]
     print(f"{'s':>8} {'H1(kappa_arctan)':>18} {'H1(theorem_arctan)':>19} {'max|k-ref|':>12}")
-    reports = []
+    distances = []
     for st in branch.steps:
         rk = h1_distance(st.profile, "kappa_arctan")
         rt = h1_distance(st.profile, "theorem_arctan")
-        reports.append((st.s, rk))
+        distances.append((st.s, rk.h1_distance))
         print(f"{st.s:8.3f} {rk.h1_distance:18.6e} {rt.h1_distance:19.6e} "
               f"{rk.linf_distance:12.4e}")
+    small = [(s, d) for s, d in distances if s <= args.s_window + 1e-12]
     if len(small) < 2:
         print("order undefined: need at least two steps in the small-s window",
               file=sys.stderr)
         return EX_SOFT
-    svals = [st.s for st in small]
-    dists = [h1_distance(st.profile, "kappa_arctan").h1_distance for st in small]
+    svals, dists = zip(*small)
     order = fit_loglog_slope(svals, dists)
     print(f"fitted H1-discrepancy order over s<={args.s_window:g}: {order:.3f}")
     if branch.ds > 0 and len(branch.steps) >= 2:

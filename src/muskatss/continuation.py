@@ -16,6 +16,7 @@ import numpy as np
 
 from .grid_spline import Grid, Profile, fit_spline, make_grid
 from .lm import LMConfig, SolverError, SolverReport, lm_solve
+from .quadrature import QuadConfig, QuadratureError
 from .residual import ResidualConfig, residual_vector
 
 __all__ = [
@@ -70,7 +71,12 @@ def _residual_closure(grid: Grid, s: float, res_cfg: ResidualConfig):
     def r(x):
         values = np.concatenate([[0.0], x])
         profile = fit_spline(grid, values, s)
-        return residual_vector(profile, res_cfg).stacked()
+        try:
+            return residual_vector(profile, res_cfg).stacked()
+        except QuadratureError:
+            # lm_solve rejects a non-finite trial; a non-finite Jacobian
+            # column or start point becomes a SolverError (a failed step)
+            return np.full(grid.N + 1, np.nan)
 
     return r
 
@@ -184,14 +190,8 @@ def branch_to_json(branch: Branch) -> str:
             },
         },
         "steps": [
-            {
-                "s": st.s,
-                "values": [float(v) for v in st.profile.values],
-                "residual_norm": st.report.residual_norm,
-                "iterations": st.report.iterations,
-                "converged": st.report.converged,
-                "lambda_history": list(st.report.lambda_history),
-            }
+            {"s": st.s, "values": [float(v) for v in st.profile.values],
+             **st.report.to_dict()}
             for st in branch.steps
         ],
     }
@@ -206,7 +206,6 @@ def branch_from_json(text: str) -> Branch:
     doc = json.loads(text)
     meta = doc["meta"]
     tol = meta["tolerances"]
-    from .quadrature import QuadConfig
 
     lm = LMConfig(
         lambda0=tol["lambda0"], lambda_up=tol["lambda_up"],

@@ -38,6 +38,8 @@ def make_grid(N: int) -> Grid:
     if N < 2:
         raise ValueError(f"grid needs at least 2 nodes, got N={N}")
     nodes = HALF_PI * np.arange(N) / (N - 1)
+    # the quotient rounds to 1 ulp below pi/2 for some N, where tan ~ 1e16
+    nodes[-1] = HALF_PI
     return Grid(N=N, nodes=nodes)
 
 

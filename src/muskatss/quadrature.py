@@ -4,13 +4,22 @@ Two rules cover everything the solver needs: a composite trapezoid on
 uniform grids (used for the outer collocation integrals) and an adaptive
 15-point Gauss-Kronrod rule (used for sliding averages, norms and
 reference integrals).  A batched cumulative variant of the Kronrod rule
-computes antiderivative tables at many points in one vectorized pass.
+computes antiderivative tables at many points.
+
+Both adaptive rules are thin callers of one level-synchronous bisection
+loop: each pass integrates every open panel in one vectorized call, then
+closes or halves each one, within a bisection budget.  A panel whose
+error estimate is already its roundoff floor (50*eps times the integral
+of |f| over it) gains nothing from halving, since the floors of its
+halves add up to the same amount; once the budget would run out such
+panels are closed instead.  Only panels above their floor can exhaust
+the budget, and a panel too narrow to halve ends the loop too: both
+raise QuadratureError carrying the best estimate.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,99 +132,23 @@ def trapezoid(f, a: float, b: float, M: int) -> float:
     return h * (np.sum(fx) - 0.5 * (fx[0] + fx[-1]))
 
 
-def _gk15_eval(f, a, b):
-    """One GK15 panel: returns (k15, error_estimate) on [a, b]."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    x = mid + half * _NODES15
-    fx = np.asarray(f(x), dtype=float)
-    if fx.shape != x.shape:
-        fx = np.array([f(xi) for xi in x], dtype=float)
-    if not np.all(np.isfinite(fx)):
-        i = int(np.argmax(~np.isfinite(fx)))
-        raise QuadratureError(
-            f"non-finite integrand at x={x[i]!r}", interval=(a, b)
-        )
-    k15 = half * float(fx @ _W15)
-    g7 = half * float(fx @ _W7)
-    # QUADPACK-style rescaled estimate: conservative for smooth panels,
-    # never larger than the crude oscillation bound resasc, never below
-    # the roundoff floor of the absolute integral.
-    fmean = k15 / (b - a) if b > a else 0.0
-    resasc = half * float(np.abs(fx - fmean) @ _W15)
-    resabs = half * float(np.abs(fx) @ _W15)
-    err = abs(k15 - g7)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return k15, max(err, 50.0 * np.finfo(float).eps * resabs)
-
-
-def gk15_adaptive(f, a: float, b: float, cfg: QuadConfig | None = None) -> QuadResult:
-    """Adaptive Gauss-Kronrod (7, 15) integration of ``f`` over [a, b].
-
-    Globally adaptive: the panel with the largest error estimate is
-    bisected until the summed estimate meets ``max(abs_tol, rel_tol*|I|)``
-    or the subdivision budget runs out (QuadratureError carrying the last
-    estimate).  The returned value is accumulated in panel order for
-    determinism.
-    """
-    if cfg is None:
-        cfg = QuadConfig()
-    if a > b:
-        raise ValueError(f"inverted interval [{a}, {b}]")
-    if a == b:
-        return QuadResult(0.0, 0.0, 1)
-
-    val, err = _gk15_eval(f, a, b)
-    # heap entries: (-err, insertion counter, a, b, value, err)
-    heap = [(-err, 0, a, b, val, err)]
-    count = 1
-    nsub = 1
-    while True:
-        total_err = sum(p[5] for p in heap)
-        total_val = sum(p[4] for p in heap)
-        if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total_val)):
-            break
-        if nsub >= cfg.max_subdivisions:
-            raise QuadratureError(
-                f"max_subdivisions={cfg.max_subdivisions} exceeded on [{a}, {b}]",
-                value=total_val,
-                error_estimate=total_err,
-                interval=(a, b),
-            )
-        _, _, pa, pb, _, _ = heapq.heappop(heap)
-        mid = 0.5 * (pa + pb)
-        if mid <= pa or mid >= pb:
-            raise QuadratureError(
-                f"interval [{pa}, {pb}] cannot be bisected further",
-                value=total_val,
-                error_estimate=total_err,
-                interval=(pa, pb),
-            )
-        for qa, qb in ((pa, mid), (mid, pb)):
-            v, e = _gk15_eval(f, qa, qb)
-            heapq.heappush(heap, (-e, count, qa, qb, v, e))
-            count += 1
-        nsub += 1
-
-    # fixed summation order (by left endpoint) for bit-stable results
-    panels = sorted(heap, key=lambda p: p[2])
-    value = float(sum(p[4] for p in panels))
-    err = float(sum(p[5] for p in panels))
-    return QuadResult(value, err, nsub)
-
-
 def gk15_panels(f, a, b):
     """Vectorized GK15 on a batch of panels [a_i, b_i].
 
-    ``f`` must accept a flat array.  Returns (values, error_estimates).
+    ``f`` should accept a flat array; one returning a scalar is called
+    node by node instead.  Returns (values, error_estimates, floors),
+    where each error estimate is at least its panel's roundoff floor
+    ``50*eps*integral(|f|)``.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     x = mid[:, None] + half[:, None] * _NODES15[None, :]
-    fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    fx = np.asarray(f(x.ravel()), dtype=float)
+    if fx.shape != (x.size,):
+        fx = np.array([f(xi) for xi in x.ravel()], dtype=float)
+    fx = fx.reshape(x.shape)
     if not np.all(np.isfinite(fx)):
         i, j = np.unravel_index(int(np.argmax(~np.isfinite(fx))), fx.shape)
         raise QuadratureError(
@@ -228,54 +161,111 @@ def gk15_panels(f, a, b):
         fmean = np.where(width > 0, k15 / np.where(width > 0, width, 1.0), 0.0)
     resasc = half * (np.abs(fx - fmean[:, None]) @ _W15)
     resabs = half * (np.abs(fx) @ _W15)
+    # QUADPACK-style rescaled estimate: conservative for smooth panels,
+    # never larger than the crude oscillation bound resasc
     err = np.abs(k15 - g7)
     scale = np.ones_like(err)
     mask = (resasc != 0.0) & (err != 0.0)
     scale[mask] = np.minimum(1.0, (200.0 * err[mask] / resasc[mask]) ** 1.5)
     err = np.where(mask, resasc * scale, err)
-    return k15, np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
+    floor = 50.0 * np.finfo(float).eps * resabs
+    return k15, np.maximum(err, floor), floor
 
 
-def cumulative_gk15(f, points, tol: float = 1e-12, max_levels: int = 40):
+def _bisect(f, a, b, accept, max_bisections):
+    """Level-synchronous adaptive GK15 over the panels [a_i, b_i].
+
+    The loop of the module docstring.  ``accept(values, errors, widths,
+    total_value, total_error)`` picks the open panels to close; the
+    totals sum closed and open panels.  Returns the value and error sums
+    per input panel and the number of bisections.
+    """
+    vals_done = np.zeros(len(a))
+    errs_done = np.zeros(len(a))
+    owner = np.arange(len(a))
+    nsplit = 0
+    while len(a):
+        vals, errs, floor = gk15_panels(f, a, b)
+        total_val = vals_done.sum() + vals.sum()
+        total_err = errs_done.sum() + errs.sum()
+        ok = accept(vals, errs, b - a, total_val, total_err)
+        if nsplit + np.count_nonzero(~ok) > max_bisections:
+            ok |= errs <= floor
+        np.add.at(vals_done, owner[ok], vals[ok])
+        np.add.at(errs_done, owner[ok], errs[ok])
+        a, b, owner = a[~ok], b[~ok], owner[~ok]
+        if len(a) == 0:
+            break
+        mid = 0.5 * (a + b)
+        nsplit += len(a)
+        if nsplit > max_bisections or np.any((mid <= a) | (mid >= b)):
+            reason = (f"more than {max_bisections} bisections needed"
+                      if nsplit > max_bisections else "a panel cannot be bisected further")
+            raise QuadratureError(
+                f"{reason} on [{a[0]}, {b[0]}]",
+                value=float(total_val),
+                error_estimate=float(total_err),
+                interval=(float(a[0]), float(b[0])),
+            )
+        a = np.concatenate([a, mid])
+        b = np.concatenate([mid, b])
+        owner = np.concatenate([owner, owner])
+    return vals_done, errs_done, nsplit
+
+
+def gk15_adaptive(f, a: float, b: float, cfg: QuadConfig | None = None) -> QuadResult:
+    """Adaptive Gauss-Kronrod (7, 15) integration of ``f`` over [a, b].
+
+    Globally adaptive: stops once the summed error estimate meets
+    ``max(abs_tol, rel_tol*|I|)``; until then every panel whose error
+    exceeds its width's share of that tolerance is halved, within
+    ``max_subdivisions`` panels.  A tolerance below roundoff returns the
+    roundoff-limited value, whose error estimate then exceeds the
+    tolerance; an exhausted budget raises QuadratureError carrying the
+    estimate.
+    """
+    if cfg is None:
+        cfg = QuadConfig()
+    if a > b:
+        raise ValueError(f"inverted interval [{a}, {b}]")
+    if a == b:
+        return QuadResult(0.0, 0.0, 1)
+
+    def accept(vals, errs, widths, total_val, total_err):
+        goal = max(cfg.abs_tol, cfg.rel_tol * abs(total_val))
+        if total_err <= goal:
+            return np.ones(len(errs), dtype=bool)
+        return errs <= goal * widths / (b - a)
+
+    val, err, nsplit = _bisect(f, np.array([a], dtype=float), np.array([b], dtype=float),
+                               accept, cfg.max_subdivisions - 1)
+    return QuadResult(float(val[0]), float(err[0]), nsplit + 1)
+
+
+# Bisections allowed per antiderivative table.  The solver's tables need a
+# few hundred; an integrated figure over |y| <= 1e7 fits within it.
+_CUMULATIVE_MAX_BISECTIONS = 10_000
+
+
+def cumulative_gk15(f, points, tol: float = 1e-12):
     """Antiderivative table P(points[i]) = integral of f from points[0].
 
     ``points`` must be sorted ascending.  Each gap between consecutive
-    points is integrated with the GK15 rule; gaps whose error estimate
-    exceeds the per-gap tolerance are bisected (vectorized wavefront)
-    until every panel passes.  Returns the cumulative sums at ``points``
-    (P(points[0]) = 0).
+    points is integrated with the GK15 rule; panels whose error estimate
+    exceeds ``tol`` are halved, level by level, within a fixed bisection
+    budget.  Returns the cumulative sums at ``points`` (P(points[0]) = 0).
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 1 or len(points) < 1:
         raise ValueError("points must be a nonempty 1-D sorted array")
     if np.any(np.diff(points) < 0):
         raise ValueError("points must be sorted ascending")
-    ngaps = len(points) - 1
-    if ngaps == 0:
+    if len(points) == 1:
         return np.zeros(1)
 
-    gap_vals = np.zeros(ngaps)
-    pa = points[:-1].copy()
-    pb = points[1:].copy()
-    pidx = np.arange(ngaps)
-    for _ in range(max_levels):
-        if len(pa) == 0:
-            break
-        vals, errs = gk15_panels(f, pa, pb)
-        ok = errs <= tol
-        np.add.at(gap_vals, pidx[ok], vals[ok])
-        if np.all(ok):
-            break
-        pa, pb, pidx = pa[~ok], pb[~ok], pidx[~ok]
-        mid = 0.5 * (pa + pb)
-        pa = np.concatenate([pa, mid])
-        pb = np.concatenate([mid, pb])
-        pidx = np.concatenate([pidx, pidx])
-    else:
-        raise QuadratureError(
-            f"cumulative_gk15 did not converge within {max_levels} refinement levels",
-            interval=(float(pa[0]), float(pb[0])),
-        )
+    gap_vals, _, _ = _bisect(f, points[:-1], points[1:],
+                             lambda vals, errs, *_: errs <= tol,
+                             _CUMULATIVE_MAX_BISECTIONS)
     out = np.empty(len(points))
     out[0] = 0.0
     np.cumsum(gap_vals, out=out[1:])

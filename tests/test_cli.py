@@ -93,6 +93,17 @@ class TestValidate:
         bad.write_text("{not json")
         assert main(["validate", str(bad)]) == EX_DATA
 
+    @pytest.mark.parametrize("command", [["validate"], ["export", "--figure", "normalized"]])
+    @pytest.mark.parametrize("doc", ["[1, 2]", None], ids=["top-level-list", "string-N"])
+    def test_wrongly_typed_file(self, branch_file, tmp_path, command, doc):
+        if doc is None:
+            data = json.loads(branch_file.read_text())
+            data["meta"]["N"] = "17"
+            doc = json.dumps(data)
+        bad = tmp_path / "typed.json"
+        bad.write_text(doc)
+        assert main([command[0], str(bad)] + command[1:]) == EX_DATA
+
     def test_empty_branch(self, tmp_path):
         empty = tmp_path / "empty.json"
         doc = {"meta": {"version": "1", "N": 17, "ds": 0.1, "tolerances": {

@@ -12,7 +12,9 @@ from muskatss.continuation import (
     save_branch,
     solve_profile,
 )
+from muskatss import continuation
 from muskatss.lm import LMConfig
+from muskatss.quadrature import QuadratureError
 from muskatss.residual import ResidualConfig
 
 # small collocation system: fast enough for unit tests, still a real solve
@@ -80,6 +82,44 @@ class TestContinueBranch:
         assert branch.failure is not None
         assert branch.failure[0] == pytest.approx(0.1)
         assert branch.steps == []
+
+    def test_raising_residual_truncates_with_failure(self, monkeypatch, small_branch):
+        real = continuation.residual_vector
+
+        def flaky(profile, cfg):
+            if profile.s > 0.1 + 1e-9:
+                raise QuadratureError("budget exhausted")
+            return real(profile, cfg)
+
+        monkeypatch.setattr(continuation, "residual_vector", flaky)
+        branch = continue_branch(0.3, 0.1, SMALL_N, SMALL_LM, SMALL_RES)
+        assert branch.s_values == [0.1]
+        assert np.array_equal(branch.steps[0].profile.values,
+                              small_branch.steps[0].profile.values)
+        assert branch.failure is not None
+        assert branch.failure[0] == pytest.approx(0.2)
+
+    def test_raising_trial_is_rejected(self, monkeypatch):
+        # one thread keeps the call order fixed: 1 start point, N - 1
+        # Jacobian columns, then the first trial step
+        lm = LMConfig()
+        real = continuation.residual_vector
+        calls = []
+
+        def flaky(profile, cfg):
+            calls.append(profile.s)
+            if len(calls) == SMALL_N + 1:
+                raise QuadratureError("wild trial")
+            return real(profile, cfg)
+
+        monkeypatch.setattr(continuation, "residual_vector", flaky)
+        branch = continue_branch(0.1, 0.1, SMALL_N, lm, SMALL_RES)
+        assert branch.failure is None
+        report = branch.steps[0].report
+        assert report.converged
+        # the rejected trial raised lambda once before the first acceptance
+        assert report.lambda_history[1] == pytest.approx(
+            lm.lambda0 * lm.lambda_up * lm.lambda_down)
 
     def test_step_at_missing_raises(self, small_branch):
         with pytest.raises(KeyError):

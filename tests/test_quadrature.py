@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -109,8 +114,35 @@ class TestGK15:
         res = gk15_adaptive(np.sin, 0.5, 0.5)
         assert res.value == 0.0
 
+    def test_tolerance_below_roundoff_stops_at_the_floor(self):
+        # halving cannot push the summed error below 50*eps*int|f|, so the
+        # rule returns the roundoff-limited value instead of failing
+        cfg = QuadConfig(abs_tol=1e-300, rel_tol=1e-300)
+        res = gk15_adaptive(np.exp, 0.0, 1.0, cfg)
+        assert res.value == pytest.approx(np.e - 1.0, rel=1e-15)
+        assert res.error_estimate == pytest.approx(
+            50.0 * np.finfo(float).eps * (np.e - 1.0), rel=1e-6)
+        assert res.subdivisions <= cfg.max_subdivisions
+
+    def test_scalar_integrand(self):
+        res = gk15_adaptive(lambda x: 3.0, 0.0, 2.0)
+        assert res.value == pytest.approx(6.0, abs=1e-14)
+
 
 class TestCumulative:
+    @pytest.mark.parametrize("f, F, hi", [
+        (np.cos, np.sin, 3.0),
+        (lambda x: 1.0 / (1.0 + x * x), np.arctan, 3.0),
+        (lambda x: 1.0 / np.cos(x) ** 2, np.tan, 1.5),
+        (lambda x: np.exp(-x) * np.sin(2 * x),
+         lambda x: -np.exp(-x) * (np.sin(2 * x) + 2 * np.cos(2 * x)) / 5.0, 3.0),
+    ], ids=["cos", "lorentzian", "sec2", "damped-sine"])
+    def test_closed_form_antiderivatives(self, f, F, hi):
+        pts = np.sort(np.concatenate([[0.0, hi], np.random.default_rng(3).uniform(0, hi, 30)]))
+        P = cumulative_gk15(f, pts, tol=1e-13)
+        assert P[0] == 0.0
+        np.testing.assert_allclose(P, F(pts) - F(pts[0]), rtol=1e-12, atol=1e-12)
+
     def test_matches_adaptive_rule(self):
         f = lambda x: np.exp(-x) * (1 + np.sin(2 * x))
         pts = np.sort(np.concatenate([[0.0], np.random.default_rng(1).uniform(0, 3, 20)]))
@@ -129,3 +161,34 @@ class TestCumulative:
     def test_requires_sorted(self):
         with pytest.raises(ValueError):
             cumulative_gk15(np.sin, np.array([0.0, 2.0, 1.0]))
+
+
+_SCALED_PROFILE_RUN = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+import numpy as np
+from muskatss import fit_spline, make_grid, residual_vector
+from muskatss.quadrature import QuadratureError
+
+g = make_grid(17)
+for scale in (1e6, 1e100):
+    p = fit_spline(g, scale * (2.0 / np.pi) * 0.1 * g.nodes, scale * 0.1)
+    t0 = time.perf_counter()
+    try:
+        residual_vector(p)
+    except QuadratureError:
+        pass
+    print(scale, time.perf_counter() - t0)
+"""
+
+
+def test_scaled_profiles_bounded_work():
+    # the sliding-average table of a huge profile is roundoff-limited;
+    # unbounded bisection once took seconds (x1e6) or all memory (x1e100)
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", _SCALED_PROFILE_RUN], capture_output=True,
+                         text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"})
+    assert out.returncode == 0, out.stderr
+    times = [float(line.split()[1]) for line in out.stdout.splitlines()]
+    assert len(times) == 2 and max(times) < 1.0, out.stdout

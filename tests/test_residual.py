@@ -100,6 +100,16 @@ class TestResidualAt:
         p = fit_spline(g, random_odd_values(g, rng), 0.2)
         assert residual_at(p, HALF_PI) == 0.0
 
+    def test_endpoint_node_is_exact_for_every_grid_size(self):
+        # for some N the node formula rounds to 1 ulp below pi/2, where
+        # tan z ~ 1.6e16 made the endpoint row non-finite
+        for N in range(5, 65):
+            g = make_grid(N)
+            assert g.nodes[-1] == HALF_PI
+            rv = residual_vector(fit_spline(g, (2.0 / np.pi) * 0.1 * g.nodes, 0.1))
+            assert np.all(np.isfinite(rv.stacked())), N
+            assert rv.interior[-1] == 0.0
+
     def test_linear_ansatz_is_cubically_small(self, linear_profile_01):
         r = residual_at(linear_profile_01, 0.7)
         assert abs(r) < 1e-3
