@@ -4,32 +4,38 @@ Four subcommands: ``solve`` (one slope value), ``continue`` (march the
 branch), ``validate`` (order-of-accuracy report for a stored branch) and
 ``export`` (CSV data behind the standard figures).  All numerical
 defaults equal the reference settings (N = 129, ds = 0.1, outer nodes
-10*N); a flat key=value config file can override them, and command-line
-flags override the file.
+10*N).  For ``solve`` and ``continue`` a flat key=value config file can
+override them, and command-line flags override the file; both take one
+flag or key per entry of ``continuation.SETTINGS``.
 
 Exit codes: 0 success, 1 soft validation failure, 2 solver failure,
-3 truncated branch, 64 usage error, 65 bad data file.
+3 truncated branch, 64 usage error (an unreadable --config included),
+65 bad data file (one that cannot be read or evaluated).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
+import re
 import sys
 
-import numpy as np
-
 from .continuation import (
+    SETTINGS,
     Branch,
+    branch_to_json,
     continue_branch,
     load_branch,
+    make_configs,
     save_branch,
     solve_profile,
 )
 from .diagnostics import ds_derivative_check, figure_data, fit_loglog_slope, h1_distance
-from .lm import LMConfig
-from .quadrature import QuadConfig
-from .residual import ResidualConfig, residual_vector
+from .lm import LMConfig, SolverError
+from .quadrature import QuadratureError
+from .residual import ResidualConfig
 
 EX_OK = 0
 EX_SOFT = 1
@@ -45,14 +51,10 @@ FIGURE_S_DEFAULTS = {
     "integrated": (0.1, 0.2, 0.4, 1.0, 2.0, 4.0, 7.0),
 }
 
+# config-file key -> parser: the run's own keys plus every solver setting
 _CONFIG_KEYS = {
-    "n": int, "ds": float, "s": float, "s_max": float,
-    "outer_nodes": int, "inner_abs_tol": float, "inner_rel_tol": float,
-    "split_halfwidth_z": float, "split_halfwidth_end": float,
-    "series_order": int, "include_endpoint": lambda v: v.lower() in ("1", "true", "yes"),
-    "lambda0": float, "lambda_up": float, "lambda_down": float,
-    "fd_step": float, "tol_residual": float, "tol_step": float,
-    "max_iters": int, "threads": int,
+    "n": int, "ds": float, "s": float, "s_max": float, "threads": int,
+    **{name: kind for name, (kind, _, _) in SETTINGS.items()},
 }
 
 
@@ -60,64 +62,56 @@ class UsageError(Exception):
     pass
 
 
+class DataError(Exception):
+    """A branch file that cannot be read or evaluated (exit 65)."""
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-1e4" for an option unless it matches this
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise UsageError(message)
 
 
 def read_config_file(path) -> dict:
     """Flat key=value lines; '#' starts a comment; unknown keys rejected."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise UsageError(f"cannot read config file: {exc}")
     out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                out[key] = _CONFIG_KEYS[key](value.strip())
-            except ValueError as exc:
-                raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}")
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in _CONFIG_KEYS:
+            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            out[key] = _CONFIG_KEYS[key](value.strip())
+        except ValueError as exc:
+            raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}")
     return out
 
 
-def _merged(args, file_cfg: dict, key: str, default):
-    cli_val = getattr(args, key, None)
-    if cli_val is not None:
-        return cli_val
-    if key in file_cfg:
-        return file_cfg[key]
-    return default
+def _run_settings(args) -> dict:
+    """Config-file values overridden by every flag that was given."""
+    merged = read_config_file(args.config) if args.config else {}
+    merged.update((key, value) for key, value in vars(args).items()
+                  if key in _CONFIG_KEYS and value is not None)
+    return merged
 
 
-def build_configs(args, file_cfg) -> tuple[LMConfig, ResidualConfig]:
-    lm = LMConfig(
-        lambda0=_merged(args, file_cfg, "lambda0", 1e-3),
-        lambda_up=_merged(args, file_cfg, "lambda_up", 10.0),
-        lambda_down=_merged(args, file_cfg, "lambda_down", 0.1),
-        fd_step=_merged(args, file_cfg, "fd_step", 1e-6),
-        tol_residual=_merged(args, file_cfg, "tol_residual", 1e-8),
-        tol_step=_merged(args, file_cfg, "tol_step", 1e-10),
-        max_iters=_merged(args, file_cfg, "max_iters", 50),
-        threads=_merged(args, file_cfg, "threads", 1),
-    )
-    res = ResidualConfig(
-        outer_nodes=_merged(args, file_cfg, "outer_nodes", None),
-        inner_quad=QuadConfig(
-            abs_tol=_merged(args, file_cfg, "inner_abs_tol", 1e-10),
-            rel_tol=_merged(args, file_cfg, "inner_rel_tol", 1e-10),
-        ),
-        split_halfwidth_z=_merged(args, file_cfg, "split_halfwidth_z", 2.0),
-        split_halfwidth_end=_merged(args, file_cfg, "split_halfwidth_end", 2.0),
-        series_order=_merged(args, file_cfg, "series_order", 2),
-        include_endpoint=_merged(args, file_cfg, "include_endpoint", True),
-    )
-    return lm, res
+def build_configs(settings: dict) -> tuple[LMConfig, ResidualConfig]:
+    return make_configs({k: v for k, v in settings.items() if k in SETTINGS},
+                        settings.get("threads", 1))
 
 
 def _profile_json(profile, report, N: int) -> str:
@@ -129,15 +123,17 @@ def _profile_json(profile, report, N: int) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def cmd_solve(args, file_cfg) -> int:
-    s = _merged(args, file_cfg, "s", None)
-    if s is None:
+def cmd_solve(args) -> int:
+    cfg = _run_settings(args)
+    if "s" not in cfg:
         raise UsageError("solve requires --s")
-    if s < 0:
-        raise UsageError(f"slope must be nonnegative, got {s}")
-    N = _merged(args, file_cfg, "n", 129)
-    lm, res = build_configs(args, file_cfg)
-    profile, report = solve_profile(s, N, lm, res)
+    s, N = cfg["s"], cfg.get("n", 129)
+    lm, res = build_configs(cfg)
+    try:
+        profile, report = solve_profile(s, N, lm, res)
+    except SolverError as exc:
+        print(f"solver failed at s={s}: {exc}", file=sys.stderr)
+        return EX_SOLVER
     text = _profile_json(profile, report, N)
     if args.output:
         with open(args.output, "w") as fh:
@@ -154,24 +150,15 @@ def cmd_solve(args, file_cfg) -> int:
     return EX_OK
 
 
-def cmd_continue(args, file_cfg) -> int:
-    s_max = _merged(args, file_cfg, "s_max", None)
-    if s_max is None:
+def cmd_continue(args) -> int:
+    cfg = _run_settings(args)
+    if "s_max" not in cfg:
         raise UsageError("continue requires --s-max")
-    ds = _merged(args, file_cfg, "ds", 0.1)
-    if s_max <= 0 or ds <= 0:
-        raise UsageError("s_max and ds must be positive")
-    nsteps = round(s_max / ds)
-    if nsteps < 1 or abs(nsteps * ds - s_max) > 1e-9 * max(1.0, abs(s_max)):
-        raise UsageError(f"s_max={s_max} is not a multiple of ds={ds}")
-    N = _merged(args, file_cfg, "n", 129)
-    lm, res = build_configs(args, file_cfg)
-    branch = continue_branch(s_max, ds, N, lm, res)
+    lm, res = build_configs(cfg)
+    branch = continue_branch(cfg["s_max"], cfg.get("ds", 0.1), cfg.get("n", 129), lm, res)
     if args.output:
         save_branch(branch, args.output)
     else:
-        from .continuation import branch_to_json
-
         print(branch_to_json(branch))
     if branch.failure is not None:
         last = branch.steps[-1].s if branch.steps else 0.0
@@ -183,74 +170,79 @@ def cmd_continue(args, file_cfg) -> int:
     return EX_OK
 
 
-def _load_branch_or_exit(path) -> Branch:
+def _load_branch(path) -> Branch:
     try:
         branch = load_branch(path)
-    except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        print(f"cannot read branch file {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EX_DATA)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"cannot read branch file {path}: {exc}") from exc
     if not branch.steps:
-        print(f"branch file {path} contains no steps", file=sys.stderr)
-        raise SystemExit(EX_DATA)
+        raise DataError(f"branch file {path} contains no steps")
     return branch
 
 
-def cmd_validate(args, file_cfg) -> int:
-    branch = _load_branch_or_exit(args.branch)
-    print(f"{'s':>8} {'H1(kappa_arctan)':>18} {'H1(theorem_arctan)':>19} {'max|k-ref|':>12}")
-    distances = []
-    for st in branch.steps:
-        rk = h1_distance(st.profile, "kappa_arctan")
-        rt = h1_distance(st.profile, "theorem_arctan")
-        distances.append((st.s, rk.h1_distance))
-        print(f"{st.s:8.3f} {rk.h1_distance:18.6e} {rt.h1_distance:19.6e} "
-              f"{rk.linf_distance:12.4e}")
-    small = [(s, d) for s, d in distances if s <= args.s_window + 1e-12]
-    if len(small) < 2:
-        print("order undefined: need at least two steps in the small-s window",
-              file=sys.stderr)
-        return EX_SOFT
-    svals, dists = zip(*small)
-    order = fit_loglog_slope(svals, dists)
-    print(f"fitted H1-discrepancy order over s<={args.s_window:g}: {order:.3f}")
-    if branch.ds > 0 and len(branch.steps) >= 2:
-        try:
-            d = ds_derivative_check(branch, branch.steps[0].s)
-            print(f"derivative-quotient H1 distance at s={branch.steps[0].s:g}: {d:.4e}")
-        except KeyError:
-            pass
+@contextlib.contextmanager
+def _evaluating(path):
+    """Branch data that loads but cannot be evaluated is bad data too."""
+    try:
+        yield
+    except (ArithmeticError, ValueError, QuadratureError) as exc:
+        raise DataError(f"cannot evaluate branch file {path}: {exc}") from exc
+
+
+def cmd_validate(args) -> int:
+    branch = _load_branch(args.branch)
+    with _evaluating(args.branch):
+        print(f"{'s':>8} {'H1(kappa_arctan)':>18} {'H1(theorem_arctan)':>19} {'max|k-ref|':>12}")
+        distances = []
+        for st in branch.steps:
+            rk = h1_distance(st.profile, "kappa_arctan")
+            rt = h1_distance(st.profile, "theorem_arctan")
+            distances.append((st.s, rk.h1_distance))
+            print(f"{st.s:8.3f} {rk.h1_distance:18.6e} {rt.h1_distance:19.6e} "
+                  f"{rk.linf_distance:12.4e}")
+        small = [(s, d) for s, d in distances if s <= args.s_window + 1e-12]
+        if len(small) < 2:
+            print("order undefined: need at least two steps in the small-s window",
+                  file=sys.stderr)
+            return EX_SOFT
+        svals, dists = zip(*small)
+        order = fit_loglog_slope(svals, dists)
+        print(f"fitted H1-discrepancy order over s<={args.s_window:g}: {order:.3f}")
+        if branch.ds > 0 and len(branch.steps) >= 2:
+            try:
+                d = ds_derivative_check(branch, branch.steps[0].s)
+                print(f"derivative-quotient H1 distance at s={branch.steps[0].s:g}: {d:.4e}")
+            except KeyError:
+                pass
     if 2.5 <= order <= 3.5:
         return EX_OK
     print(f"fitted order {order:.3f} outside [2.5, 3.5]", file=sys.stderr)
     return EX_SOFT
 
 
-def cmd_export(args, file_cfg) -> int:
-    branch = _load_branch_or_exit(args.branch)
-    if args.s_list:
-        s_values = args.s_list
-        missing = []
-        for s in s_values:
-            try:
-                branch.step_at(s)
-            except KeyError:
-                missing.append(s)
-        if missing:
-            print(f"slope values {missing} not present in branch", file=sys.stderr)
-            return EX_DATA
-    else:
-        s_values = [s for s in FIGURE_S_DEFAULTS[args.figure]
-                    if any(abs(st.s - s) <= 1e-9 for st in branch.steps)]
-        if not s_values:
-            print(
-                f"none of the default slopes {FIGURE_S_DEFAULTS[args.figure]} "
-                "are present in the branch; use --s-list",
-                file=sys.stderr,
-            )
-            return EX_DATA
+def cmd_export(args) -> int:
+    if args.samples < 0:
+        raise UsageError(f"--samples must be >= 0, got {args.samples}")
     y_range = tuple(args.y_range) if args.y_range else None
-    table = figure_data(branch, args.figure, s_values, y_range, args.samples)
-    text = table.to_csv()
+    if y_range and not all(map(math.isfinite, y_range)):
+        raise UsageError(f"--y-range must be finite, got {args.y_range}")
+    branch = _load_branch(args.branch)
+
+    def present(s):
+        return any(abs(st.s - s) <= 1e-9 for st in branch.steps)
+
+    if args.s_list:
+        missing = [s for s in args.s_list if not present(s)]
+        if missing:
+            raise DataError(f"slope values {missing} not present in branch")
+        s_values = args.s_list
+    else:
+        s_values = [s for s in FIGURE_S_DEFAULTS[args.figure] if present(s)]
+        if not s_values:
+            raise DataError(f"none of the default slopes {FIGURE_S_DEFAULTS[args.figure]} "
+                            "are present in the branch; use --s-list")
+    with _evaluating(args.branch):
+        text = figure_data(branch, args.figure, s_values, y_range, args.samples).to_csv()
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -259,27 +251,13 @@ def cmd_export(args, file_cfg) -> int:
     return EX_OK
 
 
-def _add_common(p):
+def _add_run_flags(p):
+    """--config plus one flag per setting; an unset flag defers to the file."""
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--n", type=int, help="grid nodes (default 129)")
-    p.add_argument("--outer-nodes", dest="outer_nodes", type=int,
-                   help="outer trapezoid nodes (default 10*N)")
-    p.add_argument("--inner-abs-tol", dest="inner_abs_tol", type=float)
-    p.add_argument("--inner-rel-tol", dest="inner_rel_tol", type=float)
-    p.add_argument("--split-halfwidth-z", dest="split_halfwidth_z", type=float)
-    p.add_argument("--split-halfwidth-end", dest="split_halfwidth_end", type=float)
-    p.add_argument("--series-order", dest="series_order", type=int, choices=(1, 2))
-    p.add_argument("--no-endpoint-equation", dest="include_endpoint",
-                   action="store_const", const=False,
-                   help="collocate only at z_1..z_{N-2}")
-    p.add_argument("--lambda0", type=float)
-    p.add_argument("--lambda-up", dest="lambda_up", type=float)
-    p.add_argument("--lambda-down", dest="lambda_down", type=float)
-    p.add_argument("--fd-step", dest="fd_step", type=float)
-    p.add_argument("--tol-residual", dest="tol_residual", type=float)
-    p.add_argument("--tol-step", dest="tol_step", type=float)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
     p.add_argument("--threads", type=int, help="worker cap for Jacobian columns")
+    for name, (kind, _, _) in SETTINGS.items():
+        p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind)
 
 
 def make_parser() -> _Parser:
@@ -290,19 +268,18 @@ def make_parser() -> _Parser:
     p = sub.add_parser("solve", help="solve one slope value")
     p.add_argument("--s", type=float, help="target far-field slope (>= 0)")
     p.add_argument("--output", "-o", help="profile JSON output path")
-    _add_common(p)
+    _add_run_flags(p)
 
     p = sub.add_parser("continue", help="continuation in s")
     p.add_argument("--s-max", dest="s_max", type=float)
     p.add_argument("--ds", type=float, help="step size (default 0.1)")
     p.add_argument("--output", "-o", help="branch JSON output path")
-    _add_common(p)
+    _add_run_flags(p)
 
     p = sub.add_parser("validate", help="H1 discrepancy report for a branch file")
     p.add_argument("branch", help="branch JSON file")
     p.add_argument("--s-window", dest="s_window", type=float, default=0.45,
                    help="small-s window for the order fit (default 0.45)")
-    _add_common(p)
 
     p = sub.add_parser("export", help="figure data as CSV")
     p.add_argument("branch", help="branch JSON file")
@@ -314,31 +291,27 @@ def make_parser() -> _Parser:
                    help="sampling range for y-based figures")
     p.add_argument("--samples", type=int, default=401)
     p.add_argument("--output", "-o", help="CSV output path")
-    _add_common(p)
     return parser
 
 
+_COMMANDS = {
+    "solve": cmd_solve,
+    "continue": cmd_continue,
+    "validate": cmd_validate,
+    "export": cmd_export,
+}
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
-        file_cfg = read_config_file(args.config) if getattr(args, "config", None) else {}
-        threads = _merged(args, file_cfg, "threads", 1)
-        if threads < 1:
-            raise UsageError(f"--threads must be >= 1, got {threads}")
-        handler = {
-            "solve": cmd_solve,
-            "continue": cmd_continue,
-            "validate": cmd_validate,
-            "export": cmd_export,
-        }[args.command]
-        return handler(args, file_cfg)
-    except UsageError as exc:
+        args = make_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EX_USAGE
+    except DataError as exc:
+        print(exc, file=sys.stderr)
+        return EX_DATA
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EX_OK
 

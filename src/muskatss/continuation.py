@@ -10,13 +10,14 @@ matches the new target slope exactly before solving.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .grid_spline import Grid, Profile, fit_spline, make_grid
 from .lm import LMConfig, SolverError, SolverReport, lm_solve
-from .quadrature import QuadConfig, QuadratureError
+from .quadrature import QuadratureError
 from .residual import ResidualConfig, residual_vector
 
 __all__ = [
@@ -28,9 +29,57 @@ __all__ = [
     "branch_from_json",
     "save_branch",
     "load_branch",
+    "make_configs",
+    "SETTINGS",
 ]
 
 FORMAT_VERSION = "1"
+
+# Every solver setting, declared once: name -> (type, config, field), where
+# config is "lm" (LMConfig), "res" (ResidualConfig) or "quad" (the
+# residual's inner QuadConfig).  The names are the branch-JSON tolerance
+# keys and the config-file keys; with '-' for '_' they are the solve and
+# continue flags.  A setting left out keeps its dataclass default.
+SETTINGS = {
+    "lambda0": (float, "lm", "lambda0"),
+    "lambda_up": (float, "lm", "lambda_up"),
+    "lambda_down": (float, "lm", "lambda_down"),
+    "fd_step": (float, "lm", "fd_step"),
+    "tol_residual": (float, "lm", "tol_residual"),
+    "tol_step": (float, "lm", "tol_step"),
+    "max_iters": (int, "lm", "max_iters"),
+    "outer_nodes": (int, "res", "outer_nodes"),
+    "inner_abs_tol": (float, "quad", "abs_tol"),
+    "inner_rel_tol": (float, "quad", "rel_tol"),
+    "split_halfwidth_z": (float, "res", "split_halfwidth_z"),
+    "split_halfwidth_end": (float, "res", "split_halfwidth_end"),
+    "series_order": (int, "res", "series_order"),
+}
+
+
+def make_configs(settings: dict, threads: int = 1) -> tuple[LMConfig, ResidualConfig]:
+    """LM and residual configs from a flat {SETTINGS name: value} dict."""
+    fields = {"lm": {}, "res": {}, "quad": {}}
+    for name, value in settings.items():
+        _, config, attr = SETTINGS[name]
+        fields[config][attr] = value
+    quad = replace(ResidualConfig().inner_quad, **fields["quad"])
+    return (LMConfig(threads=threads, **fields["lm"]),
+            ResidualConfig(inner_quad=quad, **fields["res"]))
+
+
+def _tolerances(branch: Branch) -> dict:
+    configs = {"lm": branch.lm, "res": branch.res, "quad": branch.res.inner_quad}
+    tol = {name: getattr(configs[config], attr)
+           for name, (_, config, attr) in SETTINGS.items()}
+    tol["outer_nodes"] = branch.res.resolve_outer_nodes(branch.N)
+    return tol
+
+
+def _finite(x, what: str) -> float:
+    if type(x) not in (int, float) or not math.isfinite(x):
+        raise ValueError(f"{what} must be a finite number, got {x!r}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -173,21 +222,7 @@ def branch_to_json(branch: Branch) -> str:
             "version": FORMAT_VERSION,
             "N": branch.N,
             "ds": branch.ds,
-            "tolerances": {
-                "lambda0": branch.lm.lambda0,
-                "lambda_up": branch.lm.lambda_up,
-                "lambda_down": branch.lm.lambda_down,
-                "fd_step": branch.lm.fd_step,
-                "tol_residual": branch.lm.tol_residual,
-                "tol_step": branch.lm.tol_step,
-                "max_iters": branch.lm.max_iters,
-                "outer_nodes": branch.res.resolve_outer_nodes(branch.N),
-                "inner_abs_tol": branch.res.inner_quad.abs_tol,
-                "inner_rel_tol": branch.res.inner_quad.rel_tol,
-                "split_halfwidth_z": branch.res.split_halfwidth_z,
-                "split_halfwidth_end": branch.res.split_halfwidth_end,
-                "series_order": branch.res.series_order,
-            },
+            "tolerances": _tolerances(branch),
         },
         "steps": [
             {"s": st.s, "values": [float(v) for v in st.profile.values],
@@ -203,34 +238,30 @@ def branch_to_json(branch: Branch) -> str:
 
 
 def branch_from_json(text: str) -> Branch:
+    """Parse branch JSON; malformed or non-finite data raises ValueError,
+    KeyError or TypeError."""
     doc = json.loads(text)
     meta = doc["meta"]
+    N = meta["N"]
+    if type(N) is not int:
+        raise ValueError(f"N must be an integer, got {N!r}")
     tol = meta["tolerances"]
-
-    lm = LMConfig(
-        lambda0=tol["lambda0"], lambda_up=tol["lambda_up"],
-        lambda_down=tol["lambda_down"], fd_step=tol["fd_step"],
-        tol_residual=tol["tol_residual"], tol_step=tol["tol_step"],
-        max_iters=tol["max_iters"],
-    )
-    res = ResidualConfig(
-        outer_nodes=tol["outer_nodes"],
-        inner_quad=QuadConfig(abs_tol=tol["inner_abs_tol"], rel_tol=tol["inner_rel_tol"]),
-        split_halfwidth_z=tol["split_halfwidth_z"],
-        split_halfwidth_end=tol["split_halfwidth_end"],
-        series_order=tol["series_order"],
-    )
-    branch = Branch(ds=meta["ds"], N=meta["N"], lm=lm, res=res)
-    grid = make_grid(meta["N"])
+    lm, res = make_configs({name: tol[name] for name in SETTINGS})
+    branch = Branch(ds=_finite(meta["ds"], "ds"), N=N, lm=lm, res=res)
+    grid = None
     for st in doc["steps"]:
+        s = _finite(st["s"], "s")
         values = np.array(st["values"], dtype=float)
-        profile = fit_spline(grid, values, st["s"])
+        if values.shape != (N,):
+            raise ValueError(f"step s={s}: expected {N} values, got shape {values.shape}")
+        grid = grid or make_grid(N)
+        profile = fit_spline(grid, values, s)
         report = SolverReport(
             solution=values[1:], residual_norm=st["residual_norm"],
             iterations=st["iterations"], converged=st["converged"],
             lambda_history=list(st.get("lambda_history", [])),
         )
-        branch.steps.append(BranchStep(s=st["s"], profile=profile, report=report))
+        branch.steps.append(BranchStep(s=s, profile=profile, report=report))
     if "failure" in doc:
         f = doc["failure"]
         branch.failure = (f["s"], SolverReport(

@@ -9,6 +9,7 @@ pool without changing the result (assembly is by column index).
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -33,9 +34,10 @@ class LMConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if min(self.lambda0, self.lambda_up, self.lambda_down, self.fd_step,
-               self.tol_residual, self.tol_step) <= 0:
-            raise ValueError("all LM parameters must be positive")
+        if not all(0.0 < v < math.inf for v in (
+                self.lambda0, self.lambda_up, self.lambda_down, self.fd_step,
+                self.tol_residual, self.tol_step)):
+            raise ValueError("all LM parameters must be positive and finite")
         if not (self.lambda_up > 1.0 > self.lambda_down):
             raise ValueError("need lambda_up > 1 > lambda_down")
         if self.max_iters < 1 or self.threads < 1:

@@ -59,14 +59,14 @@ class ResidualConfig:
     """Discretization knobs for the residual evaluation.
 
     outer_nodes: trapezoid nodes for the y-integrals (None -> 10*N).
-    inner_quad: tolerance for the sliding-average integrals.
+    inner_quad: tolerance for the sliding-average integrals.  The
+        residual's antiderivative tables use min(abs_tol, 1e-12) and
+        nothing else; rel_tol and max_subdivisions serve only delta_tilde.
     split_halfwidth_z: half-width of the y ~ z region, in grid spacings.
     split_halfwidth_end: width of the y ~ pi/2 region, in grid spacings
         (inside it the paired form is mandatory; it is valid everywhere
         outside the diagonal band, so this only pins the region label).
     series_order: expansion order at the removable singularities (1 or 2).
-    include_endpoint: evaluate the (degenerate) equation at z = pi/2 as
-        an interior row, matching the collocation set i = 1..N-1.
     """
 
     outer_nodes: int | None = None
@@ -74,7 +74,6 @@ class ResidualConfig:
     split_halfwidth_z: float = 2.0
     split_halfwidth_end: float = 2.0
     series_order: int = 2
-    include_endpoint: bool = True
 
     def __post_init__(self):
         if self.outer_nodes is not None and self.outer_nodes < 2:
@@ -336,22 +335,13 @@ def residual_at(profile: Profile, z: float, cfg: ResidualConfig | None = None) -
 def residual_vector(profile: Profile, cfg: ResidualConfig | None = None) -> ResidualVector:
     """Equation residuals at the interior collocation nodes plus boundary rows.
 
-    Interior rows are z_i, i = 1..N-1 when include_endpoint is set
-    (i = 1..N-2 plus a zero row otherwise -- the two conventions agree
-    because the endpoint equation is degenerate); the boundary rows are
+    Interior rows are z_i, i = 1..N-1 (the last, at pi/2, is identically
+    zero because the equation degenerates there); the boundary rows are
     k(0) - 0 and k(pi/2) - s.
     """
     if cfg is None:
         cfg = ResidualConfig()
-    grid = profile.grid
-    engine = _ResidualEngine(profile, cfg)
-    if cfg.include_endpoint:
-        zrows = grid.nodes[1:]
-    else:
-        zrows = grid.nodes[1:-1]
-    interior = engine.evaluate(zrows)
-    if not cfg.include_endpoint:
-        interior = np.concatenate([interior, [0.0]])
+    interior = _ResidualEngine(profile, cfg).evaluate(profile.grid.nodes[1:])
     return ResidualVector(
         interior=interior,
         bc0=float(profile.values[0]),

@@ -7,11 +7,14 @@ from muskatss.cli import (
     EX_DATA,
     EX_OK,
     EX_SOFT,
+    EX_SOLVER,
     EX_USAGE,
     main,
     read_config_file,
 )
 from muskatss.continuation import load_branch
+
+from conftest import synthetic_branch_doc
 
 FAST = ["--n", "17", "--outer-nodes", "170", "--threads", "2"]
 
@@ -41,8 +44,37 @@ class TestUsageErrors:
     def test_bad_threads(self):
         assert main(["solve", "--s", "0.1", "--threads", "0"]) == EX_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ["validate", "{branch}", "--lambda0", "1"],
+        ["export", "{branch}", "--figure", "normalized", "--n", "17"],
+        ["validate", "{branch}", "--config", "{cfg}"],
+        ["solve", "--s", "0", "--n", "9", "--no-endpoint-equation"],
+    ])
+    def test_flag_not_taken(self, branch_file, tmp_path, argv):
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("")
+        assert main([a.format(branch=branch_file, cfg=cfg) for a in argv]) == EX_USAGE
+
+    def test_non_finite_setting(self):
+        assert main(["solve", "--s", "0.1", "--n", "9", "--outer-nodes", "40",
+                     "--lambda0", "nan"]) == EX_USAGE
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        path = tmp_path / "absent.cfg"
+        assert main(["solve", "--s", "0", "--config", str(path)]) == EX_USAGE
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--samples", "-3"], ["--y-range", "nan", "1"]])
+    def test_bad_flag_checked_before_branch_file(self, tmp_path, flags):
+        assert main(["export", str(tmp_path / "absent.json"), "--figure", "integrated"]
+                    + flags) == EX_USAGE
+
 
 class TestSolve:
+    def test_solver_error_exits_2(self, capsys):
+        assert main(["solve", "--s", "1e300", "--n", "9", "--outer-nodes", "40"]) == EX_SOLVER
+        assert capsys.readouterr().err.count("\n") == 1
+
     def test_zero_slope_writes_zero_profile(self, tmp_path):
         out = tmp_path / "p.json"
         assert main(["solve", "--s", "0", "-o", str(out)] + FAST) == EX_OK
@@ -113,6 +145,7 @@ class TestValidate:
             "inner_rel_tol": 1e-10, "split_halfwidth_z": 2.0,
             "split_halfwidth_end": 2.0, "series_order": 2}}, "steps": []}
         empty.write_text(json.dumps(doc))
+        assert load_branch(empty).steps == []
         assert main(["validate", str(empty)]) == EX_DATA
 
     def test_single_step_soft_failure(self, tmp_path):
@@ -120,6 +153,49 @@ class TestValidate:
         assert main(["continue", "--s-max", "0.1", "--ds", "0.1",
                      "-o", str(out)] + FAST) == EX_OK
         assert main(["validate", str(out)]) == EX_SOFT
+
+
+def _bad_steps(doc, i=1, **fields):
+    doc["steps"][i].update(fields)
+
+
+def _huge_interior(doc):
+    values = doc["steps"][0]["values"]
+    values[1:-1] = [1e300] * (len(values) - 2)
+
+
+def _huge_slope(doc):
+    for step in doc["steps"]:
+        step["values"] = [v * 1e300 for v in step["values"]]
+        step["s"] = step["values"][-1]
+
+
+def _missed_end_value(doc):
+    doc["steps"][1]["values"][-1] += 1e-3
+
+
+class TestUnevaluableBranch:
+    """Branch data that loads as JSON but cannot be evaluated exits 65."""
+
+    @pytest.mark.parametrize("mutate, argv", [
+        (lambda d: None, ["export", "--figure", "integrated",
+                          "--y-range", "-100000000", "100000000"]),
+        (_huge_interior, ["validate"]),
+        (_huge_slope, ["validate"]),
+        (lambda d: d["meta"].update(ds="x"), ["validate"]),
+        (lambda d: _bad_steps(d, 0, s="0.1"), ["export", "--figure", "normalized"]),
+        (_missed_end_value, ["validate"]),
+        (lambda d: _bad_steps(d, s=float("nan")), ["validate"]),
+        (lambda d: _bad_steps(d, s=-0.2), ["validate"]),
+    ], ids=["integrated-huge-range", "huge-values", "huge-slope", "string-ds",
+            "string-s", "end-value-misses-s", "nan-s", "negative-s"])
+    def test_exit_65_with_one_line(self, tmp_path, capsys, mutate, argv):
+        doc = synthetic_branch_doc()
+        mutate(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main([argv[0], str(path)] + argv[1:]) == EX_DATA
+        assert capsys.readouterr().err.count("\n") == 1
 
 
 class TestExport:
@@ -151,6 +227,15 @@ class TestExport:
         rows = out.read_text().strip().split("\n")
         assert rows[0] == "y,s=0.1"
         assert len(rows) == 42
+
+    def test_exponent_notation_range(self, branch_file, tmp_path):
+        csv = []
+        for lo, hi in (("-1e4", "1e4"), ("-10000", "10000")):
+            out = tmp_path / f"{hi}.csv"
+            assert main(["export", str(branch_file), "--figure", "integrated",
+                         "--y-range", lo, hi, "--samples", "21", "-o", str(out)]) == EX_OK
+            csv.append(out.read_bytes())
+        assert csv[0] == csv[1]
 
     def test_missing_s_value(self, branch_file):
         assert main(["export", str(branch_file), "--figure", "normalized",

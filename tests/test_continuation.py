@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from muskatss.continuation import (
+    SETTINGS,
     Branch,
     branch_from_json,
     branch_to_json,
     continue_branch,
     load_branch,
+    make_configs,
     save_branch,
     solve_profile,
 )
@@ -147,6 +149,20 @@ class TestSerialization:
         step = doc["steps"][0]
         assert set(step) >= {"s", "values", "residual_norm", "iterations"}
         assert len(step["values"]) == SMALL_N
+
+    def test_every_setting_reaches_configs_and_json(self):
+        assert make_configs({}) == (LMConfig(), ResidualConfig())
+        values = {"lambda0": 2e-3, "lambda_up": 5.0, "lambda_down": 0.2, "fd_step": 2e-6,
+                  "tol_residual": 2e-8, "tol_step": 2e-10, "max_iters": 7, "outer_nodes": 77,
+                  "inner_abs_tol": 2e-11, "inner_rel_tol": 2e-9, "split_halfwidth_z": 1.5,
+                  "split_halfwidth_end": 2.5, "series_order": 1}
+        assert set(values) == set(SETTINGS)
+        lm, res = make_configs(values)
+        assert lm != LMConfig() and res != ResidualConfig()
+        text = branch_to_json(Branch(N=SMALL_N, lm=lm, res=res))
+        assert json.loads(text)["meta"]["tolerances"] == values
+        clone = branch_from_json(text)
+        assert (clone.lm, clone.res) == (lm, res)
 
     def test_file_round_trip(self, small_branch, tmp_path):
         path = tmp_path / "branch.json"

@@ -129,3 +129,8 @@ class TestLMSolve:
             LMConfig(fd_step=-1e-6)
         with pytest.raises(ValueError):
             LMConfig(max_iters=0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                LMConfig(lambda0=bad)
+            with pytest.raises(ValueError):
+                LMConfig(tol_step=bad)

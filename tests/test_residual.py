@@ -168,13 +168,6 @@ class TestResidualVector:
         r2 = residual_vector(linear_profile_01, ResidualConfig(outer_nodes=2580))
         assert np.max(np.abs(r1.stacked() - r2.stacked())) < 1e-6
 
-    def test_endpoint_flag_changes_only_last_interior_row(self, linear_profile_01):
-        with_end = residual_vector(linear_profile_01, ResidualConfig(include_endpoint=True))
-        without = residual_vector(linear_profile_01, ResidualConfig(include_endpoint=False))
-        assert np.array_equal(with_end.interior[:-1], without.interior[:-1])
-        assert without.interior[-1] == 0.0
-        assert with_end.interior[-1] == 0.0
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ResidualConfig(outer_nodes=1)
