@@ -9,8 +9,9 @@ override them, and command-line flags override the file; both take one
 flag or key per entry of ``continuation.SETTINGS``.
 
 Exit codes: 0 success, 1 soft validation failure, 2 solver failure,
-3 truncated branch, 64 usage error (an unreadable --config included),
-65 bad data file (one that cannot be read or evaluated).
+3 truncated branch, 64 usage error (an unreadable --config or an
+unwritable --output included), 65 bad data file (one that cannot be read
+or evaluated).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import re
 import sys
 
@@ -29,7 +31,6 @@ from .continuation import (
     continue_branch,
     load_branch,
     make_configs,
-    save_branch,
     solve_profile,
 )
 from .diagnostics import ds_derivative_check, figure_data, fit_loglog_slope, h1_distance
@@ -53,7 +54,7 @@ FIGURE_S_DEFAULTS = {
 
 # config-file key -> parser: the run's own keys plus every solver setting
 _CONFIG_KEYS = {
-    "n": int, "ds": float, "s": float, "s_max": float, "threads": int,
+    "n": int, "ds": float, "s": float, "s_max": float,
     **{name: kind for name, (kind, _, _) in SETTINGS.items()},
 }
 
@@ -101,6 +102,27 @@ def read_config_file(path) -> dict:
     return out
 
 
+def _check_output(path) -> None:
+    """Fail before any work when ``path`` cannot be created or overwritten."""
+    if not path:
+        return
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+        raise UsageError(f"cannot write output file {path}")
+
+
+def _write_output(path, text: str) -> None:
+    """Write ``text`` to ``path``, or to stdout when no path was given."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write output file {path}: {exc.strerror}") from exc
+
+
 def _run_settings(args) -> dict:
     """Config-file values overridden by every flag that was given."""
     merged = read_config_file(args.config) if args.config else {}
@@ -110,8 +132,7 @@ def _run_settings(args) -> dict:
 
 
 def build_configs(settings: dict) -> tuple[LMConfig, ResidualConfig]:
-    return make_configs({k: v for k, v in settings.items() if k in SETTINGS},
-                        settings.get("threads", 1))
+    return make_configs({k: v for k, v in settings.items() if k in SETTINGS})
 
 
 def _profile_json(profile, report, N: int) -> str:
@@ -129,17 +150,13 @@ def cmd_solve(args) -> int:
         raise UsageError("solve requires --s")
     s, N = cfg["s"], cfg.get("n", 129)
     lm, res = build_configs(cfg)
+    _check_output(args.output)
     try:
         profile, report = solve_profile(s, N, lm, res)
     except SolverError as exc:
         print(f"solver failed at s={s}: {exc}", file=sys.stderr)
         return EX_SOLVER
-    text = _profile_json(profile, report, N)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_output(args.output, _profile_json(profile, report, N) + "\n")
     if not report.converged:
         print(
             f"solver did not converge at s={s}: residual {report.residual_norm:.3e} "
@@ -155,11 +172,9 @@ def cmd_continue(args) -> int:
     if "s_max" not in cfg:
         raise UsageError("continue requires --s-max")
     lm, res = build_configs(cfg)
+    _check_output(args.output)
     branch = continue_branch(cfg["s_max"], cfg.get("ds", 0.1), cfg.get("n", 129), lm, res)
-    if args.output:
-        save_branch(branch, args.output)
-    else:
-        print(branch_to_json(branch))
+    _write_output(args.output, branch_to_json(branch) + "\n")
     if branch.failure is not None:
         last = branch.steps[-1].s if branch.steps else 0.0
         print(
@@ -226,6 +241,7 @@ def cmd_export(args) -> int:
     y_range = tuple(args.y_range) if args.y_range else None
     if y_range and not all(map(math.isfinite, y_range)):
         raise UsageError(f"--y-range must be finite, got {args.y_range}")
+    _check_output(args.output)
     branch = _load_branch(args.branch)
 
     def present(s):
@@ -243,11 +259,7 @@ def cmd_export(args) -> int:
                             "are present in the branch; use --s-list")
     with _evaluating(args.branch):
         text = figure_data(branch, args.figure, s_values, y_range, args.samples).to_csv()
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_output(args.output, text)
     return EX_OK
 
 
@@ -255,7 +267,6 @@ def _add_run_flags(p):
     """--config plus one flag per setting; an unset flag defers to the file."""
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--n", type=int, help="grid nodes (default 129)")
-    p.add_argument("--threads", type=int, help="worker cap for Jacobian columns")
     for name, (kind, _, _) in SETTINGS.items():
         p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind)
 

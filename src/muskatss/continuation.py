@@ -18,7 +18,12 @@ import numpy as np
 from .grid_spline import Grid, Profile, fit_spline, make_grid
 from .lm import LMConfig, SolverError, SolverReport, lm_solve
 from .quadrature import QuadratureError
-from .residual import ResidualConfig, residual_vector
+from .residual import (
+    INNER_ABS_TOL_FLOOR,
+    ResidualConfig,
+    residual_jacobian,
+    residual_vector,
+)
 
 __all__ = [
     "Branch",
@@ -39,12 +44,13 @@ FORMAT_VERSION = "1"
 # config is "lm" (LMConfig), "res" (ResidualConfig) or "quad" (the
 # residual's inner QuadConfig).  The names are the branch-JSON tolerance
 # keys and the config-file keys; with '-' for '_' they are the solve and
-# continue flags.  A setting left out keeps its dataclass default.
+# continue flags.  A setting left out keeps its dataclass default.  Branch
+# files may carry other tolerance keys (older files store fd_step); only
+# these names are read.
 SETTINGS = {
     "lambda0": (float, "lm", "lambda0"),
     "lambda_up": (float, "lm", "lambda_up"),
     "lambda_down": (float, "lm", "lambda_down"),
-    "fd_step": (float, "lm", "fd_step"),
     "tol_residual": (float, "lm", "tol_residual"),
     "tol_step": (float, "lm", "tol_step"),
     "max_iters": (int, "lm", "max_iters"),
@@ -57,14 +63,14 @@ SETTINGS = {
 }
 
 
-def make_configs(settings: dict, threads: int = 1) -> tuple[LMConfig, ResidualConfig]:
+def make_configs(settings: dict) -> tuple[LMConfig, ResidualConfig]:
     """LM and residual configs from a flat {SETTINGS name: value} dict."""
     fields = {"lm": {}, "res": {}, "quad": {}}
     for name, value in settings.items():
         _, config, attr = SETTINGS[name]
         fields[config][attr] = value
     quad = replace(ResidualConfig().inner_quad, **fields["quad"])
-    return (LMConfig(threads=threads, **fields["lm"]),
+    return (LMConfig(**fields["lm"]),
             ResidualConfig(inner_quad=quad, **fields["res"]))
 
 
@@ -117,16 +123,22 @@ class Branch:
 
 
 def _residual_closure(grid: Grid, s: float, res_cfg: ResidualConfig):
+    """The collocation residual in the unknowns x = values[1:], with its
+    exact Jacobian attached as ``r.jacobian``."""
     def r(x):
         values = np.concatenate([[0.0], x])
         profile = fit_spline(grid, values, s)
         try:
             return residual_vector(profile, res_cfg).stacked()
         except QuadratureError:
-            # lm_solve rejects a non-finite trial; a non-finite Jacobian
-            # column or start point becomes a SolverError (a failed step)
+            # lm_solve rejects a non-finite trial; a non-finite start
+            # point or Jacobian becomes a SolverError (a failed step)
             return np.full(grid.N + 1, np.nan)
 
+    def jacobian(x):
+        return residual_jacobian(np.concatenate([[0.0], x]), res_cfg)[:, 1:]
+
+    r.jacobian = jacobian
     return r
 
 
@@ -138,12 +150,17 @@ def solve_profile(s: float, N: int = 129,
 
     Cold starts use the linear approximation (2/pi)*s*z; continuation
     passes the shifted previous solution instead.  s = 0 returns the
-    exact zero profile without running the solver.
+    exact zero profile without running the solver.  An inner abs_tol
+    below INNER_ABS_TOL_FLOOR raises ValueError: the antiderivative
+    tables would only bisect roundoff.
     """
     if s < 0:
         raise ValueError(f"slope must be nonnegative, got {s}")
     lm_cfg = lm_cfg or LMConfig()
     res_cfg = res_cfg or ResidualConfig()
+    if not res_cfg.inner_quad.abs_tol >= INNER_ABS_TOL_FLOOR:
+        raise ValueError(f"inner abs_tol must be >= {INNER_ABS_TOL_FLOOR:g}, "
+                         f"got {res_cfg.inner_quad.abs_tol:g}")
     grid = make_grid(N)
     if s == 0.0:
         profile = fit_spline(grid, np.zeros(N), 0.0)

@@ -8,6 +8,10 @@ produced by odd reflection at evaluation time, which makes the odd
 symmetry (and the evenness of the first derivative) exact in floating
 point while keeping the spline space able to reproduce arbitrary
 polynomials of degree <= 4 on the fitted interval.
+
+The interpolant is linear in the nodal values, so ``SplineMaps`` also
+gives it as matrices: dense value->derivative maps at fixed points, and
+the local B-spline rows that act on the spline coefficients.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
+from scipy.interpolate import BSpline, make_interp_spline
 
-__all__ = ["Grid", "Profile", "make_grid", "fit_spline", "HALF_PI"]
+__all__ = ["Grid", "Profile", "SplineMaps", "make_grid", "fit_spline", "HALF_PI"]
 
 HALF_PI = 0.5 * np.pi
 
@@ -103,3 +107,38 @@ def fit_spline(grid: Grid, values, s: float) -> Profile:
         raise ValueError("degree-4 interpolation needs N >= 5")
     spline = make_interp_spline(grid.nodes, values, k=4)
     return Profile(grid=grid, values=values, s=float(s), spline=spline)
+
+
+class SplineMaps:
+    """The odd quartic interpolant of ``grid`` as linear maps of the values.
+
+    ``coef`` maps nodal values to B-spline coefficients.  ``dense(pts, nu)``
+    is the matrix E with ``E @ values`` equal to the nu-th derivative at
+    ``pts`` (odd reflection included); ``local(pts, nu)`` gives the same
+    rows on the coefficients as the k+1 basis values that can be nonzero
+    at each point, and the index of the first of them.
+    """
+
+    def __init__(self, grid: Grid):
+        self._cardinal = make_interp_spline(grid.nodes, np.eye(grid.N), k=4)
+        self.coef = self._cardinal.c
+        self._basis = BSpline(self._cardinal.t, np.eye(grid.N), 4)
+
+    @staticmethod
+    def _reflect(rows, pts, nu):
+        if nu % 2 == 0:
+            rows[pts < 0] *= -1.0
+        return rows
+
+    def dense(self, pts, nu: int = 0) -> np.ndarray:
+        pts = np.asarray(pts, dtype=float)
+        return self._reflect(self._cardinal(np.abs(pts), nu), pts, nu)
+
+    def local(self, pts, nu: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        pts = np.asarray(pts, dtype=float)
+        t, k = self._basis.t, self._basis.k
+        n = len(t) - k - 1
+        first = np.clip(np.searchsorted(t, np.abs(pts), side="right") - 1, k, n - 1) - k
+        cols = first[:, None] + np.arange(k + 1)
+        rows = np.take_along_axis(self._basis(np.abs(pts), nu), cols, axis=1)
+        return self._reflect(rows, pts, nu), first

@@ -2,15 +2,15 @@
 
 Damping uses Marquardt's diag(J^T J) scaling, which keeps steps invariant
 under uniform rescaling of the residuals and copes with the size gap
-between interior and boundary rows.  The Jacobian is one-sided finite
-differences; columns are independent and may be computed by a thread
-pool without changing the result (assembly is by column index).
+between interior and boundary rows.  The Jacobian comes from the
+residual itself when the callable carries one as ``r.jacobian(x)`` (the
+collocation residual does); otherwise it is one-sided finite
+differences, ``fd_jacobian``, which also serves the tests as an oracle.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,10 +24,14 @@ class SolverError(Exception):
 
 @dataclass(frozen=True)
 class LMConfig:
+    """Damping and stopping settings.
+
+    threads is accepted and ignored: no Jacobian is computed in parallel.
+    """
+
     lambda0: float = 1e-3
     lambda_up: float = 10.0
     lambda_down: float = 0.1
-    fd_step: float = 1e-6
     tol_residual: float = 1e-8   # max-norm of the residual vector
     tol_step: float = 1e-10      # max-norm of the accepted step
     max_iters: int = 50
@@ -35,7 +39,7 @@ class LMConfig:
 
     def __post_init__(self):
         if not all(0.0 < v < math.inf for v in (
-                self.lambda0, self.lambda_up, self.lambda_down, self.fd_step,
+                self.lambda0, self.lambda_up, self.lambda_down,
                 self.tol_residual, self.tol_step)):
             raise ValueError("all LM parameters must be positive and finite")
         if not (self.lambda_up > 1.0 > self.lambda_down):
@@ -61,8 +65,8 @@ class SolverReport:
         }
 
 
-def fd_jacobian(r, x: np.ndarray, step: float, r0: np.ndarray | None = None,
-                threads: int = 1) -> np.ndarray:
+def fd_jacobian(r, x: np.ndarray, step: float = 1e-6,
+                r0: np.ndarray | None = None) -> np.ndarray:
     """One-sided finite-difference Jacobian of r at x.
 
     Column j is (r(x + h_j e_j) - r(x)) / h_j with h_j = step*max(|x_j|, 1).
@@ -71,23 +75,15 @@ def fd_jacobian(r, x: np.ndarray, step: float, r0: np.ndarray | None = None,
     if r0 is None:
         r0 = np.asarray(r(x), dtype=float)
 
-    def column(j):
+    J = np.empty((len(r0), len(x)))
+    for j in range(len(x)):
         h = step * max(abs(x[j]), 1.0)
         xp = x.copy()
         xp[j] += h
         rj = np.asarray(r(xp), dtype=float)
         if not np.all(np.isfinite(rj)):
             raise SolverError(f"non-finite residual when perturbing component {j}")
-        return (rj - r0) / h
-
-    J = np.empty((len(r0), len(x)))
-    if threads > 1 and len(x) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for j, col in enumerate(pool.map(column, range(len(x)))):
-                J[:, j] = col
-    else:
-        for j in range(len(x)):
-            J[:, j] = column(j)
+        J[:, j] = (rj - r0) / h
     return J
 
 
@@ -96,12 +92,15 @@ def lm_solve(r, x0: np.ndarray, cfg: LMConfig | None = None) -> SolverReport:
 
     A trial step solves (J^T J + lambda diag(J^T J)) dx = -J^T r and is
     accepted iff the 2-norm of the residual decreases; lambda shrinks on
-    acceptance and grows on rejection.  Stops when the residual max-norm
-    falls below tol_residual, the accepted step falls below tol_step, or
+    acceptance and grows on rejection.  J is ``r.jacobian(x)`` when r has
+    that attribute (a non-finite one raises SolverError) and
+    ``fd_jacobian`` otherwise.  Stops when the residual max-norm falls
+    below tol_residual, the accepted step falls below tol_step, or
     max_iters accepted steps have been taken (converged=False).
     """
     if cfg is None:
         cfg = LMConfig()
+    jacobian = getattr(r, "jacobian", None)
     x = np.asarray(x0, dtype=float).copy()
     rx = np.asarray(r(x), dtype=float)
     if not np.all(np.isfinite(rx)):
@@ -112,7 +111,12 @@ def lm_solve(r, x0: np.ndarray, cfg: LMConfig | None = None) -> SolverReport:
     converged = np.max(np.abs(rx)) <= cfg.tol_residual
 
     while not converged and iterations < cfg.max_iters:
-        J = fd_jacobian(r, x, cfg.fd_step, r0=rx, threads=cfg.threads)
+        if jacobian is None:
+            J = fd_jacobian(r, x, r0=rx)
+        else:
+            J = np.asarray(jacobian(x), dtype=float)
+            if not np.all(np.isfinite(J)):
+                raise SolverError("non-finite Jacobian")
         JtJ = J.T @ J
         g = J.T @ rx
         damp = np.diag(JtJ).copy()

@@ -30,6 +30,7 @@ __all__ = [
     "trapezoid",
     "gk15_adaptive",
     "gk15_panels",
+    "gk15_rule",
     "cumulative_gk15",
 ]
 
@@ -130,6 +131,19 @@ def trapezoid(f, a: float, b: float, M: int) -> float:
         )
     h = (b - a) / (M - 1)
     return h * (np.sum(fx) - 0.5 * (fx[0] + fx[-1]))
+
+
+def gk15_rule(a, b):
+    """Nodes and Kronrod weights of one GK15 panel on each [a_i, b_i].
+
+    Returns two arrays of shape (len(a), 15); row i integrates a smooth
+    function over [a_i, b_i] as ``weights[i] @ f(nodes[i])``.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    return mid[:, None] + half[:, None] * _NODES15[None, :], half[:, None] * _W15[None, :]
 
 
 def gk15_panels(f, a, b):

@@ -12,11 +12,12 @@ from muskatss.cli import (
     main,
     read_config_file,
 )
+from muskatss import cli
 from muskatss.continuation import load_branch
 
 from conftest import synthetic_branch_doc
 
-FAST = ["--n", "17", "--outer-nodes", "170", "--threads", "2"]
+FAST = ["--n", "17", "--outer-nodes", "170"]
 
 
 @pytest.fixture(scope="module")
@@ -41,14 +42,15 @@ class TestUsageErrors:
     def test_unknown_figure(self, branch_file):
         assert main(["export", str(branch_file), "--figure", "bogus"]) == EX_USAGE
 
-    def test_bad_threads(self):
-        assert main(["solve", "--s", "0.1", "--threads", "0"]) == EX_USAGE
-
     @pytest.mark.parametrize("argv", [
         ["validate", "{branch}", "--lambda0", "1"],
         ["export", "{branch}", "--figure", "normalized", "--n", "17"],
         ["validate", "{branch}", "--config", "{cfg}"],
         ["solve", "--s", "0", "--n", "9", "--no-endpoint-equation"],
+        ["solve", "--s", "0", "--n", "9", "--fd-step", "1e-6"],
+        ["continue", "--s-max", "0.1", "--n", "9", "--fd-step", "1e-6"],
+        ["solve", "--s", "0", "--n", "9", "--threads", "2"],
+        ["continue", "--s-max", "0.1", "--n", "9", "--threads", "2"],
     ])
     def test_flag_not_taken(self, branch_file, tmp_path, argv):
         cfg = tmp_path / "empty.cfg"
@@ -63,6 +65,31 @@ class TestUsageErrors:
         path = tmp_path / "absent.cfg"
         assert main(["solve", "--s", "0", "--config", str(path)]) == EX_USAGE
         assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["solve", "--s", "0.05"],
+                                         ["continue", "--s-max", "0.05", "--ds", "0.05"]])
+    def test_inner_tolerance_below_floor(self, tmp_path, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("inner_abs_tol=1e-300\n")
+        assert main(command + ["--n", "9", "--outer-nodes", "40", "--max-iters", "3",
+                               "--config", str(cfg)]) == EX_USAGE
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--s", "0.1"] + FAST,
+        ["continue", "--s-max", "0.1"] + FAST,
+        ["export", "{branch}", "--figure", "normalized"],
+    ], ids=["solve", "continue", "export"])
+    def test_unwritable_output(self, branch_file, tmp_path, monkeypatch, capsys, command):
+        def never(*args, **kwargs):
+            raise AssertionError("solved before checking the output path")
+
+        monkeypatch.setattr(cli, "continue_branch", never)
+        monkeypatch.setattr(cli, "solve_profile", never)
+        out = str(tmp_path / "missing" / "out")
+        argv = [a.format(branch=branch_file) for a in command] + ["-o", out]
+        assert main(argv) == EX_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and out in err
 
     @pytest.mark.parametrize("flags", [["--samples", "-3"], ["--y-range", "nan", "1"]])
     def test_bad_flag_checked_before_branch_file(self, tmp_path, flags):
@@ -120,6 +147,16 @@ class TestValidate:
     def test_missing_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == EX_DATA
 
+    def test_stored_inner_tolerance_below_floor(self, tmp_path):
+        # the floor applies to new solves; a loaded branch keeps its value
+        doc = synthetic_branch_doc()
+        doc["meta"]["tolerances"]["inner_abs_tol"] = 1e-15
+        path = tmp_path / "fine.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) in (EX_OK, EX_SOFT)
+        assert main(["export", str(path), "--figure", "normalized",
+                     "-o", str(tmp_path / "n.csv")]) == EX_OK
+
     def test_malformed_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -140,7 +177,7 @@ class TestValidate:
         empty = tmp_path / "empty.json"
         doc = {"meta": {"version": "1", "N": 17, "ds": 0.1, "tolerances": {
             "lambda0": 1e-3, "lambda_up": 10.0, "lambda_down": 0.1,
-            "fd_step": 1e-6, "tol_residual": 1e-8, "tol_step": 1e-10,
+            "tol_residual": 1e-8, "tol_step": 1e-10,
             "max_iters": 50, "outer_nodes": 170, "inner_abs_tol": 1e-10,
             "inner_rel_tol": 1e-10, "split_halfwidth_z": 2.0,
             "split_halfwidth_end": 2.0, "series_order": 2}}, "steps": []}
@@ -266,4 +303,9 @@ class TestConfigFile:
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus=1\n")
+        assert main(["solve", "--s", "0", "--config", str(cfg)]) == EX_USAGE
+
+    def test_removed_fd_step_key_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("fd_step=1e-6\n")
         assert main(["solve", "--s", "0", "--config", str(cfg)]) == EX_USAGE

@@ -15,8 +15,9 @@ from muskatss.continuation import (
     solve_profile,
 )
 from muskatss import continuation
-from muskatss.lm import LMConfig
-from muskatss.quadrature import QuadratureError
+from muskatss.grid_spline import make_grid
+from muskatss.lm import LMConfig, lm_solve
+from muskatss.quadrature import QuadConfig, QuadratureError
 from muskatss.residual import ResidualConfig
 
 # small collocation system: fast enough for unit tests, still a real solve
@@ -102,15 +103,15 @@ class TestContinueBranch:
         assert branch.failure[0] == pytest.approx(0.2)
 
     def test_raising_trial_is_rejected(self, monkeypatch):
-        # one thread keeps the call order fixed: 1 start point, N - 1
-        # Jacobian columns, then the first trial step
+        # the Jacobian calls no residual: 1 start point, then the first
+        # trial step
         lm = LMConfig()
         real = continuation.residual_vector
         calls = []
 
         def flaky(profile, cfg):
             calls.append(profile.s)
-            if len(calls) == SMALL_N + 1:
+            if len(calls) == 2:
                 raise QuadratureError("wild trial")
             return real(profile, cfg)
 
@@ -122,6 +123,25 @@ class TestContinueBranch:
         # the rejected trial raised lambda once before the first acceptance
         assert report.lambda_history[1] == pytest.approx(
             lm.lambda0 * lm.lambda_up * lm.lambda_down)
+
+    def test_exact_and_fd_jacobian_take_the_same_path(self):
+        grid = make_grid(SMALL_N)
+        x0 = (2.0 / np.pi) * 0.1 * grid.nodes[1:]
+        exact = continuation._residual_closure(grid, 0.1, SMALL_RES)
+        plain = lambda x: exact(x)    # no .jacobian: lm_solve takes fd_jacobian
+        a = lm_solve(exact, x0, SMALL_LM)
+        b = lm_solve(plain, x0, SMALL_LM)
+        assert a.converged and b.converged
+        assert a.iterations == b.iterations
+        assert np.max(np.abs(a.solution - b.solution)) <= 1e-9
+
+    def test_non_finite_jacobian_truncates_with_failure(self, monkeypatch):
+        monkeypatch.setattr(continuation, "residual_jacobian",
+                            lambda values, cfg: np.full((len(values) + 1, len(values)), np.nan))
+        branch = continue_branch(0.2, 0.1, SMALL_N, SMALL_LM, SMALL_RES)
+        assert branch.steps == []
+        assert branch.failure is not None
+        assert branch.failure[0] == pytest.approx(0.1)
 
     def test_step_at_missing_raises(self, small_branch):
         with pytest.raises(KeyError):
@@ -152,7 +172,7 @@ class TestSerialization:
 
     def test_every_setting_reaches_configs_and_json(self):
         assert make_configs({}) == (LMConfig(), ResidualConfig())
-        values = {"lambda0": 2e-3, "lambda_up": 5.0, "lambda_down": 0.2, "fd_step": 2e-6,
+        values = {"lambda0": 2e-3, "lambda_up": 5.0, "lambda_down": 0.2,
                   "tol_residual": 2e-8, "tol_step": 2e-10, "max_iters": 7, "outer_nodes": 77,
                   "inner_abs_tol": 2e-11, "inner_rel_tol": 2e-9, "split_halfwidth_z": 1.5,
                   "split_halfwidth_end": 2.5, "series_order": 1}
@@ -163,6 +183,32 @@ class TestSerialization:
         assert json.loads(text)["meta"]["tolerances"] == values
         clone = branch_from_json(text)
         assert (clone.lm, clone.res) == (lm, res)
+
+    def test_old_file_with_fd_step_loads(self):
+        # fd_step was a setting once; files that store it still load
+        text = json.dumps({"meta": {"version": "1", "N": SMALL_N, "ds": 0.1, "tolerances": {
+            "lambda0": 2e-3, "lambda_up": 10.0, "lambda_down": 0.1, "fd_step": 2e-6,
+            "tol_residual": 1e-8, "tol_step": 1e-10, "max_iters": 50, "outer_nodes": 170,
+            "inner_abs_tol": 1e-10, "inner_rel_tol": 1e-10, "split_halfwidth_z": 2.0,
+            "split_halfwidth_end": 2.0, "series_order": 2}}, "steps": []})
+        branch = branch_from_json(text)
+        assert branch.lm == LMConfig(lambda0=2e-3)
+        assert branch.res == ResidualConfig(outer_nodes=170)
+        assert "fd_step" not in json.loads(branch_to_json(branch))["meta"]["tolerances"]
+
+    def test_inner_tolerance_floor(self):
+        # below the floor the antiderivative tables only bisect roundoff,
+        # so a new solve refuses it; a stored branch still loads
+        for bad in (1e-15, 1e-300):
+            res = ResidualConfig(inner_quad=QuadConfig(abs_tol=bad))
+            with pytest.raises(ValueError, match="abs_tol"):
+                solve_profile(0.05, 9, res_cfg=res)
+        text = json.dumps({"meta": {"version": "1", "N": SMALL_N, "ds": 0.1, "tolerances": {
+            "lambda0": 1e-3, "lambda_up": 10.0, "lambda_down": 0.1,
+            "tol_residual": 1e-8, "tol_step": 1e-10, "max_iters": 50, "outer_nodes": 170,
+            "inner_abs_tol": 1e-15, "inner_rel_tol": 1e-10, "split_halfwidth_z": 2.0,
+            "split_halfwidth_end": 2.0, "series_order": 2}}, "steps": []})
+        assert branch_from_json(text).res.inner_quad.abs_tol == 1e-15
 
     def test_file_round_trip(self, small_branch, tmp_path):
         path = tmp_path / "branch.json"

@@ -24,8 +24,8 @@ SOLVE_CODES = {0, 2, 64}
 VALIDATE_CODES = {0, 1, 65}
 EXPORT_CODES = {0, 65}
 
-INT_KEYS = ("n", "threads", "max_iters", "outer_nodes", "series_order")
-FLOAT_KEYS = ("ds", "s", "s_max", "lambda0", "lambda_up", "lambda_down", "fd_step",
+INT_KEYS = ("n", "max_iters", "outer_nodes", "series_order")
+FLOAT_KEYS = ("ds", "s", "s_max", "lambda0", "lambda_up", "lambda_down",
               "tol_residual", "tol_step", "inner_abs_tol", "inner_rel_tol",
               "split_halfwidth_z", "split_halfwidth_end")
 SPECIAL_TEXT = ("nan", "inf", "-inf", "0", "-1", "1", "2", "3", "0.5", "1e300", "-1e300",
@@ -103,7 +103,7 @@ def test_config_file_gives_documented_code(fuzz_dir, lines):
     cfg = fuzz_dir / "run.cfg"
     cfg.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogatepass")
     code = main(["solve", "--config", str(cfg), "--s", "0.05", "--n", "9",
-                 "--outer-nodes", "40", "--max-iters", "3", "--threads", "1",
+                 "--outer-nodes", "40", "--max-iters", "3",
                  "-o", str(fuzz_dir / "profile.json")])
     assert code in SOLVE_CODES
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from muskatss.grid_spline import HALF_PI, fit_spline, make_grid
+from muskatss.grid_spline import HALF_PI, SplineMaps, fit_spline, make_grid
 
 
 class TestGrid:
@@ -109,3 +109,21 @@ class TestFitSpline:
             fit_spline(g, np.zeros(5), 0.0)  # wrong length
         with pytest.raises(ValueError):
             fit_spline(make_grid(4), np.zeros(4), 0.0)  # too few nodes
+
+
+class TestSplineMaps:
+    @pytest.mark.parametrize("nu", range(5))
+    def test_maps_reproduce_the_profile(self, nu):
+        g = make_grid(17)
+        rng = np.random.default_rng(nu)
+        values = np.concatenate([[0.0], rng.normal(size=16)])
+        profile = fit_spline(g, values, 0.0)
+        pts = np.concatenate([rng.uniform(-HALF_PI, HALF_PI, 40), g.nodes, -g.nodes])
+        want = profile.eval_deriv(pts, nu)
+        maps = SplineMaps(g)
+        rows, first = maps.local(pts, nu)
+        coef = maps.coef @ values
+        local = np.sum(rows * coef[first[:, None] + np.arange(rows.shape[1])], axis=1)
+        tol = 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(maps.dense(pts, nu) @ values - want)) <= tol
+        assert np.max(np.abs(local - want)) <= tol

@@ -40,15 +40,6 @@ class TestFDJacobian:
         central = (r(xp) - r(xm)) / (2 * h)
         assert np.max(np.abs(J[:, j] - central)) < 50 * step
 
-    def test_threaded_columns_identical(self):
-        rng = np.random.default_rng(4)
-        A = rng.normal(size=(8, 5))
-        r = lambda x: A @ x + np.sin(x).sum()
-        x = rng.normal(size=5)
-        J1 = fd_jacobian(r, x, 1e-6, threads=1)
-        J2 = fd_jacobian(r, x, 1e-6, threads=3)
-        assert np.array_equal(J1, J2)
-
     def test_non_finite_names_component(self):
         def r(x):
             with np.errstate(invalid="ignore"):
@@ -122,11 +113,32 @@ class TestLMSolve:
         rep = lm_solve(r, np.array([2.0]))
         assert len(rep.lambda_history) == rep.iterations + 1
 
+    def test_attached_jacobian_replaces_finite_differences(self):
+        A = np.array([[2.0, 1.0], [0.5, 3.0], [1.0, -1.0]])
+        b = np.array([1.0, 2.0, 0.5])
+        calls = []
+
+        def r(x):
+            calls.append(x)
+            return A @ x - b
+
+        r.jacobian = lambda x: A
+        rep = lm_solve(r, np.zeros(2))
+        assert rep.converged
+        # one residual per trial and one at the start: no Jacobian columns
+        assert len(calls) == rep.iterations + 1
+
+    def test_non_finite_attached_jacobian_raises(self):
+        r = lambda x: x - 1.0
+        r.jacobian = lambda x: np.full((2, 2), np.nan)
+        with pytest.raises(SolverError, match="non-finite Jacobian"):
+            lm_solve(r, np.zeros(2))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             LMConfig(lambda_up=0.5)
         with pytest.raises(ValueError):
-            LMConfig(fd_step=-1e-6)
+            LMConfig(tol_residual=-1e-8)
         with pytest.raises(ValueError):
             LMConfig(max_iters=0)
         for bad in (float("nan"), float("inf")):

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from muskatss.grid_spline import HALF_PI, fit_spline, make_grid
+from muskatss.lm import fd_jacobian
 from muskatss.quadrature import QuadConfig
 from muskatss.residual import (
     ResidualConfig,
     delta_tilde,
     residual_at,
+    residual_jacobian,
     residual_vector,
 )
 
@@ -175,3 +177,47 @@ class TestResidualVector:
             ResidualConfig(split_halfwidth_z=0.0)
         with pytest.raises(ValueError):
             ResidualConfig(series_order=3)
+
+
+def perturbed_arctan(grid, s):
+    z = grid.nodes
+    values = (2.0 * s / np.pi) * np.arctan(np.tan(z) / (1.0 + s * s / 3.0))
+    values += 0.01 * s * np.sin(2.0 * z) + 0.003 * s * np.sin(5.0 * z)
+    values[0], values[-1] = 0.0, s
+    return values
+
+
+class TestResidualJacobian:
+    @pytest.mark.parametrize("s", [0.1, 2.0])
+    @pytest.mark.parametrize("N, cols, cfg", [
+        (17, None, ResidualConfig()),
+        (33, None, ResidualConfig()),
+        (129, [0, 1, 30, 64, 110, 127], ResidualConfig()),
+        (17, None, ResidualConfig(series_order=1)),
+        (33, None, ResidualConfig(series_order=1)),
+        (17, None, ResidualConfig(outer_nodes=77, split_halfwidth_z=1.3)),
+        (33, None, ResidualConfig(outer_nodes=77, split_halfwidth_z=1.3)),
+    ], ids=["17", "33", "129", "17-order1", "33-order1", "17-nodes77", "33-nodes77"])
+    def test_matches_finite_differences(self, N, cols, cfg, s):
+        g = make_grid(N)
+        values = perturbed_arctan(g, s)
+        cols = list(range(N - 1)) if cols is None else cols
+
+        def r(xc):
+            x = values.copy()
+            x[1:][cols] = xc
+            return residual_vector(fit_spline(g, x, s), cfg).stacked()
+
+        exact = residual_jacobian(values, cfg)
+        assert exact.shape == (N + 1, N)
+        fd = fd_jacobian(r, values[1:][cols], 1e-6)
+        scale = np.max(np.abs(exact))
+        assert np.max(np.abs(exact[:, 1:][:, cols] - fd)) <= 1e-6 * scale
+
+    def test_zero_and_boundary_rows(self):
+        N = 17
+        J = residual_jacobian(perturbed_arctan(make_grid(N), 0.5),
+                              ResidualConfig(series_order=1, outer_nodes=77))
+        assert np.all(J[N - 2] == 0.0)                   # the z = pi/2 row
+        assert np.array_equal(J[N - 1], np.eye(N)[0])    # bc0 = values[0]
+        assert np.array_equal(J[N], np.eye(N)[-1])       # bc_end = values[-1] - s
