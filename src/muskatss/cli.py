@@ -9,9 +9,9 @@ override them, and command-line flags override the file; both take one
 flag or key per entry of ``continuation.SETTINGS``.
 
 Exit codes: 0 success, 1 soft validation failure, 2 solver failure,
-3 truncated branch, 64 usage error (an unreadable --config or an
-unwritable --output included), 65 bad data file (one that cannot be read
-or evaluated).
+3 truncated branch, 64 usage error (an unreadable --config, an
+unwritable --output and a solve or continue too large for memory
+included), 65 bad data file (one that cannot be read or evaluated).
 """
 
 from __future__ import annotations
@@ -123,6 +123,23 @@ def _write_output(path, text: str) -> None:
         raise UsageError(f"cannot write output file {path}: {exc.strerror}") from exc
 
 
+@contextlib.contextmanager
+def _within_memory():
+    """A requested problem that does not fit in memory is a usage error."""
+    try:
+        yield
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        raise UsageError(f"requested problem is too large for memory{detail}") from exc
+
+
+def _print_progress(step, seconds: float) -> None:
+    report = step.report
+    print(f"s={step.s:g} iterations={report.iterations} "
+          f"residual={report.residual_norm:.3e} seconds={seconds:.2f}",
+          file=sys.stderr, flush=True)
+
+
 def _run_settings(args) -> dict:
     """Config-file values overridden by every flag that was given."""
     merged = read_config_file(args.config) if args.config else {}
@@ -152,7 +169,8 @@ def cmd_solve(args) -> int:
     lm, res = build_configs(cfg)
     _check_output(args.output)
     try:
-        profile, report = solve_profile(s, N, lm, res)
+        with _within_memory():
+            profile, report = solve_profile(s, N, lm, res)
     except SolverError as exc:
         print(f"solver failed at s={s}: {exc}", file=sys.stderr)
         return EX_SOLVER
@@ -173,7 +191,9 @@ def cmd_continue(args) -> int:
         raise UsageError("continue requires --s-max")
     lm, res = build_configs(cfg)
     _check_output(args.output)
-    branch = continue_branch(cfg["s_max"], cfg.get("ds", 0.1), cfg.get("n", 129), lm, res)
+    with _within_memory():
+        branch = continue_branch(cfg["s_max"], cfg.get("ds", 0.1), cfg.get("n", 129), lm, res,
+                                 on_step=_print_progress if args.progress else None)
     _write_output(args.output, branch_to_json(branch) + "\n")
     if branch.failure is not None:
         last = branch.steps[-1].s if branch.steps else 0.0
@@ -285,6 +305,8 @@ def make_parser() -> _Parser:
     p.add_argument("--s-max", dest="s_max", type=float)
     p.add_argument("--ds", type=float, help="step size (default 0.1)")
     p.add_argument("--output", "-o", help="branch JSON output path")
+    p.add_argument("--progress", action="store_true",
+                   help="print s, iterations, residual and seconds of each step to stderr")
     _add_run_flags(p)
 
     p = sub.add_parser("validate", help="H1 discrepancy report for a branch file")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -177,12 +178,15 @@ def solve_profile(s: float, N: int = 129,
 
 def continue_branch(s_max: float, ds: float, N: int = 129,
                     lm: LMConfig | None = None,
-                    res: ResidualConfig | None = None) -> Branch:
+                    res: ResidualConfig | None = None, *,
+                    on_step=None) -> Branch:
     """March the branch from s = ds to s_max in increments of ds.
 
     A failed step is retried once through two half steps (ds/2) before
     the branch is truncated with a failure record.  Damping is reset at
-    every step.
+    every step.  ``on_step(step, seconds)``, when given, is called after
+    each converged step with its BranchStep and the wall seconds it took,
+    a half-step retry included.
     """
     if s_max <= 0 or ds <= 0:
         raise ValueError("s_max and ds must be positive")
@@ -197,6 +201,7 @@ def continue_branch(s_max: float, ds: float, N: int = 129,
     prev = np.zeros(N - 1)
     shift = (2.0 / np.pi) * grid.nodes[1:]
     for m in range(1, nsteps + 1):
+        start = time.perf_counter()
         s_m = m * ds
         guess = prev + ds * shift
         profile, report = _solve_step(s_m, N, lm, res, guess)
@@ -207,6 +212,8 @@ def continue_branch(s_max: float, ds: float, N: int = 129,
                 return branch
             profile, report = retry
         branch.steps.append(BranchStep(s=s_m, profile=profile, report=report))
+        if on_step is not None:
+            on_step(branch.steps[-1], time.perf_counter() - start)
         prev = report.solution
     return branch
 

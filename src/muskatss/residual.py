@@ -36,10 +36,13 @@ k(pi/2) and the spline derivatives at the band midpoints; the geometry
 (``_pair_geometry``) depends only on (N, ResidualConfig), and that of the
 interior rows is cached and shared by the residual and its Jacobian.
 Every input is linear in the nodal values, so the Jacobian
-(``residual_jacobian``) is the kernel's elementwise partials, taken by
-complex step through the same kernel, contracted with fixed value ->
-input maps that a cached ``Discretization`` builds once per
-(N, ResidualConfig).
+(``residual_jacobian``) is the kernel's elementwise partials contracted
+with fixed value -> input maps that a cached ``Discretization`` builds
+once per (N, ResidualConfig).  The partials come from the hand-derived
+gradient ``_integrand_partials`` in one real pass; the band expansions
+are linear in their inputs, so their part is fixed coefficients times
+the partials in the three expansion quotients.  A complex step through
+``_integrand`` is the tests' check of that gradient.
 """
 
 from __future__ import annotations
@@ -224,24 +227,24 @@ class _Geometry:
         """Spline derivatives 0..derivs-1 that the expansions take."""
         return 3 if self.order == 1 else 5
 
-    def rows(self, r: slice) -> tuple[_Geometry, slice, slice]:
-        """The grid rows r, and the slices of the band and mirror pairs they hold."""
-        def pairs_in(mask):
-            first = np.concatenate([[0], np.cumsum(np.count_nonzero(mask, axis=1))])
-            return slice(first[r.start], first[r.stop])
+    def blocks(self, size: int) -> list[tuple[slice, _Geometry, slice, slice]]:
+        """Consecutive blocks of at most ``size`` grid rows: for each, its
+        row slice, its geometry and the slices of the band and mirror pairs
+        it holds."""
+        def firsts(mask):
+            return np.concatenate([[0], np.cumsum(np.count_nonzero(mask, axis=1))])
 
-        b, m = pairs_in(self.near), pairs_in(self.near2)
-        return _Geometry(self.cz[r], self.sz[r], self.x[r], self.cy, self.sy, self.sec2y,
-                         self.s_minus[r], self.s_plus[r], self.near[r], self.near2[r],
-                         self.paired[r], _Series(*(f[b] for f in self.band)),
-                         _Series(*(f[m] for f in self.mirror)), self.order), b, m
-
-    def pairs(self, i, j) -> _Geometry:
-        """The flat list of grid pairs (i, j); it must hold every near and near2 pair."""
-        return _Geometry(self.cz[i, 0], self.sz[i, 0], self.x[i, 0], self.cy[j], self.sy[j],
-                         self.sec2y[j], self.s_minus[i, j], self.s_plus[i, j],
-                         self.near[i, j], self.near2[i, j], self.paired[i, j],
-                         self.band, self.mirror, self.order)
+        fb, fm = firsts(self.near), firsts(self.near2)
+        out = []
+        for r0 in range(0, self.s_minus.shape[0], size):
+            r = slice(r0, min(r0 + size, self.s_minus.shape[0]))
+            b, m = slice(fb[r.start], fb[r.stop]), slice(fm[r.start], fm[r.stop])
+            out.append((r, _Geometry(
+                self.cz[r], self.sz[r], self.x[r], self.cy, self.sy, self.sec2y,
+                self.s_minus[r], self.s_plus[r], self.near[r], self.near2[r],
+                self.paired[r], _Series(*(f[b] for f in self.band)),
+                _Series(*(f[m] for f in self.mirror)), self.order), b, m))
+        return out
 
 
 def _pair_geometry(z: np.ndarray, yi: np.ndarray, cfg: ResidualConfig,
@@ -300,18 +303,16 @@ def _series(g: _Series, k, order: int):
     return c2 * k1, c2 * u1, km
 
 
-def _integrand(g: _Geometry, kz, uz, ky, uy, D, b, band, mirror):
-    """The outer integrand: its values at the pairs of ``g`` and at y = pi/2.
+def _quotients(g: _Geometry, kz, uz, ky, uy, D, band, mirror):
+    """The six quotients of the pairs of ``g``, the band expansions in place.
 
-    The inputs are the value-dependent quantities: k and u = k' cos^2 at
-    z and at y, D = P(y) - P(z), b = k(pi/2), and the spline derivatives
-    at the band and mirror midpoints.  Every output is an elementwise
-    function of them, so complex inputs give complex-step derivatives.
-    Returns (pairs, end): the integrand at each pair and, at each z, its
-    analytic limit at the endpoint y = pi/2.
+    Returns (dq_k_m, dq_u_m, avg_p, dq_k_p, dq_u_p, avg_m): the difference
+    quotients of k and u over tan z - tan y and tan z + tan y, and the
+    sliding averages -D/(tan z -+ tan y).  On the ``near`` pairs the first
+    three are the series of ``band``; on the ``near2`` pairs the last
+    three are (dq_k, -dq_u, -avg) of the series of ``mirror``.
     """
-    cz, sz, x = g.cz, g.sz, g.x
-    cy, sy, sec2y = g.cy, g.sy, g.sec2y
+    cz, cy = g.cz, g.cy
     s_minus, s_plus = g.s_minus, g.s_plus
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         dq_k_m = (kz - ky) * cz * cy / s_minus
@@ -330,6 +331,25 @@ def _integrand(g: _Geometry, kz, uz, ky, uy, D, b, band, mirror):
     dq_k_p[near2] = dqk
     dq_u_p[near2] = -dqu
     avg_m[near2] = -avg
+    return dq_k_m, dq_u_m, avg_p, dq_k_p, dq_u_p, avg_m
+
+
+def _integrand(g: _Geometry, kz, uz, ky, uy, D, b, band, mirror):
+    """The outer integrand: its values at the pairs of ``g`` and at y = pi/2.
+
+    The inputs are the value-dependent quantities: k and u = k' cos^2 at
+    z and at y, D = P(y) - P(z), b = k(pi/2), and the spline derivatives
+    at the band and mirror midpoints.  Every output is an elementwise
+    function of them, so complex inputs give complex-step derivatives
+    (the tests' check of ``_integrand_partials``).  Returns (pairs, end):
+    the integrand at each pair and, at each z, its analytic limit at the
+    endpoint y = pi/2.
+    """
+    cz, sz, x = g.cz, g.sz, g.x
+    cy, sy, sec2y = g.cy, g.sy, g.sec2y
+    s_minus, s_plus = g.s_minus, g.s_plus
+    dq_k_m, dq_u_m, avg_p, dq_k_p, dq_u_p, avg_m = _quotients(
+        g, kz, uz, ky, uy, D, band, mirror)
 
     Fp = 1.0 / (1.0 + avg_p * avg_p)
     Fm = 1.0 / (1.0 + avg_m * avg_m)
@@ -355,6 +375,91 @@ def _integrand(g: _Geometry, kz, uz, ky, uy, D, b, band, mirror):
     Fb = 1.0 / (1.0 + b * b)
     end = (-2.0 * x * uz * (1.0 - b * b) + 8.0 * b * b * kz) * Fb * Fb / np.pi
     return (t2 + t35) / np.pi, end
+
+
+class _Partials(NamedTuple):
+    """Partials of ``_integrand`` (see ``_integrand_partials``)."""
+
+    kz: np.ndarray
+    ky: np.ndarray
+    du: np.ndarray
+    D: np.ndarray
+    end_kz: np.ndarray
+    end_uz: np.ndarray
+    end_b: np.ndarray
+    band: tuple
+    mirror: tuple
+
+
+def _integrand_partials(g: _Geometry, kz, uz, ky, uy, D, b, band, mirror) -> _Partials:
+    """The partials of ``_integrand`` at real inputs, in one pass.
+
+    At the pairs: in kz, ky, du = uz - uy (u enters only as that
+    difference, so the uy partial is minus the du one) and D.  At the
+    endpoint column, one per z: in kz, uz and b.  At the ``near`` and
+    ``near2`` pairs, in order: in the three quotients (dq_k, dq_u, avg)
+    of ``_series`` on ``band`` and on ``mirror``; the series is linear in
+    its inputs, so these give the band partials through fixed
+    coefficients.  With F = 1/(1+a^2) and G = a F^2 the derivatives are
+    written F' = -2aF.F and G' = F^2 (4F - 3) (as a^2 F = 1 - F), which
+    stay finite wherever F and G do.
+    """
+    cz, sz, x = g.cz, g.sz, g.x
+    cy, sy = g.cy, g.sy
+    s_minus, s_plus = g.s_minus, g.s_plus
+    near, near2, paired = g.near, g.near2, g.paired
+    dq_k_m, dq_u_m, avg_p, dq_k_p, dq_u_p, avg_m = _quotients(
+        g, kz, uz, ky, uy, D, band, mirror)
+    sec2y = g.sec2y / np.pi
+
+    Fp = 1.0 / (1.0 + avg_p * avg_p)
+    Fm = 1.0 / (1.0 + avg_m * avg_m)
+    # p_*: the pair value's partial in each quotient, from t35 everywhere
+    # and from the direct t2 outside the paired region (t2 is then
+    # sec^2 y (dq_u_m Fp + dq_u_p Fm), so p_dq_u_* is 0 inside it)
+    p_dq_u_m = np.where(paired, 0.0, sec2y * Fp)
+    p_dq_u_p = np.where(paired, 0.0, sec2y * Fm)
+    p_dq_k_m = -4.0 * dq_k_m * (avg_p * Fp * Fp) * sec2y
+    p_dq_k_p = -4.0 * dq_k_p * (avg_m * Fm * Fm) * sec2y
+    p_avg_p = (-2.0 * avg_p * Fp * dq_u_m * p_dq_u_m
+               - 2.0 * dq_k_m * dq_k_m * Fp * Fp * (4.0 * Fp - 3.0) * sec2y)
+    p_avg_m = (-2.0 * avg_m * Fm * dq_u_p * p_dq_u_p
+               - 2.0 * dq_k_p * dq_k_p * Fm * Fm * (4.0 * Fm - 3.0) * sec2y)
+
+    # the generic quotients' derivatives in their numerators; 0 where the
+    # band expansions replace them
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cm = cz * cy / s_minus
+        cp = cz * cy / s_plus
+        cm[near] = 0.0
+        cp[near2] = 0.0
+        # the paired form in du and D (its D enters through Fp, Fm and
+        # t_fpfm = K D^2 Fp Fm, whose D-derivative is 2 K D Fp Fm (Fp + Fm - 1))
+        du = uz - uy
+        e = cz * cz / (s_minus * s_plus * np.pi)
+        k_fpfm = (-4.0 * sz * sy * sy * cz ** 3 * cy * cy
+                  / (s_minus * s_minus * s_plus * s_plus))
+        fpfm = Fp * Fm
+        paired_du = e * (x * (Fp + Fm) + k_fpfm * D * D * fpfm)
+        paired_D = du * e * (2.0 * x * (avg_p * Fp * Fp * cm + avg_m * Fm * Fm * cp)
+                             + 2.0 * k_fpfm * D * fpfm * (Fp + Fm - 1.0))
+
+    d_kz = p_dq_k_m * cm + p_dq_k_p * cp
+    d_ky = p_dq_k_p * cp - p_dq_k_m * cm
+    d_du = np.where(paired, paired_du, p_dq_u_m * cm + p_dq_u_p * cp)
+    d_D = np.where(paired, paired_D, 0.0) - p_avg_p * cm - p_avg_m * cp
+
+    # endpoint y = pi/2, with (1 - b^2) Fb^2 = (2Fb - 1) Fb and b^2 Fb^2 = (1 - Fb) Fb
+    Fb = 1.0 / (1.0 + b * b)
+    end_kz = np.full(x.shape[0], 8.0 * (1.0 - Fb) * Fb / np.pi)
+    end_uz = -2.0 * x * (2.0 * Fb - 1.0) * Fb / np.pi
+    end_b = ((-2.0 * x * uz * (4.0 * Fb - 1.0) + 8.0 * kz * (1.0 - 2.0 * Fb))
+             * (-2.0 * b * Fb * Fb) / np.pi)
+    return _Partials(
+        d_kz, d_ky, d_du, d_D, end_kz, end_uz[:, 0], end_b[:, 0],
+        band=(p_dq_k_m[near], p_dq_u_m[near], p_avg_p[near]),
+        mirror=(p_dq_k_p[near2], -p_dq_u_p[near2], -p_avg_m[near2]),
+    )
 
 
 def _outer_nodes(N: int, cfg: ResidualConfig) -> tuple[np.ndarray, float]:
@@ -443,9 +548,7 @@ class _ResidualEngine:
         return out
 
 
-# complex-step size: the derivative is exact to roundoff for any tiny step
-_CSTEP = 1e-30
-# pairs per block of the Jacobian's complex passes (bounds their memory)
+# pairs per row block of the Jacobian's kernel pass (bounds its memory)
 _BLOCK_PAIRS = 1 << 15
 
 
@@ -453,14 +556,16 @@ class Discretization:
     """The value-independent part of ``residual_vector`` for one (N, cfg).
 
     Holds the pair geometry of the interior rows (z < pi/2), the same
-    cached object ``residual_vector`` uses, and the linear
-    maps from the nodal values to every input of the outer integrand:
-    ``maps[name] @ values`` gives the input ``name`` (spline maps E_nu at
-    the rows, the outer nodes and pi/2, and a value -> P map from one GK15
-    panel per antiderivative-table gap, which is how the adaptive table
-    closes nearly every gap), and ``band``/``mirror`` hold the local
-    B-spline rows at the expansion midpoints.  ``discretization`` builds
-    it once per (N, cfg).
+    cached object ``residual_vector`` uses, cut into row blocks, and the
+    linear maps from the nodal values to every input of the outer
+    integrand: ``maps[name] @ values`` gives the input ``name`` (spline
+    maps E_nu at the rows, the outer nodes and pi/2, and a value -> P map
+    from one GK15 panel per antiderivative-table gap, which is how the
+    adaptive table closes nearly every gap), and ``band``/``mirror`` hold
+    the local B-spline rows at the expansion midpoints.  The band term of
+    the Jacobian is a fixed scatter into coefficient space: one flat index
+    and, per expansion quotient, one fixed weight per B-spline row entry.
+    ``discretization`` builds it once per (N, cfg).
     """
 
     def __init__(self, N: int, cfg: ResidualConfig):
@@ -469,6 +574,7 @@ class Discretization:
         z = grid.nodes[1:-1]
         yi, self.hy = _outer_nodes(N, cfg)
         self.geo = g = _interior_geometry(N, cfg)
+        self.blocks = g.blocks(max(1, _BLOCK_PAIRS // len(yi)))
         sm = SplineMaps(grid)
         self.coef = sm.coef
         pz = _primitive_map(sm, np.unique(np.concatenate([[0.0], z, yi])))
@@ -481,10 +587,28 @@ class Discretization:
         self.transport = (np.sin(z) * np.cos(z))[:, None] * dk_z
         self.band = [sm.local(g.band.m, nu) for nu in range(g.derivs)]
         self.mirror = [sm.local(g.mirror.m, nu) for nu in range(g.derivs)]
-        self.band_pairs = np.nonzero(g.near | g.near2)
         # trapezoid weights of the pair columns; the y = pi/2 column has 1/2
         self.w = np.ones(len(yi))
         self.w[0] = 0.5
+
+        # the band term's scatter: _series is linear, so at a band or mirror
+        # pair (i, j) each quotient is sum_nu series(unit input nu) times the
+        # B-spline rows of nu, a fixed weight on the coefficients first..first+4
+        index, weight = [], []
+        for mask, series, local in ((g.near, g.band, self.band),
+                                    (g.near2, g.mirror, self.mirror)):
+            i, j = np.nonzero(mask)
+            rows0, first = local[0]           # first is the same for every nu
+            quot = np.zeros((3,) + rows0.shape)
+            for nu, (rows, _) in enumerate(local):
+                unit = [np.full(len(i), float(mu == nu)) for mu in range(g.derivs)]
+                for q, coef in enumerate(_series(series, unit, g.order)):
+                    quot[q] += coef[:, None] * rows
+            weight.append(self.hy * self.w[j][:, None] * quot)
+            index.append(i[:, None] * len(self.coef) + first[:, None] + np.arange(rows0.shape[1]))
+        self.band_weight = np.concatenate(weight, axis=1)     # (quotient, pair, row entry)
+        self.band_index = np.concatenate(index).ravel()
+        self.n_band = np.count_nonzero(g.near)
 
     def _inputs(self, values: np.ndarray) -> dict:
         """The integrand inputs at nodal values ``values``, for the whole grid."""
@@ -503,61 +627,40 @@ class Discretization:
     def jacobian(self, values) -> np.ndarray:
         """Derivative of ``residual_vector(...).stacked()`` in the nodal values.
 
-        Shape (N+1, N).  The partials of the integrand in each input come
-        from complex steps through ``_integrand``, one input per pass, and
-        are contracted with that input's map: row scalings for the z
-        inputs, products with the y and P maps, and, on the band pairs
-        alone, the local B-spline rows.
+        Shape (N+1, N).  One real pass of ``_integrand_partials`` per row
+        block gives the integrand's partials, contracted with the input
+        maps: row scalings for the z inputs and products with the y and P
+        maps.  The band term is the partials in the expansion quotients
+        times the fixed band weights, summed into coefficient space with
+        one ``np.bincount``.
         """
-        N, g, w, hy, maps = self.N, self.geo, self.w, self.hy, self.maps
-        nz = g.s_minus.shape[0]
-        inp = self._inputs(np.asarray(values, dtype=float).astype(complex))
+        N, w, hy, maps = self.N, self.w, self.hy, self.maps
+        nz = self.geo.s_minus.shape[0]
+        inp = self._inputs(np.asarray(values, dtype=float))
         J = np.zeros((N + 1, N))
         J[:nz] = self.transport
         J[N - 1, 0] = 1.0             # bc0 = values[0]
         J[N, N - 1] = 1.0             # bc_end = values[-1] - s
 
-        def partials(geo, args, *names):
-            args = dict(args, **{name: args[name] + 1j * _CSTEP for name in names})
-            pairs, end = _integrand(geo, **args)
-            return pairs.imag / _CSTEP, end.imag[:, 0] / _CSTEP
-
-        block = max(1, _BLOCK_PAIRS // len(w))
-        for r0 in range(0, nz, block):
-            r = slice(r0, min(r0 + block, nz))
-            geo, b, m = g.rows(r)
-            args = dict(inp, kz=inp["kz"][r], uz=inp["uz"][r], D=inp["D"][r],
-                        band=[a[b] for a in inp["band"]],
-                        mirror=[a[m] for a in inp["mirror"]])
-            kz_p, kz_e = partials(geo, args, "kz")
-            uz_p, uz_e = partials(geo, args, "uz")
-            ky_p, b_e = partials(geo, args, "ky", "b")   # b enters only the end column
-            uy_p, _ = partials(geo, args, "uy")
-            D_p, _ = partials(geo, args, "D")
+        quot = np.empty(self.band_weight.shape[:2])
+        for r, geo, b, m in self.blocks:
+            p = _integrand_partials(
+                geo, kz=inp["kz"][r], uz=inp["uz"][r], ky=inp["ky"], uy=inp["uy"],
+                D=inp["D"][r], b=inp["b"], band=[a[b] for a in inp["band"]],
+                mirror=[a[m] for a in inp["mirror"]])
             J[r] += hy * (
-                (kz_p @ w + 0.5 * kz_e)[:, None] * maps["kz"][r]
-                + (uz_p @ w + 0.5 * uz_e)[:, None] * maps["uz"][r]
-                + (ky_p * w) @ maps["ky"] + (uy_p * w) @ maps["uy"]
-                + (D_p * w) @ maps["Py"] - (D_p @ w)[:, None] * maps["Pz"][r]
-                + 0.5 * b_e[:, None] * maps["b"])
+                (p.kz @ w + 0.5 * p.end_kz)[:, None] * maps["kz"][r]
+                + (p.du @ w + 0.5 * p.end_uz)[:, None] * maps["uz"][r]
+                + (p.ky * w) @ maps["ky"] - (p.du * w) @ maps["uy"]
+                + (p.D * w) @ maps["Py"] - (p.D @ w)[:, None] * maps["Pz"][r]
+                + 0.5 * p.end_b[:, None] * maps["b"])
+            quot[:, b] = p.band
+            quot[:, self.n_band + m.start:self.n_band + m.stop] = p.mirror
 
-        # the expansion inputs, on the band pairs alone, in coefficient space
-        i, j = self.band_pairs
-        geo = g.pairs(i, j)
-        args = dict(inp, kz=inp["kz"][i, 0], uz=inp["uz"][i, 0], ky=inp["ky"][j],
-                    uy=inp["uy"][j], D=inp["D"][i, j])
-        G = np.zeros((nz, len(self.coef)))
-        for name, local, mask in (("band", self.band, geo.near),
-                                  ("mirror", self.mirror, geo.near2)):
-            weight = hy * w[j[mask]]
-            for nu, (rows, first) in enumerate(local):
-                pert = list(args[name])
-                pert[nu] = pert[nu] + 1j * _CSTEP
-                pairs, _ = _integrand(geo, **dict(args, **{name: pert}))
-                part = (pairs.imag / _CSTEP)[mask] * weight
-                cols = first[:, None] + np.arange(rows.shape[1])
-                np.add.at(G, (i[mask][:, None], cols), part[:, None] * rows)
-        J[:nz] += G @ self.coef
+        G = np.bincount(self.band_index,
+                        np.einsum("qe,qek->ek", quot, self.band_weight).ravel(),
+                        minlength=nz * len(self.coef))
+        J[:nz] += G.reshape(nz, -1) @ self.coef
         return J
 
 

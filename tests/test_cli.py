@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,7 +129,48 @@ class TestSolve:
         assert a.read_bytes() == b.read_bytes()
 
 
+_CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from muskatss.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--s", "0.1", "--n", "100000000"],
+    ["solve", "--s", "0.1", "--n", "17", "--outer-nodes", "100000000000"],
+    ["continue", "--s-max", "0.2", "--ds", "0.1", "--n", "100000000"],
+], ids=["solve-n", "solve-outer-nodes", "continue-n"])
+def test_too_large_for_memory(argv):
+    # run under a 1 GiB address-space cap, so the failing allocation is cheap
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv], capture_output=True,
+                         text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"})
+    assert out.returncode == EX_USAGE, out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and "too large for memory" in lines[0], out.stderr
+
+
 class TestContinue:
+    def test_progress_goes_to_stderr_only(self, tmp_path, capsys):
+        argv = ["continue", "--s-max", "0.2", "--ds", "0.1"] + FAST
+        runs = []
+        for extra in ([], ["--progress"]):
+            assert main(argv + extra) == EX_OK
+            out, err = capsys.readouterr()
+            path = tmp_path / f"branch{len(runs)}.json"
+            assert main(argv + extra + ["-o", str(path)]) == EX_OK
+            runs.append((out, err, path.read_bytes(), capsys.readouterr().err))
+        (out, err, doc, file_err), (pout, perr, pdoc, pfile_err) = runs
+        assert out and pout == out and pdoc == doc
+        assert err == file_err == ""
+        for text in (perr, pfile_err):
+            lines = text.splitlines()
+            assert [line.split()[0] for line in lines] == ["s=0.1", "s=0.2"]
+            assert all("iterations=" in line and "seconds=" in line for line in lines)
+
     def test_branch_file_contents(self, branch_file):
         branch = load_branch(branch_file)
         assert len(branch.steps) == 2

@@ -6,7 +6,11 @@ from muskatss.lm import fd_jacobian
 from muskatss.quadrature import QuadConfig
 from muskatss.residual import (
     ResidualConfig,
+    _integrand,
+    _integrand_partials,
+    _series,
     delta_tilde,
+    discretization,
     residual_at,
     residual_jacobian,
     residual_vector,
@@ -221,3 +225,74 @@ class TestResidualJacobian:
         assert np.all(J[N - 2] == 0.0)                   # the z = pi/2 row
         assert np.array_equal(J[N - 1], np.eye(N)[0])    # bc0 = values[0]
         assert np.array_equal(J[N], np.eye(N)[-1])       # bc_end = values[-1] - s
+
+
+def kernel_inputs(N, cfg, s):
+    """The interior-row geometry of (N, cfg) and the kernel's inputs there."""
+    d = discretization(N, cfg)
+    return d.geo, d._inputs(perturbed_arctan(make_grid(N), s))
+
+
+KERNEL_CONFIGS = pytest.mark.parametrize("cfg", [
+    ResidualConfig(), ResidualConfig(series_order=1),
+    ResidualConfig(outer_nodes=77, split_halfwidth_z=1.3),
+], ids=["default", "order1", "nodes77"])
+
+
+class TestIntegrandPartials:
+    @KERNEL_CONFIGS
+    def test_matches_complex_step(self, cfg):
+        g, inp = kernel_inputs(33, cfg, 2.0)
+        p = _integrand_partials(g, **inp)
+        step = 1e-30
+        cinp = {name: ([a.astype(complex) for a in v] if isinstance(v, list)
+                       else np.asarray(v, dtype=complex)) for name, v in inp.items()}
+
+        def cstep(name, nu=None):
+            args = dict(cinp)
+            if nu is None:
+                args[name] = cinp[name] + 1j * step
+            else:
+                args[name] = [a + 1j * step * (mu == nu) for mu, a in enumerate(cinp[name])]
+            pairs, end = _integrand(g, **args)
+            return pairs.imag / step, end.imag[:, 0] / step
+
+        def close(got, want):
+            assert want.size > 0
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+        band, mirror = g.near, g.near2
+        kinds = {"generic": ~(band | mirror | g.paired), "paired": g.paired,
+                 "band": band, "mirror": mirror}
+        for name, want in (("kz", p.kz), ("ky", p.ky), ("uz", p.du), ("uy", -p.du),
+                           ("D", p.D)):
+            pairs, _ = cstep(name)
+            for kind, mask in kinds.items():
+                assert np.any(mask), kind
+                close(want[mask], pairs[mask])
+
+        # the y = pi/2 column
+        for name, want in (("kz", p.end_kz), ("uz", p.end_uz), ("b", p.end_b)):
+            close(want, cstep(name)[1])
+
+        # the spline derivatives at the midpoints, through the series
+        for name, mask, series, quot in (("band", band, g.band, p.band),
+                                         ("mirror", mirror, g.mirror, p.mirror)):
+            for nu in range(g.derivs):
+                unit = [np.full(np.count_nonzero(mask), float(mu == nu))
+                        for mu in range(g.derivs)]
+                coefs = _series(series, unit, g.order)
+                close(sum(q * c for q, c in zip(quot, coefs)), cstep(name, nu)[0][mask])
+
+    def test_finite_where_the_value_is_finite(self):
+        # |avg| ~ 1e200 on the band and mirror pairs: F and G underflow to 0,
+        # and G' written as F^2 - 4 a^2 F^3 would be inf * 0 = NaN there
+        g, inp = kernel_inputs(33, ResidualConfig(), 2.0)
+        for name in ("band", "mirror"):
+            inp[name] = [np.full_like(inp[name][0], 1e200)] + inp[name][1:]
+        with np.errstate(over="ignore"):
+            pairs, end = _integrand(g, **inp)
+            p = _integrand_partials(g, **inp)
+        assert np.all(np.isfinite(pairs)) and np.all(np.isfinite(end))
+        for part in (p.kz, p.ky, p.du, p.D, p.end_kz, p.end_uz, p.end_b, *p.band, *p.mirror):
+            assert np.all(np.isfinite(part))
