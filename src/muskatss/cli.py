@@ -10,8 +10,8 @@ flag or key per entry of ``continuation.SETTINGS``.
 
 Exit codes: 0 success, 1 soft validation failure, 2 solver failure,
 3 truncated branch, 64 usage error (an unreadable --config, an
-unwritable --output and a solve or continue too large for memory
-included), 65 bad data file (one that cannot be read or evaluated).
+unwritable --output and a request too large for memory included), 65
+bad data file (one that cannot be read or evaluated).
 """
 
 from __future__ import annotations
@@ -169,8 +169,7 @@ def cmd_solve(args) -> int:
     lm, res = build_configs(cfg)
     _check_output(args.output)
     try:
-        with _within_memory():
-            profile, report = solve_profile(s, N, lm, res)
+        profile, report = solve_profile(s, N, lm, res)
     except SolverError as exc:
         print(f"solver failed at s={s}: {exc}", file=sys.stderr)
         return EX_SOLVER
@@ -191,9 +190,8 @@ def cmd_continue(args) -> int:
         raise UsageError("continue requires --s-max")
     lm, res = build_configs(cfg)
     _check_output(args.output)
-    with _within_memory():
-        branch = continue_branch(cfg["s_max"], cfg.get("ds", 0.1), cfg.get("n", 129), lm, res,
-                                 on_step=_print_progress if args.progress else None)
+    branch = continue_branch(cfg["s_max"], cfg.get("ds", 0.1), cfg.get("n", 129), lm, res,
+                             on_step=_print_progress if args.progress else None)
     _write_output(args.output, branch_to_json(branch) + "\n")
     if branch.failure is not None:
         last = branch.steps[-1].s if branch.steps else 0.0
@@ -338,7 +336,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = make_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        with _within_memory():
+            return _COMMANDS[args.command](args)
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE

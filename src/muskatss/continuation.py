@@ -152,8 +152,9 @@ def solve_profile(s: float, N: int = 129,
     Cold starts use the linear approximation (2/pi)*s*z; continuation
     passes the shifted previous solution instead.  s = 0 returns the
     exact zero profile without running the solver.  An inner abs_tol
-    below INNER_ABS_TOL_FLOOR raises ValueError: the antiderivative
-    tables would only bisect roundoff.
+    below INNER_ABS_TOL_FLOOR raises ValueError: the solve does not read
+    it, but the branch stores it, and the adaptive quadratures that do
+    read it (delta_tilde, residual_at) would only bisect roundoff.
     """
     if s < 0:
         raise ValueError(f"slope must be nonnegative, got {s}")
@@ -188,8 +189,8 @@ def continue_branch(s_max: float, ds: float, N: int = 129,
     each converged step with its BranchStep and the wall seconds it took,
     a half-step retry included.
     """
-    if s_max <= 0 or ds <= 0:
-        raise ValueError("s_max and ds must be positive")
+    if not (s_max > 0 and ds > 0 and math.isfinite(s_max / ds)):
+        raise ValueError(f"s_max and ds must be positive with a finite ratio, got {s_max}, {ds}")
     lm = lm or LMConfig()
     res = res or ResidualConfig()
     nsteps = round(s_max / ds)

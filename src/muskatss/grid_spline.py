@@ -122,7 +122,12 @@ class SplineMaps:
     def __init__(self, grid: Grid):
         self._cardinal = make_interp_spline(grid.nodes, np.eye(grid.N), k=4)
         self.coef = self._cardinal.c
-        self._basis = BSpline(self._cardinal.t, np.eye(grid.N), 4)
+        # at most k+1 consecutive basis functions are nonzero at a point, and
+        # their indices differ mod k+1: column r sums the basis functions of
+        # index r mod k+1, so at each point it holds one of them exactly
+        k = self._cardinal.k
+        self._basis = BSpline(self._cardinal.t,
+                              (np.arange(grid.N)[:, None] % (k + 1) == np.arange(k + 1)) * 1.0, k)
 
     @staticmethod
     def _reflect(rows, pts, nu):
@@ -139,6 +144,6 @@ class SplineMaps:
         t, k = self._basis.t, self._basis.k
         n = len(t) - k - 1
         first = np.clip(np.searchsorted(t, np.abs(pts), side="right") - 1, k, n - 1) - k
-        cols = first[:, None] + np.arange(k + 1)
+        cols = (first[:, None] + np.arange(k + 1)) % (k + 1)
         rows = np.take_along_axis(self._basis(np.abs(pts), nu), cols, axis=1)
         return self._reflect(rows, pts, nu), first

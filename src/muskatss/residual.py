@@ -10,8 +10,8 @@ of a single antiderivative
 
     P(w) = integral_0^w sec^2(t) k(t) dt,
 
-tabulated once per profile, so the outer trapezoid integration is fully
-vectorized over (z, y).
+taken at the rows and the outer nodes, so the outer trapezoid integration
+is fully vectorized over (z, y).
 
 Three regions need non-generic handling:
 
@@ -32,17 +32,23 @@ oddness cancellation at z = 0 exact in floating point.
 
 The integrand is one elementwise kernel, ``_integrand``, of the
 value-dependent inputs k and u = k' cos^2 at z and y, D = P(y) - P(z),
-k(pi/2) and the spline derivatives at the band midpoints; the geometry
-(``_pair_geometry``) depends only on (N, ResidualConfig), and that of the
-interior rows is cached and shared by the residual and its Jacobian.
-Every input is linear in the nodal values, so the Jacobian
-(``residual_jacobian``) is the kernel's elementwise partials contracted
-with fixed value -> input maps that a cached ``Discretization`` builds
-once per (N, ResidualConfig).  The partials come from the hand-derived
-gradient ``_integrand_partials`` in one real pass; the band expansions
-are linear in their inputs, so their part is fixed coefficients times
-the partials in the three expansion quotients.  A complex step through
-``_integrand`` is the tests' check of that gradient.
+k(pi/2) and the spline derivatives at the band midpoints.  The geometry
+(``_pair_geometry``) depends only on (N, ResidualConfig), and so do the
+products of it the kernel needs: the generic quotients' factors
+cos z cos y / sin(z -+ y) and the paired form's coefficients, which are
+stored only at the paired end-region pairs and evaluated only there.
+Every input is linear in the nodal values, so a cached ``Discretization``
+builds fixed value -> input maps once per (N, ResidualConfig), P among
+them from one GK15 panel per gap.  ``residual_vector`` is those maps and
+one kernel pass per block of rows; the Jacobian (``residual_jacobian``)
+is the kernel's elementwise partials, from the hand-derived gradient
+``_integrand_partials`` in one real pass per block, contracted with the
+same maps.  The band expansions are linear in their inputs, so their part
+of the Jacobian is fixed coefficients times the partials in the three
+expansion quotients.  A complex step through ``_integrand`` is the tests'
+check of that gradient.  ``residual_at`` runs the same kernel on one row,
+with its inputs from the profile's spline and an adaptive antiderivative
+table.
 """
 
 from __future__ import annotations
@@ -73,7 +79,7 @@ __all__ = [
     "residual_vector",
 ]
 
-# below this the antiderivative tables only bisect roundoff
+# below this the adaptive quadratures of delta_tilde and residual_at only bisect roundoff
 INNER_ABS_TOL_FLOOR = 1e-14
 
 
@@ -82,11 +88,12 @@ class ResidualConfig:
     """Discretization knobs for the residual evaluation.
 
     outer_nodes: trapezoid nodes for the y-integrals (None -> 10*N).
-    inner_quad: tolerance for the sliding-average integrals.  The
-        residual's antiderivative tables use min(abs_tol, 1e-12) and
-        nothing else; rel_tol and max_subdivisions serve only delta_tilde.
-        A new solve needs abs_tol >= INNER_ABS_TOL_FLOOR (solve_profile
-        checks it); a loaded branch keeps the value it stores.
+    inner_quad: tolerance for the sliding-average integrals of
+        delta_tilde and of residual_at's antiderivative table (which uses
+        min(abs_tol, 1e-12) and nothing else).  residual_vector and its
+        Jacobian do not read it: their P is a fixed map of the nodal
+        values.  A new solve needs abs_tol >= INNER_ABS_TOL_FLOOR
+        (solve_profile checks it); a loaded branch keeps the value it stores.
     split_halfwidth_z: half-width of the y ~ z region, in grid spacings.
     split_halfwidth_end: width of the y ~ pi/2 region, in grid spacings
         (inside it the paired form is mandatory; it is valid everywhere
@@ -198,26 +205,32 @@ def _series_factors(m, d) -> _Series:
 
 @dataclass(frozen=True)
 class _Geometry:
-    """Value-independent arrays of the outer integrand at pairs (z, y).
+    """Value-independent arrays of the outer integrand on a grid of pairs (z, y).
 
-    Either a grid (z arrays of shape (nz, 1), y arrays (ny,), pair arrays
-    (nz, ny)) or one flat list of pairs; the kernel is elementwise, so
-    both broadcast.  ``band`` and ``mirror`` hold the expansion factors at
-    the ``near`` and ``near2`` pairs in row-major order; ``order`` is the
-    expansion order.
+    z arrays have shape (nz, 1), y arrays (ny,) and pair arrays (nz, ny),
+    so the elementwise kernel broadcasts them.  ``cm`` and ``cp`` are the
+    generic quotients' factors cos z cos y / sin(z -+ y), zeroed on the
+    ``near`` and ``near2`` pairs, where the expansions take over; ``band``
+    and ``mirror`` hold the expansion factors there, in row-major order,
+    and ``order`` is the expansion order.  The paired end-region form is
+    evaluated only at the flat indices ``pidx`` of the ``paired`` pairs,
+    from its coefficients there: ``pe`` = cos^2 z / (sin(z-y) sin(z+y)),
+    ``pk`` the factor of D^2 Fp Fm in the bracket, and ``px`` = tan z.
     """
 
     cz: np.ndarray
-    sz: np.ndarray
     x: np.ndarray
     cy: np.ndarray
-    sy: np.ndarray
     sec2y: np.ndarray
-    s_minus: np.ndarray
-    s_plus: np.ndarray
+    cm: np.ndarray
+    cp: np.ndarray
     near: np.ndarray
     near2: np.ndarray
     paired: np.ndarray
+    pidx: np.ndarray
+    pe: np.ndarray
+    pk: np.ndarray
+    px: np.ndarray
     band: _Series
     mirror: _Series
     order: int
@@ -234,15 +247,17 @@ class _Geometry:
         def firsts(mask):
             return np.concatenate([[0], np.cumsum(np.count_nonzero(mask, axis=1))])
 
-        fb, fm = firsts(self.near), firsts(self.near2)
+        nz, ny = self.cm.shape
+        fb, fm, fp = firsts(self.near), firsts(self.near2), firsts(self.paired)
         out = []
-        for r0 in range(0, self.s_minus.shape[0], size):
-            r = slice(r0, min(r0 + size, self.s_minus.shape[0]))
+        for r0 in range(0, nz, size):
+            r = slice(r0, min(r0 + size, nz))
             b, m = slice(fb[r.start], fb[r.stop]), slice(fm[r.start], fm[r.stop])
+            p = slice(fp[r.start], fp[r.stop])
             out.append((r, _Geometry(
-                self.cz[r], self.sz[r], self.x[r], self.cy, self.sy, self.sec2y,
-                self.s_minus[r], self.s_plus[r], self.near[r], self.near2[r],
-                self.paired[r], _Series(*(f[b] for f in self.band)),
+                self.cz[r], self.x[r], self.cy, self.sec2y, self.cm[r], self.cp[r],
+                self.near[r], self.near2[r], self.paired[r], self.pidx[p] - r.start * ny,
+                self.pe[p], self.pk[p], self.px[p], _Series(*(f[b] for f in self.band)),
                 _Series(*(f[m] for f in self.mirror)), self.order), b, m))
         return out
 
@@ -252,7 +267,8 @@ def _pair_geometry(z: np.ndarray, yi: np.ndarray, cfg: ResidualConfig,
     """Geometry of the pairs z x yi (all z < pi/2, yi the outer nodes but pi/2)."""
     band = cfg.split_halfwidth_z * spacing
     z = z[:, None]
-    cy = np.cos(yi)
+    cz, sz, x = np.cos(z), np.sin(z), np.tan(z)
+    cy, sy = np.cos(yi), np.sin(yi)
     # diagonal band y ~ z; the sec^2 d^2 guard turns the expansion
     # off where tan varies too fast across the band (only possible
     # next to pi/2, where direct evaluation is accurate anyway)
@@ -266,11 +282,23 @@ def _pair_geometry(z: np.ndarray, yi: np.ndarray, cfg: ResidualConfig,
     near2 = (np.abs(d2) < 0.5 * band) & (d2 * d2 / np.cos(m2) ** 2 < 0.01)
     # the paired end-region form is valid everywhere outside the bands
     paired = (yi > HALF_PI - cfg.split_halfwidth_end * spacing) & ~(near | near2)
+
+    # every tan difference as sin(z -+ y)/(cos z cos y); the sines vanish
+    # only on the bands, whose factors the expansions replace
+    s_minus, s_plus = np.sin(z - yi), np.sin(z + yi)
+    with np.errstate(divide="ignore"):
+        cm = cz * cy / s_minus
+        cp = cz * cy / s_plus
+    cm[near] = 0.0
+    cp[near2] = 0.0
+    i, j = np.nonzero(paired)
+    czp, sm, sp = cz[i, 0], s_minus[i, j], s_plus[i, j]
     return _Geometry(
-        cz=np.cos(z), sz=np.sin(z), x=np.tan(z),
-        cy=cy, sy=np.sin(yi), sec2y=1.0 / (cy * cy),
-        s_minus=np.sin(z - yi), s_plus=np.sin(z + yi),
-        near=near, near2=near2, paired=paired,
+        cz=cz, x=x, cy=cy, sec2y=1.0 / (cy * cy), cm=cm, cp=cp,
+        near=near, near2=near2, paired=paired, pidx=np.flatnonzero(paired),
+        pe=czp * czp / (sm * sp),
+        pk=-4.0 * sz[i, 0] * sy[j] ** 2 * czp ** 3 * cy[j] ** 2 / (sm * sm * sp * sp),
+        px=x[i, 0],
         band=_series_factors(m[near], d[near]),
         mirror=_series_factors(m2[near2], d2[near2]),
         order=cfg.series_order,
@@ -304,23 +332,24 @@ def _series(g: _Series, k, order: int):
 
 
 def _quotients(g: _Geometry, kz, uz, ky, uy, D, band, mirror):
-    """The six quotients of the pairs of ``g``, the band expansions in place.
+    """The difference du = uz - uy and the six quotients of the pairs of ``g``.
 
-    Returns (dq_k_m, dq_u_m, avg_p, dq_k_p, dq_u_p, avg_m): the difference
-    quotients of k and u over tan z - tan y and tan z + tan y, and the
-    sliding averages -D/(tan z -+ tan y).  On the ``near`` pairs the first
-    three are the series of ``band``; on the ``near2`` pairs the last
-    three are (dq_k, -dq_u, -avg) of the series of ``mirror``.
+    Returns (du, dq_k_m, dq_u_m, avg_p, dq_k_p, dq_u_p, avg_m): the
+    difference quotients of k and u over tan z - tan y and tan z + tan y,
+    and the sliding averages -D/(tan z -+ tan y).  On the ``near`` pairs
+    the first three quotients are the series of ``band``; on the ``near2``
+    pairs the last three are (dq_k, -dq_u, -avg) of the series of ``mirror``.
+    On the ``paired`` pairs dq_u_m and dq_u_p are 0, as the paired
+    end-region form replaces their terms.
     """
-    cz, cy = g.cz, g.cy
-    s_minus, s_plus = g.s_minus, g.s_plus
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        dq_k_m = (kz - ky) * cz * cy / s_minus
-        dq_u_m = (uz - uy) * cz * cy / s_minus
-        dq_k_p = (kz + ky) * cz * cy / s_plus
-        dq_u_p = (uz - uy) * cz * cy / s_plus
-        avg_p = -D * cz * cy / s_minus
-        avg_m = -D * cz * cy / s_plus
+    cm, cp = g.cm, g.cp
+    du = uz - uy
+    dq_k_m = (kz - ky) * cm
+    dq_u_m = du * cm
+    dq_k_p = (kz + ky) * cp
+    dq_u_p = du * cp
+    avg_p = -D * cm
+    avg_m = -D * cp
 
     near, near2 = g.near, g.near2
     dqk, dqu, avg = _series(g.band, band, g.order)
@@ -331,7 +360,9 @@ def _quotients(g: _Geometry, kz, uz, ky, uy, D, band, mirror):
     dq_k_p[near2] = dqk
     dq_u_p[near2] = -dqu
     avg_m[near2] = -avg
-    return dq_k_m, dq_u_m, avg_p, dq_k_p, dq_u_p, avg_m
+    dq_u_m.ravel()[g.pidx] = 0.0
+    dq_u_p.ravel()[g.pidx] = 0.0
+    return du, dq_k_m, dq_u_m, avg_p, dq_k_p, dq_u_p, avg_m
 
 
 def _integrand(g: _Geometry, kz, uz, ky, uy, D, b, band, mirror):
@@ -345,36 +376,28 @@ def _integrand(g: _Geometry, kz, uz, ky, uy, D, b, band, mirror):
     the integrand at each pair and, at each z, its analytic limit at the
     endpoint y = pi/2.
     """
-    cz, sz, x = g.cz, g.sz, g.x
-    cy, sy, sec2y = g.cy, g.sy, g.sec2y
-    s_minus, s_plus = g.s_minus, g.s_plus
-    dq_k_m, dq_u_m, avg_p, dq_k_p, dq_u_p, avg_m = _quotients(
+    du, dq_k_m, dq_u_m, avg_p, dq_k_p, dq_u_p, avg_m = _quotients(
         g, kz, uz, ky, uy, D, band, mirror)
-
     Fp = 1.0 / (1.0 + avg_p * avg_p)
     Fm = 1.0 / (1.0 + avg_m * avg_m)
-    Gp = avg_p * Fp * Fp
-    Gm = avg_m * Fm * Fm
 
-    # first-derivative terms: separately the two quotients diverge
-    # like +-tan(y) toward pi/2, so inside the end region they are
-    # combined over the common denominator tan^2 z - tan^2 y (an
-    # algebraic identity; tan(y)*(Fp - Fm) gets the stable product
-    # form, which stays finite as y -> pi/2)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t_fpfm = (-4.0 * sz * sy * sy * cz ** 3 * cy * cy * D * D * Fp * Fm
-                  / (s_minus * s_minus * s_plus * s_plus))
-        bracket = x * (Fp + Fm) + t_fpfm
-        t2_paired = (uz - uy) * cz * cz * bracket / (s_minus * s_plus)
-    t2 = np.where(g.paired,
-                  t2_paired,
-                  dq_u_m * sec2y * Fp + dq_u_p * sec2y * Fm)
-    t35 = -2.0 * (dq_k_m * dq_k_m * Gp + dq_k_p * dq_k_p * Gm) * sec2y
+    # first-derivative terms: separately the two quotients diverge like
+    # +-tan(y) toward pi/2, so on the paired pairs they are combined over
+    # the common denominator tan^2 z - tan^2 y instead (an algebraic
+    # identity; tan(y)*(Fp - Fm) gets the stable product form
+    # pk D^2 Fp Fm, which stays finite as y -> pi/2)
+    pairs = (dq_u_m * Fp + dq_u_p * Fm
+             - 2.0 * (dq_k_m * dq_k_m * avg_p * Fp * Fp + dq_k_p * dq_k_p * avg_m * Fm * Fm)
+             ) * (g.sec2y / np.pi)
+    p = g.pidx
+    Fp, Fm, Dp = Fp.ravel()[p], Fm.ravel()[p], D.ravel()[p]
+    pairs.ravel()[p] += (du.ravel()[p] * g.pe / np.pi
+                         * (g.px * (Fp + Fm) + g.pk * Dp * Dp * Fp * Fm))
 
     # endpoint y = pi/2: analytic limit of the paired integrand
     Fb = 1.0 / (1.0 + b * b)
-    end = (-2.0 * x * uz * (1.0 - b * b) + 8.0 * b * b * kz) * Fb * Fb / np.pi
-    return (t2 + t35) / np.pi, end
+    end = (-2.0 * g.x * uz * (1.0 - b * b) + 8.0 * b * b * kz) * Fb * Fb / np.pi
+    return pairs, end
 
 
 class _Partials(NamedTuple):
@@ -404,21 +427,17 @@ def _integrand_partials(g: _Geometry, kz, uz, ky, uy, D, b, band, mirror) -> _Pa
     written F' = -2aF.F and G' = F^2 (4F - 3) (as a^2 F = 1 - F), which
     stay finite wherever F and G do.
     """
-    cz, sz, x = g.cz, g.sz, g.x
-    cy, sy = g.cy, g.sy
-    s_minus, s_plus = g.s_minus, g.s_plus
-    near, near2, paired = g.near, g.near2, g.paired
-    dq_k_m, dq_u_m, avg_p, dq_k_p, dq_u_p, avg_m = _quotients(
+    cm, cp, near, near2, p = g.cm, g.cp, g.near, g.near2, g.pidx
+    du, dq_k_m, dq_u_m, avg_p, dq_k_p, dq_u_p, avg_m = _quotients(
         g, kz, uz, ky, uy, D, band, mirror)
     sec2y = g.sec2y / np.pi
 
     Fp = 1.0 / (1.0 + avg_p * avg_p)
     Fm = 1.0 / (1.0 + avg_m * avg_m)
-    # p_*: the pair value's partial in each quotient, from t35 everywhere
-    # and from the direct t2 outside the paired region (t2 is then
-    # sec^2 y (dq_u_m Fp + dq_u_p Fm), so p_dq_u_* is 0 inside it)
-    p_dq_u_m = np.where(paired, 0.0, sec2y * Fp)
-    p_dq_u_p = np.where(paired, 0.0, sec2y * Fm)
+    # p_*: the pair value's partial in each quotient; dq_u_* are 0 on the
+    # paired pairs, so their terms drop out of p_avg_* there
+    p_dq_u_m = sec2y * Fp
+    p_dq_u_p = sec2y * Fm
     p_dq_k_m = -4.0 * dq_k_m * (avg_p * Fp * Fp) * sec2y
     p_dq_k_p = -4.0 * dq_k_p * (avg_m * Fm * Fm) * sec2y
     p_avg_p = (-2.0 * avg_p * Fp * dq_u_m * p_dq_u_m
@@ -426,30 +445,26 @@ def _integrand_partials(g: _Geometry, kz, uz, ky, uy, D, b, band, mirror) -> _Pa
     p_avg_m = (-2.0 * avg_m * Fm * dq_u_p * p_dq_u_p
                - 2.0 * dq_k_p * dq_k_p * Fm * Fm * (4.0 * Fm - 3.0) * sec2y)
 
-    # the generic quotients' derivatives in their numerators; 0 where the
+    # through the generic quotients, whose factors cm, cp are 0 where the
     # band expansions replace them
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        cm = cz * cy / s_minus
-        cp = cz * cy / s_plus
-        cm[near] = 0.0
-        cp[near2] = 0.0
-        # the paired form in du and D (its D enters through Fp, Fm and
-        # t_fpfm = K D^2 Fp Fm, whose D-derivative is 2 K D Fp Fm (Fp + Fm - 1))
-        du = uz - uy
-        e = cz * cz / (s_minus * s_plus * np.pi)
-        k_fpfm = (-4.0 * sz * sy * sy * cz ** 3 * cy * cy
-                  / (s_minus * s_minus * s_plus * s_plus))
-        fpfm = Fp * Fm
-        paired_du = e * (x * (Fp + Fm) + k_fpfm * D * D * fpfm)
-        paired_D = du * e * (2.0 * x * (avg_p * Fp * Fp * cm + avg_m * Fm * Fm * cp)
-                             + 2.0 * k_fpfm * D * fpfm * (Fp + Fm - 1.0))
-
     d_kz = p_dq_k_m * cm + p_dq_k_p * cp
     d_ky = p_dq_k_p * cp - p_dq_k_m * cm
-    d_du = np.where(paired, paired_du, p_dq_u_m * cm + p_dq_u_p * cp)
-    d_D = np.where(paired, paired_D, 0.0) - p_avg_p * cm - p_avg_m * cp
+    d_du = p_dq_u_m * cm + p_dq_u_p * cp
+    d_D = -(p_avg_p * cm + p_avg_m * cp)
+
+    # the paired form, on the paired pairs: its du partial replaces the
+    # generic one; its D enters through Fp, Fm and pk D^2 Fp Fm, whose
+    # D-derivative is 2 pk D Fp Fm (Fp + Fm - 1)
+    Fp, Fm, Dp = Fp.ravel()[p], Fm.ravel()[p], D.ravel()[p]
+    e, fpfm = g.pe / np.pi, Fp * Fm
+    d_du.ravel()[p] = e * (g.px * (Fp + Fm) + g.pk * Dp * Dp * fpfm)
+    d_D.ravel()[p] += du.ravel()[p] * e * (
+        2.0 * g.px * (avg_p.ravel()[p] * Fp * Fp * cm.ravel()[p]
+                      + avg_m.ravel()[p] * Fm * Fm * cp.ravel()[p])
+        + 2.0 * g.pk * Dp * fpfm * (Fp + Fm - 1.0))
 
     # endpoint y = pi/2, with (1 - b^2) Fb^2 = (2Fb - 1) Fb and b^2 Fb^2 = (1 - Fb) Fb
+    x = g.x
     Fb = 1.0 / (1.0 + b * b)
     end_kz = np.full(x.shape[0], 8.0 * (1.0 - Fb) * Fb / np.pi)
     end_uz = -2.0 * x * (2.0 * Fb - 1.0) * Fb / np.pi
@@ -468,112 +483,51 @@ def _outer_nodes(N: int, cfg: ResidualConfig) -> tuple[np.ndarray, float]:
     return y[:-1], y[1] - y[0]
 
 
-@functools.lru_cache(maxsize=4)
-def _interior_geometry(N: int, cfg: ResidualConfig) -> _Geometry:
-    """Pair geometry of the interior rows z_1..z_{N-2} of make_grid(N).
+def _outer_integral(g: _Geometry, hy: float, z, yi, inputs: dict) -> np.ndarray:
+    """Trapezoid in y of the outer integrand at the rows z of ``g``.
 
-    Shared by ``residual_vector`` and ``Discretization``; the kernel only
-    reads it.
+    ``inputs`` are the kernel's (see ``_integrand``); ``yi`` are the outer
+    nodes but pi/2.  A non-finite integrand raises QuadratureError naming
+    its (z, y), so numpy's overflow warnings on the way are not shown.
     """
-    grid = make_grid(N)
-    return _pair_geometry(grid.nodes[1:-1], _outer_nodes(N, cfg)[0], cfg, grid.spacing)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs, end = _integrand(g, **inputs)
+    if not (np.all(np.isfinite(pairs)) and np.all(np.isfinite(end))):
+        bad = ~np.isfinite(np.column_stack([pairs, end]))
+        i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        y = np.append(yi, HALF_PI)[j]
+        raise QuadratureError(f"non-finite outer integrand at (z={z[i]}, y={y})",
+                              interval=(float(z[i]), float(y)))
+    return hy * (pairs.sum(axis=1) - 0.5 * pairs[:, 0] + 0.5 * end[:, 0])
 
 
-class _ResidualEngine:
-    """Vectorized evaluation of the equation at many z for one profile."""
-
-    def __init__(self, profile: Profile, cfg: ResidualConfig):
-        self.profile = profile
-        self.cfg = cfg
-        self.yi, self.hy = _outer_nodes(profile.grid.N, cfg)
-
-    def primitive(self, zpts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """P at the requested z points and at the outer nodes (except pi/2)."""
-        ev = self.profile._ev
-        pts = np.unique(np.concatenate([[0.0], zpts, self.yi]))
-        tol = min(self.cfg.inner_quad.abs_tol, 1e-12)
-
-        def integrand(w):
-            c = np.cos(w)
-            return ev(w, 0) / (c * c)
-
-        P = cumulative_gk15(integrand, pts, tol=tol)
-        Pz = P[np.searchsorted(pts, zpts)]
-        Py = P[np.searchsorted(pts, self.yi)]
-        return Pz, Py
-
-    def integrand_matrix(self, z: np.ndarray, Pz: np.ndarray, Py: np.ndarray,
-                         g: _Geometry) -> np.ndarray:
-        """Outer-integrand values, shape (len(z), outer_nodes), all z < pi/2."""
-        ev = self.profile._ev
-        zc = z[:, None]
-        pairs, end = _integrand(
-            g, kz=ev(zc, 0), uz=ev(zc, 1) * g.cz * g.cz,
-            ky=ev(self.yi, 0), uy=ev(self.yi, 1) * g.cy * g.cy,
-            D=Py[None, :] - Pz[:, None], b=float(ev(HALF_PI, 0)),
-            band=[ev(g.band.m, nu) for nu in range(g.derivs)],
-            mirror=[ev(g.mirror.m, nu) for nu in range(g.derivs)],
-        )
-        rows = np.empty((len(z), len(self.yi) + 1))
-        rows[:, :-1] = pairs
-        rows[:, -1] = end[:, 0]
-        return rows
-
-    def evaluate(self, zpts: np.ndarray, geometry: _Geometry | None = None) -> np.ndarray:
-        """Residual at each z in zpts (z = pi/2 rows are identically 0).
-
-        ``geometry`` is the pair geometry of the z < pi/2 points, when the
-        caller holds it; otherwise it is built here.
-        """
-        zpts = np.asarray(zpts, dtype=float)
-        out = np.zeros(len(zpts))
-        inner = zpts < HALF_PI
-        if not np.any(inner):
-            return out
-        zin = zpts[inner]
-        if geometry is None:
-            geometry = _pair_geometry(zin, self.yi, self.cfg, self.profile.grid.spacing)
-        Pz, Py = self.primitive(zin)
-        rows = self.integrand_matrix(zin, Pz, Py, geometry)
-        if not np.all(np.isfinite(rows)):
-            i, j = np.unravel_index(int(np.argmax(~np.isfinite(rows))), rows.shape)
-            y = np.append(self.yi, HALF_PI)
-            raise QuadratureError(
-                f"non-finite outer integrand at (z={zin[i]}, y={y[j]})",
-                interval=(float(zin[i]), float(y[j])),
-            )
-        integral = self.hy * (np.sum(rows, axis=1) - 0.5 * (rows[:, 0] + rows[:, -1]))
-        transport = np.sin(zin) * np.cos(zin) * self.profile._ev(zin, 1)
-        out[inner] = transport + integral
-        return out
-
-
-# pairs per row block of the Jacobian's kernel pass (bounds its memory)
+# pairs per row block of a kernel pass (bounds its memory)
 _BLOCK_PAIRS = 1 << 15
 
 
 class Discretization:
     """The value-independent part of ``residual_vector`` for one (N, cfg).
 
-    Holds the pair geometry of the interior rows (z < pi/2), the same
-    cached object ``residual_vector`` uses, cut into row blocks, and the
-    linear maps from the nodal values to every input of the outer
-    integrand: ``maps[name] @ values`` gives the input ``name`` (spline
-    maps E_nu at the rows, the outer nodes and pi/2, and a value -> P map
-    from one GK15 panel per antiderivative-table gap, which is how the
-    adaptive table closes nearly every gap), and ``band``/``mirror`` hold
-    the local B-spline rows at the expansion midpoints.  The band term of
-    the Jacobian is a fixed scatter into coefficient space: one flat index
-    and, per expansion quotient, one fixed weight per B-spline row entry.
-    ``discretization`` builds it once per (N, cfg).
+    Holds the pair geometry of the interior rows (z < pi/2), cut into row
+    blocks, and the linear maps from the nodal values to every input of
+    the outer integrand: ``maps[name] @ values`` gives the input ``name``
+    (spline maps E_nu at the rows, the outer nodes and pi/2, and a
+    value -> P map from one GK15 panel per gap between consecutive rows and
+    outer nodes), and ``band``/``mirror`` hold the local B-spline rows at
+    the expansion midpoints.  A residual is these maps and one kernel pass
+    per block; a Jacobian is one pass of the kernel's partials per block.
+    The band term of the Jacobian is a fixed scatter into coefficient
+    space: one flat index and, per expansion quotient, one fixed weight
+    per B-spline row entry.  ``discretization`` builds it once per (N, cfg).
     """
 
     def __init__(self, N: int, cfg: ResidualConfig):
         grid = make_grid(N)
         self.N = N
-        z = grid.nodes[1:-1]
-        yi, self.hy = _outer_nodes(N, cfg)
-        self.geo = g = _interior_geometry(N, cfg)
+        self.z = z = grid.nodes[1:-1]
+        self.yi, self.hy = _outer_nodes(N, cfg)
+        yi = self.yi
+        self.geo = g = _pair_geometry(z, yi, cfg, grid.spacing)
         self.blocks = g.blocks(max(1, _BLOCK_PAIRS // len(yi)))
         sm = SplineMaps(grid)
         self.coef = sm.coef
@@ -624,6 +578,27 @@ class Discretization:
                 "D": inp["Py"][None, :] - inp["Pz"][:, None],
                 "band": at(self.band), "mirror": at(self.mirror)}
 
+    def _passes(self, values):
+        """Per row block: (rows, band slice, mirror slice, geometry, kernel inputs)."""
+        inp = self._inputs(np.asarray(values, dtype=float))
+        for r, geo, b, m in self.blocks:
+            yield r, b, m, geo, {
+                "kz": inp["kz"][r], "uz": inp["uz"][r], "ky": inp["ky"], "uy": inp["uy"],
+                "D": inp["D"][r], "b": inp["b"], "band": [a[b] for a in inp["band"]],
+                "mirror": [a[m] for a in inp["mirror"]]}
+
+    def residual(self, values) -> np.ndarray:
+        """The interior rows of ``residual_vector`` at nodal values ``values``.
+
+        Length N-1; the last row, at z = pi/2, is 0.  The transport term is
+        one map of the values, the integral one kernel pass per row block.
+        """
+        out = np.zeros(self.N - 1)
+        out[:len(self.z)] = self.transport @ values
+        for r, _, _, geo, inputs in self._passes(values):
+            out[r] += _outer_integral(geo, self.hy, self.z[r], self.yi, inputs)
+        return out
+
     def jacobian(self, values) -> np.ndarray:
         """Derivative of ``residual_vector(...).stacked()`` in the nodal values.
 
@@ -635,19 +610,16 @@ class Discretization:
         one ``np.bincount``.
         """
         N, w, hy, maps = self.N, self.w, self.hy, self.maps
-        nz = self.geo.s_minus.shape[0]
-        inp = self._inputs(np.asarray(values, dtype=float))
+        nz = len(self.z)
         J = np.zeros((N + 1, N))
         J[:nz] = self.transport
         J[N - 1, 0] = 1.0             # bc0 = values[0]
         J[N, N - 1] = 1.0             # bc_end = values[-1] - s
 
         quot = np.empty(self.band_weight.shape[:2])
-        for r, geo, b, m in self.blocks:
-            p = _integrand_partials(
-                geo, kz=inp["kz"][r], uz=inp["uz"][r], ky=inp["ky"], uy=inp["uy"],
-                D=inp["D"][r], b=inp["b"], band=[a[b] for a in inp["band"]],
-                mirror=[a[m] for a in inp["mirror"]])
+        for r, b, m, geo, inputs in self._passes(values):
+            with np.errstate(over="ignore", invalid="ignore"):   # lm_solve checks J
+                p = _integrand_partials(geo, **inputs)
             J[r] += hy * (
                 (p.kz @ w + 0.5 * p.end_kz)[:, None] * maps["kz"][r]
                 + (p.du @ w + 0.5 * p.end_uz)[:, None] * maps["uz"][r]
@@ -689,9 +661,8 @@ def discretization(N: int, cfg: ResidualConfig) -> Discretization:
 def residual_jacobian(values, cfg: ResidualConfig | None = None) -> np.ndarray:
     """Jacobian of ``residual_vector(...).stacked()`` in the nodal values.
 
-    Shape (N+1, N) for N = len(values); it does not depend on s.  Each
-    row is exact for the discretized residual up to roundoff and to the
-    primitive P, which it takes from one GK15 panel per table gap.
+    Shape (N+1, N) for N = len(values); it does not depend on s, and each
+    row is exact for the discretized residual up to roundoff.
     """
     if cfg is None:
         cfg = ResidualConfig()
@@ -702,16 +673,41 @@ def residual_jacobian(values, cfg: ResidualConfig | None = None) -> np.ndarray:
 def residual_at(profile: Profile, z: float, cfg: ResidualConfig | None = None) -> float:
     """Equation residual at a single z in [0, pi/2].
 
-    At z = pi/2 every term of the equation degenerates (the transport
-    term carries cos z and the integrand limits vanish pointwise), so
-    the row is identically zero.
+    The kernel of ``residual_vector`` on a one-row geometry, with its
+    inputs from the profile's spline and an adaptive antiderivative table
+    at tolerance min(inner abs_tol, 1e-12); at the grid nodes it agrees
+    with ``residual_vector`` to quadrature accuracy.  At z = pi/2 every
+    term of the equation degenerates (the transport term carries cos z and
+    the integrand limits vanish pointwise), so the row is identically zero.
     """
     if cfg is None:
         cfg = ResidualConfig()
     if not 0.0 <= z <= HALF_PI:
         raise ValueError(f"z={z} outside [0, pi/2]")
-    engine = _ResidualEngine(profile, cfg)
-    return float(engine.evaluate(np.array([z]))[0])
+    if z == HALF_PI:
+        return 0.0
+    ev = profile._ev
+    yi, hy = _outer_nodes(profile.grid.N, cfg)
+    zc = np.array([z])
+    g = _pair_geometry(zc, yi, cfg, profile.grid.spacing)
+    kz, dkz = ev(zc[:, None], 0), ev(zc[:, None], 1)
+
+    def integrand(w):
+        c = np.cos(w)
+        return ev(w, 0) / (c * c)
+
+    pts = np.unique(np.concatenate([[0.0, z], yi]))
+    P = cumulative_gk15(integrand, pts, tol=min(cfg.inner_quad.abs_tol, 1e-12))
+    inputs = {
+        "kz": kz, "uz": dkz * g.cz * g.cz,
+        "ky": ev(yi, 0), "uy": ev(yi, 1) * g.cy * g.cy,
+        "D": (P[np.searchsorted(pts, yi)] - P[np.searchsorted(pts, z)])[None, :],
+        "b": float(ev(HALF_PI, 0)),
+        "band": [ev(g.band.m, nu) for nu in range(g.derivs)],
+        "mirror": [ev(g.mirror.m, nu) for nu in range(g.derivs)],
+    }
+    integral = _outer_integral(g, hy, zc, yi, inputs)[0]
+    return float(np.sin(z) * np.cos(z) * dkz[0, 0] + integral)
 
 
 def residual_vector(profile: Profile, cfg: ResidualConfig | None = None) -> ResidualVector:
@@ -719,14 +715,13 @@ def residual_vector(profile: Profile, cfg: ResidualConfig | None = None) -> Resi
 
     Interior rows are z_i, i = 1..N-1 (the last, at pi/2, is identically
     zero because the equation degenerates there); the boundary rows are
-    k(0) - 0 and k(pi/2) - s.
+    k(0) - 0 and k(pi/2) - s.  The interior rows come from the profile's
+    nodal values through the cached ``Discretization`` of (N, cfg).
     """
     if cfg is None:
         cfg = ResidualConfig()
-    interior = _ResidualEngine(profile, cfg).evaluate(
-        profile.grid.nodes[1:], _interior_geometry(profile.grid.N, cfg))
     return ResidualVector(
-        interior=interior,
+        interior=discretization(profile.grid.N, cfg).residual(profile.values),
         bc0=float(profile.values[0]),
         bc_end=float(profile.values[-1] - profile.s),
     )

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -103,7 +104,10 @@ class TestUsageErrors:
 
 class TestSolve:
     def test_solver_error_exits_2(self, capsys):
-        assert main(["solve", "--s", "1e300", "--n", "9", "--outer-nodes", "40"]) == EX_SOLVER
+        # the one-line message is the whole report: no numpy warnings either
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["solve", "--s", "1e300", "--n", "9", "--outer-nodes", "40"]) == EX_SOLVER
         assert capsys.readouterr().err.count("\n") == 1
 
     def test_zero_slope_writes_zero_profile(self, tmp_path):
@@ -141,16 +145,29 @@ sys.exit(main(sys.argv[1:]))
     ["solve", "--s", "0.1", "--n", "100000000"],
     ["solve", "--s", "0.1", "--n", "17", "--outer-nodes", "100000000000"],
     ["continue", "--s-max", "0.2", "--ds", "0.1", "--n", "100000000"],
-], ids=["solve-n", "solve-outer-nodes", "continue-n"])
-def test_too_large_for_memory(argv):
+    ["export", "{branch}", "--figure", "normalized", "--s-list", "0.1",
+     "--samples", "100000000000"],
+], ids=["solve-n", "solve-outer-nodes", "continue-n", "export-samples"])
+def test_too_large_for_memory(branch_file, argv):
     # run under a 1 GiB address-space cap, so the failing allocation is cheap
     src = Path(__file__).resolve().parents[1] / "src"
+    argv = [a.format(branch=branch_file) for a in argv]
     out = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv], capture_output=True,
                          text=True, timeout=120,
                          env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"})
     assert out.returncode == EX_USAGE, out.stderr
     lines = out.stderr.splitlines()
     assert len(lines) == 1 and "too large for memory" in lines[0], out.stderr
+
+
+def test_validate_too_large_for_memory(branch_file, monkeypatch, capsys):
+    def allocate(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr(cli, "h1_distance", allocate)
+    assert main(["validate", str(branch_file)]) == EX_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "too large for memory" in lines[0]
 
 
 class TestContinue:

@@ -1,10 +1,11 @@
-"""Property tests: malformed config files and branch files never crash the CLI.
+"""Property tests: malformed config files, flag values and branch files
+never crash the CLI.
 
 Every run of ``main`` must return one of the documented exit codes for
-its subcommand instead of raising.  Config files are run through a small
-``solve`` whose problem size is pinned by flags (a large ``n`` is
-requested work, not malformed input); branch files are single mutations
-of a valid N = 17 synthetic branch.
+its subcommand instead of raising.  Config files and flag values are run
+through a small ``solve`` or ``continue`` whose problem size is pinned by
+flags (a large ``n`` is requested work, not malformed input); branch files
+are single mutations of a valid N = 17 synthetic branch.
 """
 
 import json
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from muskatss.cli import main
+from muskatss.continuation import SETTINGS
 
 from conftest import synthetic_branch_doc
 
@@ -21,8 +23,10 @@ FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=100
                 suppress_health_check=[HealthCheck.function_scoped_fixture,
                                        HealthCheck.too_slow])
 SOLVE_CODES = {0, 2, 64}
+CONTINUE_CODES = {0, 3, 64}
 VALIDATE_CODES = {0, 1, 65}
 EXPORT_CODES = {0, 65}
+EXPORT_FLAG_CODES = {0, 64, 65}
 
 INT_KEYS = ("n", "max_iters", "outer_nodes", "series_order")
 FLOAT_KEYS = ("ds", "s", "s_max", "lambda0", "lambda_up", "lambda_down",
@@ -116,3 +120,54 @@ def test_branch_file_gives_documented_code(fuzz_dir, doc, figure):
     assert main(["validate", str(path)]) in VALIDATE_CODES
     assert main(["export", str(path), "--figure", figure, "--s-list", "0.1", "0.2", "0.3",
                  "0.4", "0.5", "-o", str(fuzz_dir / "out.csv")]) in EXPORT_CODES
+
+
+# the flags that set the problem size are pinned after the fuzzed ones
+PINNED = ["--n", "9", "--outer-nodes", "40", "--max-iters", "3"]
+flag_text = st.one_of(st.sampled_from(SPECIAL_TEXT), st.floats().map(repr),
+                      st.integers(-3, 10 ** 4).map(str), st.text(max_size=4))
+setting_flags = st.lists(st.tuples(
+    st.sampled_from([name for name in SETTINGS if name not in ("outer_nodes", "max_iters")]),
+    flag_text), max_size=4)
+# at most 0.15 / 0.05 = 3 continuation steps; the rest are invalid
+s_max_text = st.sampled_from(("nan", "inf", "-inf", "0", "-1", "0.05", "0.1", "0.15", "x", ""))
+ds_text = st.sampled_from(("nan", "inf", "-inf", "0", "-0.05", "0.05", "0.1", "1e300", "x"))
+
+
+def _flags(pairs):
+    return [a for name, value in pairs for a in ("--" + name.replace("_", "-"), value)]
+
+
+@FUZZ
+@given(pairs=setting_flags, s=flag_text)
+def test_solve_flags_give_documented_code(fuzz_dir, pairs, s):
+    argv = ["solve", "--s", s] + _flags(pairs) + PINNED + ["-o", str(fuzz_dir / "p.json")]
+    assert main(argv) in SOLVE_CODES
+
+
+@FUZZ
+@given(pairs=setting_flags, s_max=s_max_text, ds=ds_text)
+def test_continue_flags_give_documented_code(fuzz_dir, pairs, s_max, ds):
+    argv = (["continue", "--s-max", s_max, "--ds", ds] + _flags(pairs) + PINNED
+            + ["-o", str(fuzz_dir / "b.json")])
+    assert main(argv) in CONTINUE_CODES
+
+
+@FUZZ
+@given(figure=st.sampled_from(("discrepancy", "normalized", "integrated")),
+       s_list=st.lists(st.sampled_from(("0.1", "0.2", "0.5", "0.3")) | flag_text, max_size=3),
+       y_range=st.none() | st.lists(flag_text, min_size=2, max_size=2),
+       # no sample count that would allocate gigabytes in this process
+       samples=st.none() | st.integers(-3, 2000).map(str)
+       | st.sampled_from(("nan", "1e4", "0.5", "-0", "", "x")))
+def test_export_flags_give_documented_code(fuzz_dir, figure, s_list, y_range, samples):
+    path = fuzz_dir / "valid.json"
+    path.write_text(json.dumps(VALID))
+    argv = ["export", str(path), "--figure", figure, "-o", str(fuzz_dir / "out.csv")]
+    if s_list:
+        argv += ["--s-list", *s_list]
+    if y_range is not None:
+        argv += ["--y-range", *y_range]
+    if samples is not None:
+        argv += ["--samples", samples]
+    assert main(argv) in EXPORT_FLAG_CODES

@@ -183,8 +183,8 @@ for scale in (1e6, 1e100):
 
 
 def test_scaled_profiles_bounded_work():
-    # the sliding-average table of a huge profile is roundoff-limited;
-    # unbounded bisection once took seconds (x1e6) or all memory (x1e100)
+    # a huge profile overflows the residual's kernel; evaluating it must
+    # still end within a second and a 1 GiB cap, or raise QuadratureError
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run([sys.executable, "-c", _SCALED_PROFILE_RUN], capture_output=True,
                          text=True, timeout=120,

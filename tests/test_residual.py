@@ -3,7 +3,7 @@ import pytest
 
 from muskatss.grid_spline import HALF_PI, fit_spline, make_grid
 from muskatss.lm import fd_jacobian
-from muskatss.quadrature import QuadConfig
+from muskatss.quadrature import QuadConfig, cumulative_gk15
 from muskatss.residual import (
     ResidualConfig,
     _integrand,
@@ -169,6 +169,18 @@ class TestResidualVector:
         rv = residual_vector(p, ResidualConfig(outer_nodes=100))
         assert rv.bc_end == pytest.approx(0.05, abs=1e-15)
 
+    @pytest.mark.parametrize("N", [17, 129])
+    @pytest.mark.parametrize("s", [0.1, 2.0, 7.0])
+    def test_end_region_seam(self, N, s):
+        # the paired end-region form is the direct form over a common
+        # denominator, so moving the region's edge must not move the rows
+        g = make_grid(N)
+        p = fit_spline(g, perturbed_arctan(g, s), s)
+        base = residual_vector(p).interior
+        for width in (0.5, 6.0, 20.0):
+            other = residual_vector(p, ResidualConfig(split_halfwidth_end=width)).interior
+            assert np.max(np.abs(other - base)) <= 1e-12 * np.max(np.abs(base))
+
     def test_outer_refinement_stability(self, linear_profile_01):
         r1 = residual_vector(linear_profile_01, ResidualConfig(outer_nodes=1290))
         r2 = residual_vector(linear_profile_01, ResidualConfig(outer_nodes=2580))
@@ -189,6 +201,48 @@ def perturbed_arctan(grid, s):
     values += 0.01 * s * np.sin(2.0 * z) + 0.003 * s * np.sin(5.0 * z)
     values[0], values[-1] = 0.0, s
     return values
+
+
+def reference_interior(profile, cfg):
+    """The interior rows as the residual once computed them: scipy spline
+    evaluation and an adaptive antiderivative table at 1e-12, through the
+    same kernel on the same geometry."""
+    g, N = profile.grid, profile.grid.N
+    d = discretization(N, cfg)
+    geo, z, yi, ev = d.geo, g.nodes[1:-1], d.yi, profile._ev
+    pts = np.unique(np.concatenate([[0.0], z, yi]))
+    P = cumulative_gk15(lambda w: ev(w, 0) / np.cos(w) ** 2, pts, tol=1e-12)
+    pairs, end = _integrand(
+        geo, kz=ev(z[:, None], 0), uz=ev(z[:, None], 1) * geo.cz ** 2,
+        ky=ev(yi, 0), uy=ev(yi, 1) * geo.cy ** 2,
+        D=P[np.searchsorted(pts, yi)][None, :] - P[np.searchsorted(pts, z)][:, None],
+        b=float(ev(HALF_PI, 0)),
+        band=[ev(geo.band.m, nu) for nu in range(geo.derivs)],
+        mirror=[ev(geo.mirror.m, nu) for nu in range(geo.derivs)])
+    rows = np.column_stack([pairs, end[:, 0]])
+    integral = d.hy * (rows.sum(axis=1) - 0.5 * (rows[:, 0] + rows[:, -1]))
+    transport = np.sin(z) * np.cos(z) * ev(z, 1)
+    return np.append(transport + integral, 0.0), np.max(np.abs(transport))
+
+
+class TestResidualOracle:
+    @pytest.mark.parametrize("s", [0.1, 2.0, 7.0])
+    @pytest.mark.parametrize("N", [17, 33, 129])
+    @pytest.mark.parametrize("cfg", [
+        ResidualConfig(), ResidualConfig(series_order=1),
+        ResidualConfig(outer_nodes=77, split_halfwidth_z=1.3),
+    ], ids=["default", "order1", "nodes77"])
+    def test_matches_spline_and_adaptive_table(self, cfg, N, s):
+        g = make_grid(N)
+        p = fit_spline(g, perturbed_arctan(g, s), s)
+        want, scale = reference_interior(p, cfg)
+        got = residual_vector(p, cfg).interior
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        # residual_at shares the kernel, on one row with the adaptive table
+        nodes = range(1, N) if N < 129 else range(1, N, 9)
+        at = np.array([residual_at(p, g.nodes[i], cfg) for i in nodes])
+        assert np.max(np.abs(at - got[np.array(nodes) - 1])) <= 1e-12 * scale
+        assert residual_at(p, HALF_PI, cfg) == got[-1] == 0.0
 
 
 class TestResidualJacobian:
