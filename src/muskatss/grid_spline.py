@@ -9,21 +9,36 @@ symmetry (and the evenness of the first derivative) exact in floating
 point while keeping the spline space able to reproduce arbitrary
 polynomials of degree <= 4 on the fitted interval.
 
-The interpolant is linear in the nodal values, so ``SplineMaps`` also
-gives it as matrices: dense value->derivative maps at fixed points, and
-the local B-spline rows that act on the spline coefficients.
+The spline is plain numpy.  Its knots are where scipy's
+``make_interp_spline(x, y, k=4)`` puts them: 0 and pi/2 five times each
+and the midpoints between the grid nodes z_2..z_{N-3}.  Everything that
+depends only on N is built once, in the cached ``SplineMaps`` of
+``spline_maps(N)``: a vectorised Cox-de Boor evaluator of the B-splines
+and their derivatives (de Boor, *A Practical Guide to Splines*, ch. X),
+the N x N cardinal map from nodal values to B-spline coefficients (the
+collocation matrix solved once), and the Taylor map from nodal values to
+the interpolant's Taylor coefficients about each node.  Fitting a profile
+is then one product with the Taylor map, made on the profile's first
+evaluation, and evaluating it is a lookup of the nearest node plus
+Horner's rule.  The same maps give the interpolant as matrices of the
+values: dense value->derivative maps at fixed points, and the local
+B-spline rows that act on the spline coefficients.  scipy is not needed
+at run time; the tests use it as the oracle of all of this.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import math
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BSpline, make_interp_spline
 
-__all__ = ["Grid", "Profile", "SplineMaps", "make_grid", "fit_spline", "HALF_PI"]
+__all__ = ["Grid", "Profile", "QuarticSpline", "SplineMaps", "make_grid", "fit_spline",
+           "spline_maps", "HALF_PI"]
 
 HALF_PI = 0.5 * np.pi
+K = 4  # spline degree
 
 
 @dataclass(frozen=True)
@@ -54,13 +69,18 @@ class Profile:
     ``values[0]`` is pinned to 0 (oddness).  ``s`` is the target
     far-field slope; for a converged solution ``values[-1] == s`` but
     trial profiles inside the solver may violate that, which is exactly
-    what the boundary residual measures.
+    what the boundary residual measures.  ``spline`` is fitted on first
+    use, so a profile that is never evaluated costs no fit.
     """
 
     grid: Grid
     values: np.ndarray
     s: float
-    spline: object = field(repr=False)
+
+    @functools.cached_property
+    def spline(self) -> QuarticSpline:
+        """The quartic interpolant of ``values`` on [0, pi/2]."""
+        return spline_maps(self.grid.N).fit(self.values)
 
     def eval(self, z):
         """Profile value at z in [-pi/2, pi/2]; odd in z exactly."""
@@ -78,16 +98,17 @@ class Profile:
     def _ev(self, z, nu):
         """Reflection evaluation without domain checks (solver-internal)."""
         z = np.asarray(z, dtype=float)
-        az = np.abs(z)
-        v = self.spline(az, nu=nu)
+        v = self.spline(np.abs(z), nu)
         if nu % 2 == 0:
-            return np.where(z < 0, -v, v) if np.any(z < 0) else v
+            neg = z < 0
+            if neg.any():
+                return np.where(neg, -v, v)
         return v
 
     @staticmethod
     def _check_domain(z):
         z = np.asarray(z)
-        if np.any(z < -HALF_PI - 1e-12) or np.any(z > HALF_PI + 1e-12):
+        if z.size and np.abs(z).max() > HALF_PI + 1e-12:
             bad = z[(z < -HALF_PI - 1e-12) | (z > HALF_PI + 1e-12)]
             raise ValueError(f"evaluation point {bad!r} outside [-pi/2, pi/2]")
 
@@ -95,18 +116,57 @@ class Profile:
 def fit_spline(grid: Grid, values, s: float) -> Profile:
     """Interpolate nodal values on [0, pi/2] with a degree-4 spline.
 
-    Requires values[0] == 0 (the odd reflection is continuous only
-    then) and N >= 5 so the interpolation problem is square.
+    Requires finite values, values[0] == 0 (the odd reflection is
+    continuous only then) and N >= 5 so the interpolation problem is
+    square.  The spline itself is fitted on the profile's first evaluation.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.N,):
         raise ValueError(f"expected {grid.N} nodal values, got shape {values.shape}")
     if values[0] != 0.0:
         raise ValueError(f"values[0] must be 0 (odd profile), got {values[0]}")
-    if grid.N < 5:
+    if not np.isfinite(values).all():
+        raise ValueError("Array must not contain infs or nans.")
+    if grid.N < K + 1:
         raise ValueError("degree-4 interpolation needs N >= 5")
-    spline = make_interp_spline(grid.nodes, values, k=4)
-    return Profile(grid=grid, values=values, s=float(s), spline=spline)
+    return Profile(grid=grid, values=values, s=float(s))
+
+
+class QuarticSpline:
+    """A quartic spline on [0, pi/2] as one Taylor polynomial per grid node.
+
+    ``spline(x, nu=0)`` is the nu-th derivative at x >= 0: the node nearest
+    to x, then Horner's rule in x minus that node.  Each node's polynomial
+    is that of the knot interval holding the node's cell; the end nodes'
+    polynomials extend past 0 and pi/2.
+    """
+
+    def __init__(self, cuts: np.ndarray, centers: np.ndarray, taylor: np.ndarray):
+        self._cuts = cuts              # bounds between the cells of consecutive centers
+        self._centers = centers
+        self._taylor = {0: taylor}     # nu -> (K+1-nu, centers) Taylor coefficients
+
+    def __call__(self, x, nu: int = 0):
+        c = self._taylor.get(nu)
+        if c is None:
+            c = self._taylor[nu] = self._derivative(nu)
+        x = np.asarray(x, dtype=float)
+        i = self._cuts.searchsorted(x, side="right")
+        dx = x - self._centers.take(i)
+        c = c.take(i, axis=1)
+        v = c[-1]
+        for row in c[-2::-1]:
+            v *= dx
+            v += row
+        return v
+
+    def _derivative(self, nu: int) -> np.ndarray:
+        if nu < 0:
+            raise ValueError(f"derivative order must be >= 0, got {nu}")
+        if nu > K:
+            return np.zeros((1, len(self._centers)))
+        scale = [math.perm(m, nu) for m in range(nu, K + 1)]
+        return self._taylor[0][nu:] * np.array(scale)[:, None]
 
 
 class SplineMaps:
@@ -116,18 +176,62 @@ class SplineMaps:
     is the matrix E with ``E @ values`` equal to the nu-th derivative at
     ``pts`` (odd reflection included); ``local(pts, nu)`` gives the same
     rows on the coefficients as the k+1 basis values that can be nonzero
-    at each point, and the index of the first of them.
+    at each point, and the index of the first of them.  ``taylor`` maps
+    nodal values to the Taylor coefficients of the interpolant about every
+    node, K+1 blocks of N rows by order; ``fit`` applies it.
+    ``spline_maps(N)`` caches one per N.
     """
 
     def __init__(self, grid: Grid):
-        self._cardinal = make_interp_spline(grid.nodes, np.eye(grid.N), k=4)
-        self.coef = self._cardinal.c
-        # at most k+1 consecutive basis functions are nonzero at a point, and
-        # their indices differ mod k+1: column r sums the basis functions of
-        # index r mod k+1, so at each point it holds one of them exactly
-        k = self._cardinal.k
-        self._basis = BSpline(self._cardinal.t,
-                              (np.arange(grid.N)[:, None] % (k + 1) == np.arange(k + 1)) * 1.0, k)
+        N, x = grid.N, grid.nodes
+        if N < K + 1:
+            raise ValueError("degree-4 interpolation needs N >= 5")
+        self.t = np.concatenate([np.zeros(K + 1), 0.5 * (x[2:N - 3] + x[3:N - 2]),
+                                 np.full(K + 1, HALF_PI)])
+        self.coef = np.linalg.solve(self._on_coef(x, 0), np.eye(N))
+        # Taylor coefficients about each node, used on the cell of points
+        # nearest to it: the interior knots are cell bounds, so each cell lies
+        # within one polynomial piece, and |x - node| <= h/2 keeps Horner's
+        # terms small
+        self._nodes, self._cuts = x, 0.5 * (x[1:] + x[:-1])
+        self.taylor = np.concatenate([
+            self._on_coef(x, m) @ self.coef / math.factorial(m)
+            for m in range(K + 1)])
+
+    def basis(self, x, nu: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """The nu-th derivatives at x >= 0 of the K+1 B-splines that can be
+        nonzero there, and the index of the first: Cox-de Boor to degree
+        K-nu, then nu differentiation steps."""
+        t = self.t
+        x = np.asarray(x, dtype=float)
+        ell = np.clip(t.searchsorted(x, side="right") - 1, K, len(t) - K - 2)
+        h = np.zeros((len(x), K + 1))
+        h[:, 0] = 1.0
+        for j in range(1, K + 1):
+            prev = h[:, :j].copy()
+            h[:, 0] = 0.0
+            for n in range(1, j + 1):
+                xb, xa = t[ell + n], t[ell + n - j]
+                if j <= K - nu:
+                    w = prev[:, n - 1] / (xb - xa)
+                    h[:, n - 1] += w * (xb - x)
+                    h[:, n] = w * (x - xa)
+                else:
+                    w = j * prev[:, n - 1] / (xb - xa)
+                    h[:, n - 1] -= w
+                    h[:, n] = w
+        return h, ell - K
+
+    def _on_coef(self, x, nu):
+        """The map from B-spline coefficients to the nu-th derivative at x >= 0."""
+        rows, first = self.basis(x, nu)
+        out = np.zeros((len(rows), len(self.t) - K - 1))
+        np.put_along_axis(out, first[:, None] + np.arange(K + 1), rows, axis=1)
+        return out
+
+    def fit(self, values) -> QuarticSpline:
+        """The interpolant of nodal values ``values``: one product with ``taylor``."""
+        return QuarticSpline(self._cuts, self._nodes, (self.taylor @ values).reshape(K + 1, -1))
 
     @staticmethod
     def _reflect(rows, pts, nu):
@@ -137,13 +241,15 @@ class SplineMaps:
 
     def dense(self, pts, nu: int = 0) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
-        return self._reflect(self._cardinal(np.abs(pts), nu), pts, nu)
+        return self._reflect(self._on_coef(np.abs(pts), nu) @ self.coef, pts, nu)
 
     def local(self, pts, nu: int = 0) -> tuple[np.ndarray, np.ndarray]:
         pts = np.asarray(pts, dtype=float)
-        t, k = self._basis.t, self._basis.k
-        n = len(t) - k - 1
-        first = np.clip(np.searchsorted(t, np.abs(pts), side="right") - 1, k, n - 1) - k
-        cols = (first[:, None] + np.arange(k + 1)) % (k + 1)
-        rows = np.take_along_axis(self._basis(np.abs(pts), nu), cols, axis=1)
+        rows, first = self.basis(np.abs(pts), nu)
         return self._reflect(rows, pts, nu), first
+
+
+@functools.lru_cache(maxsize=8)
+def spline_maps(N: int) -> SplineMaps:
+    """The cached ``SplineMaps`` of the N-node grid, built on first use."""
+    return SplineMaps(make_grid(N))

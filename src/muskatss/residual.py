@@ -59,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid_spline import HALF_PI, Profile, SplineMaps, make_grid
+from .grid_spline import HALF_PI, Profile, SplineMaps, make_grid, spline_maps
 from .quadrature import (
     QuadConfig,
     QuadratureError,
@@ -529,7 +529,7 @@ class Discretization:
         yi = self.yi
         self.geo = g = _pair_geometry(z, yi, cfg, grid.spacing)
         self.blocks = g.blocks(max(1, _BLOCK_PAIRS // len(yi)))
-        sm = SplineMaps(grid)
+        sm = spline_maps(N)
         self.coef = sm.coef
         pz = _primitive_map(sm, np.unique(np.concatenate([[0.0], z, yi])))
         dk_z = sm.dense(z, 1)

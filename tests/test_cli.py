@@ -170,6 +170,43 @@ def test_validate_too_large_for_memory(branch_file, monkeypatch, capsys):
     assert len(lines) == 1 and "too large for memory" in lines[0]
 
 
+_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None      # every import of scipy now raises ImportError
+from muskatss.cli import main
+fast = ["--n", "17", "--outer-nodes", "170"]
+branch = sys.argv[1] + "/b.json"
+codes = [main(["solve", "--s", "0.1", "-o", sys.argv[1] + "/p.json"] + fast),
+         main(["continue", "--s-max", "0.2", "--ds", "0.1", "-o", branch] + fast),
+         main(["validate", branch])]
+for figure in ("discrepancy", "normalized", "integrated"):
+    codes.append(main(["export", branch, "--figure", figure, "--s-list", "0.1", "0.2",
+                       "--samples", "41", "-o", sys.argv[1] + f"/{figure}.csv"]))
+print(json.dumps(codes))
+"""
+
+
+class TestWithoutScipy:
+    """scipy is the tests' oracle only: the package runs and imports without it."""
+
+    def _run(self, code, *argv):
+        src = Path(__file__).resolve().parents[1] / "src"
+        return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"})
+
+    def test_every_command_runs(self, tmp_path):
+        out = self._run(_WITHOUT_SCIPY, str(tmp_path))
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout.splitlines()[-1]) == [EX_OK] * 6
+
+    def test_import_loads_no_scipy(self):
+        out = self._run("import sys, muskatss.cli; "
+                        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
+
+
 class TestContinue:
     def test_progress_goes_to_stderr_only(self, tmp_path, capsys):
         argv = ["continue", "--s-max", "0.2", "--ds", "0.1"] + FAST

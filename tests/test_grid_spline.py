@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from muskatss.grid_spline import HALF_PI, SplineMaps, fit_spline, make_grid
+from muskatss.residual import residual_vector
 
 
 class TestGrid:
@@ -110,6 +111,22 @@ class TestFitSpline:
         with pytest.raises(ValueError):
             fit_spline(make_grid(4), np.zeros(4), 0.0)  # too few nodes
 
+    def test_fitted_on_first_evaluation(self):
+        g = make_grid(17)
+        p = fit_spline(g, np.sin(g.nodes), 0.0)
+        residual_vector(p)
+        assert "spline" not in vars(p)   # an LM trial profile costs no fit
+        p.eval(0.3)
+        assert "spline" in vars(p)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        # a branch file holding NaN or inf fails at load time, as it did with scipy's fit
+        vals = np.zeros(9)
+        vals[3] = bad
+        with pytest.raises(ValueError, match="infs or nans"):
+            fit_spline(make_grid(9), vals, 0.0)
+
 
 class TestSplineMaps:
     @pytest.mark.parametrize("nu", range(5))
@@ -127,3 +144,71 @@ class TestSplineMaps:
         tol = 1e-12 * np.max(np.abs(want))
         assert np.max(np.abs(maps.dense(pts, nu) @ values - want)) <= tol
         assert np.max(np.abs(local - want)) <= tol
+
+
+# scipy is the oracle of the numpy spline: the tests depend on it, the package does not
+@pytest.fixture(scope="module")
+def interpolate():
+    return pytest.importorskip("scipy.interpolate")
+
+
+def random_odd_profile(N, rng):
+    values = rng.normal(size=N)
+    values[0] = 0.0
+    return values
+
+
+def probe_points(grid, t, rng):
+    """Random points on both sides of 0, the nodes and the knots, mirrored."""
+    pts = np.concatenate([rng.uniform(0.0, HALF_PI, 200), grid.nodes, t])
+    return np.concatenate([pts, -pts])
+
+
+def bound(want, grid, nu):
+    """1e-14 h^-nu max|want|: the nu-th derivative's share of roundoff."""
+    return 1e-14 * grid.spacing ** -nu * np.max(np.abs(want))
+
+
+class TestAgainstScipy:
+    """``make_interp_spline(k=4)`` on the same values, reflected as the profile is."""
+
+    @pytest.mark.parametrize("N", [5, 17, 33, 129])
+    def test_values_and_derivatives(self, interpolate, N):
+        g = make_grid(N)
+        rng = np.random.default_rng(N)
+        for _ in range(3):
+            values = random_odd_profile(N, rng)
+            ref = interpolate.make_interp_spline(g.nodes, values, k=4)
+            profile = fit_spline(g, values, 0.0)
+            pts = probe_points(g, ref.t, rng)
+            for nu in range(5):
+                want = ref(np.abs(pts), nu)
+                if nu % 2 == 0:
+                    want = np.where(pts < 0, -want, want)
+                got = profile.eval_deriv(pts, nu)
+                assert np.max(np.abs(got - want)) <= bound(want, g, nu), nu
+
+    @pytest.mark.parametrize("N", [5, 17, 33, 129])
+    def test_maps(self, interpolate, N):
+        g = make_grid(N)
+        rng = np.random.default_rng(N + 1)
+        maps = SplineMaps(g)
+        cardinal = interpolate.make_interp_spline(g.nodes, np.eye(N), k=4)
+        assert np.array_equal(maps.t, cardinal.t)
+        assert np.max(np.abs(maps.coef - cardinal.c)) <= bound(cardinal.c, g, 0)
+        # column r of the one-hot coefficients sums the basis functions of
+        # index r mod 5, so at each point it holds one of the five nonzero ones
+        basis = interpolate.BSpline(cardinal.t, (np.arange(N)[:, None] % 5 == np.arange(5)) * 1.0, 4)
+        pts = probe_points(g, cardinal.t, rng)
+        sign = np.where(pts < 0, -1.0, 1.0)[:, None]
+        for nu in range(5):
+            flip = sign if nu % 2 == 0 else 1.0
+            want = flip * cardinal(np.abs(pts), nu)
+            assert np.max(np.abs(maps.dense(pts, nu) - want)) <= bound(want, g, nu), nu
+            rows, first = maps.local(pts, nu)
+            want_first = np.clip(np.searchsorted(cardinal.t, np.abs(pts), side="right") - 1,
+                                 4, N - 1) - 4
+            cols = (want_first[:, None] + np.arange(5)) % 5
+            want = flip * np.take_along_axis(basis(np.abs(pts), nu), cols, axis=1)
+            assert np.array_equal(first, want_first)
+            assert np.max(np.abs(rows - want)) <= bound(want, g, nu), nu

@@ -203,13 +203,27 @@ def perturbed_arctan(grid, s):
     return values
 
 
+def scipy_evaluator(profile):
+    """The profile's odd quartic spline from scipy's ``make_interp_spline``,
+    independent of the package's own spline: ``ev(w, nu)``."""
+    interpolate = pytest.importorskip("scipy.interpolate")
+    spline = interpolate.make_interp_spline(profile.grid.nodes, profile.values, k=4)
+
+    def ev(w, nu):
+        w = np.asarray(w, dtype=float)
+        v = spline(np.abs(w), nu)
+        return np.where(w < 0, -v, v) if nu % 2 == 0 else v
+
+    return ev
+
+
 def reference_interior(profile, cfg):
     """The interior rows as the residual once computed them: scipy spline
     evaluation and an adaptive antiderivative table at 1e-12, through the
     same kernel on the same geometry."""
     g, N = profile.grid, profile.grid.N
     d = discretization(N, cfg)
-    geo, z, yi, ev = d.geo, g.nodes[1:-1], d.yi, profile._ev
+    geo, z, yi, ev = d.geo, g.nodes[1:-1], d.yi, scipy_evaluator(profile)
     pts = np.unique(np.concatenate([[0.0], z, yi]))
     P = cumulative_gk15(lambda w: ev(w, 0) / np.cos(w) ** 2, pts, tol=1e-12)
     pairs, end = _integrand(
