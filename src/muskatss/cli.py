@@ -24,6 +24,8 @@ import os
 import re
 import sys
 
+import numpy as np
+
 from .continuation import (
     SETTINGS,
     Branch,
@@ -55,7 +57,7 @@ FIGURE_S_DEFAULTS = {
 # config-file key -> parser: the run's own keys plus every solver setting
 _CONFIG_KEYS = {
     "n": int, "ds": float, "s": float, "s_max": float,
-    **{name: kind for name, (kind, _, _) in SETTINGS.items()},
+    **{name: kind for name, (kind, _) in SETTINGS.items()},
 }
 
 
@@ -215,9 +217,14 @@ def _load_branch(path) -> Branch:
 
 @contextlib.contextmanager
 def _evaluating(path):
-    """Branch data that loads but cannot be evaluated is bad data too."""
+    """Branch data that loads but cannot be evaluated is bad data too.
+
+    numpy's overflow warnings are not shown: a non-finite integrand raises
+    QuadratureError, whose one line is the report.
+    """
     try:
-        yield
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
     except (ArithmeticError, ValueError, QuadratureError) as exc:
         raise DataError(f"cannot evaluate branch file {path}: {exc}") from exc
 
@@ -285,7 +292,7 @@ def _add_run_flags(p):
     """--config plus one flag per setting; an unset flag defers to the file."""
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--n", type=int, help="grid nodes (default 129)")
-    for name, (kind, _, _) in SETTINGS.items():
+    for name, (kind, _) in SETTINGS.items():
         p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind)
 
 

@@ -12,19 +12,14 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grid_spline import Grid, Profile, fit_spline, make_grid
 from .lm import LMConfig, SolverError, SolverReport, lm_solve
 from .quadrature import QuadratureError
-from .residual import (
-    INNER_ABS_TOL_FLOOR,
-    ResidualConfig,
-    residual_jacobian,
-    residual_vector,
-)
+from .residual import ResidualConfig, residual_jacobian, residual_vector
 
 __all__ = [
     "Branch",
@@ -41,44 +36,36 @@ __all__ = [
 
 FORMAT_VERSION = "1"
 
-# Every solver setting, declared once: name -> (type, config, field), where
-# config is "lm" (LMConfig), "res" (ResidualConfig) or "quad" (the
-# residual's inner QuadConfig).  The names are the branch-JSON tolerance
-# keys and the config-file keys; with '-' for '_' they are the solve and
-# continue flags.  A setting left out keeps its dataclass default.  Branch
-# files may carry other tolerance keys (older files store fd_step); only
-# these names are read.
+# Every solver setting, declared once: name -> (type, config), where config
+# is "lm" (LMConfig) or "res" (ResidualConfig) and the name is the field.
+# The names are the branch-JSON tolerance keys and the config-file keys;
+# with '-' for '_' they are the solve and continue flags.  A setting left
+# out keeps its dataclass default.  Branch files may carry other tolerance
+# keys (older files store fd_step and four settings that are constants
+# now, such as the inner quadrature tolerances); only these names are read.
 SETTINGS = {
-    "lambda0": (float, "lm", "lambda0"),
-    "lambda_up": (float, "lm", "lambda_up"),
-    "lambda_down": (float, "lm", "lambda_down"),
-    "tol_residual": (float, "lm", "tol_residual"),
-    "tol_step": (float, "lm", "tol_step"),
-    "max_iters": (int, "lm", "max_iters"),
-    "outer_nodes": (int, "res", "outer_nodes"),
-    "inner_abs_tol": (float, "quad", "abs_tol"),
-    "inner_rel_tol": (float, "quad", "rel_tol"),
-    "split_halfwidth_z": (float, "res", "split_halfwidth_z"),
-    "split_halfwidth_end": (float, "res", "split_halfwidth_end"),
-    "series_order": (int, "res", "series_order"),
+    "lambda0": (float, "lm"),
+    "lambda_up": (float, "lm"),
+    "lambda_down": (float, "lm"),
+    "tol_residual": (float, "lm"),
+    "tol_step": (float, "lm"),
+    "max_iters": (int, "lm"),
+    "outer_nodes": (int, "res"),
+    "split_halfwidth_z": (float, "res"),
 }
 
 
 def make_configs(settings: dict) -> tuple[LMConfig, ResidualConfig]:
     """LM and residual configs from a flat {SETTINGS name: value} dict."""
-    fields = {"lm": {}, "res": {}, "quad": {}}
+    fields = {"lm": {}, "res": {}}
     for name, value in settings.items():
-        _, config, attr = SETTINGS[name]
-        fields[config][attr] = value
-    quad = replace(ResidualConfig().inner_quad, **fields["quad"])
-    return (LMConfig(**fields["lm"]),
-            ResidualConfig(inner_quad=quad, **fields["res"]))
+        fields[SETTINGS[name][1]][name] = value
+    return LMConfig(**fields["lm"]), ResidualConfig(**fields["res"])
 
 
 def _tolerances(branch: Branch) -> dict:
-    configs = {"lm": branch.lm, "res": branch.res, "quad": branch.res.inner_quad}
-    tol = {name: getattr(configs[config], attr)
-           for name, (_, config, attr) in SETTINGS.items()}
+    configs = {"lm": branch.lm, "res": branch.res}
+    tol = {name: getattr(configs[config], name) for name, (_, config) in SETTINGS.items()}
     tol["outer_nodes"] = branch.res.resolve_outer_nodes(branch.N)
     return tol
 
@@ -151,18 +138,13 @@ def solve_profile(s: float, N: int = 129,
 
     Cold starts use the linear approximation (2/pi)*s*z; continuation
     passes the shifted previous solution instead.  s = 0 returns the
-    exact zero profile without running the solver.  An inner abs_tol
-    below INNER_ABS_TOL_FLOOR raises ValueError: the solve does not read
-    it, but the branch stores it, and the adaptive quadratures that do
-    read it (delta_tilde, residual_at) would only bisect roundoff.
+    exact zero profile without running the solver.  A negative or
+    non-finite s raises ValueError.
     """
-    if s < 0:
-        raise ValueError(f"slope must be nonnegative, got {s}")
+    if not (s >= 0 and math.isfinite(s)):
+        raise ValueError(f"slope must be a finite nonnegative number, got {s}")
     lm_cfg = lm_cfg or LMConfig()
     res_cfg = res_cfg or ResidualConfig()
-    if not res_cfg.inner_quad.abs_tol >= INNER_ABS_TOL_FLOOR:
-        raise ValueError(f"inner abs_tol must be >= {INNER_ABS_TOL_FLOOR:g}, "
-                         f"got {res_cfg.inner_quad.abs_tol:g}")
     grid = make_grid(N)
     if s == 0.0:
         profile = fit_spline(grid, np.zeros(N), 0.0)

@@ -126,7 +126,7 @@ def trapezoid(f, a: float, b: float, M: int) -> float:
     if np.any(bad):
         i = int(np.argmax(bad))
         raise QuadratureError(
-            f"non-finite sample {fx[i]!r} at node {i} (x={x[i]!r})",
+            f"non-finite sample {float(fx[i])} at node {i} (x={float(x[i])})",
             interval=(a, b),
         )
     h = (b - a) / (M - 1)
@@ -166,7 +166,8 @@ def gk15_panels(f, a, b):
     if not np.all(np.isfinite(fx)):
         i, j = np.unravel_index(int(np.argmax(~np.isfinite(fx))), fx.shape)
         raise QuadratureError(
-            f"non-finite integrand at x={x[i, j]!r}", interval=(a[i], b[i])
+            f"non-finite integrand at x={float(x[i, j])}",
+            interval=(float(a[i]), float(b[i])),
         )
     k15 = half * (fx @ _W15)
     g7 = half * (fx @ _W7)

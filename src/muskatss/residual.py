@@ -16,12 +16,12 @@ is fully vectorized over (z, y).
 Three regions need non-generic handling:
 
 * y ~ z: the difference quotients are 0/0; they are replaced by local
-  expansions about the midpoint m = (y+z)/2 (order 1 keeps the
-  L'Hopital value, order 2 adds the quadratic correction).
+  expansions about the midpoint m = (y+z)/2, to O(d^4) in d = (z-y)/2.
 * y ~ pi/2: the two first-derivative terms diverge like +-tan(y) and
-  only their sum is bounded; they are combined over the common
-  denominator tan^2 z - tan^2 y before evaluation, and at the endpoint
-  y = pi/2 the integrand is replaced by its analytic limit.
+  only their sum is bounded; within two grid spacings of pi/2
+  (``_END_REGION_WIDTH``) they are combined over the common denominator
+  tan^2 z - tan^2 y before evaluation, and at the endpoint y = pi/2 the
+  integrand is replaced by its analytic limit.
 * elsewhere: direct evaluation, with every tan difference rewritten as
   sin(z -+ y)/(cos z cos y) so no catastrophic cancellation occurs.
 
@@ -48,25 +48,20 @@ of the Jacobian is fixed coefficients times the partials in the three
 expansion quotients.  A complex step through ``_integrand`` is the tests'
 check of that gradient.  ``residual_at`` runs the same kernel on one row,
 with its inputs from the profile's spline and an adaptive antiderivative
-table.
+table at 1e-12.  ``delta_tilde`` is the sliding average itself, by
+adaptive GK15 at the ``QuadConfig`` defaults.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .grid_spline import HALF_PI, Profile, SplineMaps, make_grid, spline_maps
-from .quadrature import (
-    QuadConfig,
-    QuadratureError,
-    cumulative_gk15,
-    gk15_adaptive,
-    gk15_rule,
-)
+from .quadrature import QuadratureError, cumulative_gk15, gk15_adaptive, gk15_rule
 
 __all__ = [
     "Discretization",
@@ -79,41 +74,28 @@ __all__ = [
     "residual_vector",
 ]
 
-# below this the adaptive quadratures of delta_tilde and residual_at only bisect roundoff
-INNER_ABS_TOL_FLOOR = 1e-14
+# width of the y ~ pi/2 region, in grid spacings: inside it the paired form
+# is mandatory; it is valid everywhere outside the diagonal band, so the
+# width only pins the region label
+_END_REGION_WIDTH = 2.0
 
 
 @dataclass(frozen=True)
 class ResidualConfig:
-    """Discretization knobs for the residual evaluation.
+    """The two discretization settings that move the residual.
 
     outer_nodes: trapezoid nodes for the y-integrals (None -> 10*N).
-    inner_quad: tolerance for the sliding-average integrals of
-        delta_tilde and of residual_at's antiderivative table (which uses
-        min(abs_tol, 1e-12) and nothing else).  residual_vector and its
-        Jacobian do not read it: their P is a fixed map of the nodal
-        values.  A new solve needs abs_tol >= INNER_ABS_TOL_FLOOR
-        (solve_profile checks it); a loaded branch keeps the value it stores.
     split_halfwidth_z: half-width of the y ~ z region, in grid spacings.
-    split_halfwidth_end: width of the y ~ pi/2 region, in grid spacings
-        (inside it the paired form is mandatory; it is valid everywhere
-        outside the diagonal band, so this only pins the region label).
-    series_order: expansion order at the removable singularities (1 or 2).
     """
 
     outer_nodes: int | None = None
-    inner_quad: QuadConfig = field(default_factory=lambda: QuadConfig(abs_tol=1e-10, rel_tol=1e-10))
     split_halfwidth_z: float = 2.0
-    split_halfwidth_end: float = 2.0
-    series_order: int = 2
 
     def __post_init__(self):
         if self.outer_nodes is not None and self.outer_nodes < 2:
             raise ValueError(f"outer_nodes must be >= 2, got {self.outer_nodes}")
-        if not (self.split_halfwidth_z > 0 and self.split_halfwidth_end > 0):
-            raise ValueError("singular-region halfwidths must be positive")
-        if self.series_order not in (1, 2):
-            raise ValueError(f"series_order must be 1 or 2, got {self.series_order}")
+        if not self.split_halfwidth_z > 0:
+            raise ValueError(f"split_halfwidth_z must be positive, got {self.split_halfwidth_z}")
 
     def resolve_outer_nodes(self, N: int) -> int:
         return self.outer_nodes if self.outer_nodes is not None else 10 * N
@@ -134,17 +116,15 @@ class ResidualVector:
         return float(np.max(np.abs(self.stacked())))
 
 
-def delta_tilde(profile: Profile, z: float, y: float, sign: int,
-                cfg: ResidualConfig | None = None) -> float:
+def delta_tilde(profile: Profile, z: float, y: float, sign: int) -> float:
     """Sliding average of the profile between tan z and +-tan y.
 
     sign=+1: integral_z^y sec^2(w) k(w) dw / (tan y - tan z); tends to
     k(z) as y -> z and to k(pi/2) as y -> pi/2.  sign=-1: the reflected
     average with denominator tan z + tan y, defined through the odd
-    extension of the profile.
+    extension of the profile.  The integral is adaptive GK15 at the
+    ``QuadConfig`` defaults.
     """
-    if cfg is None:
-        cfg = ResidualConfig()
     if not (-HALF_PI <= z <= HALF_PI and 0.0 <= y <= HALF_PI):
         raise ValueError(f"(z, y) = ({z}, {y}) outside [-pi/2, pi/2] x [0, pi/2]")
     if sign not in (+1, -1):
@@ -176,7 +156,7 @@ def delta_tilde(profile: Profile, z: float, y: float, sign: int,
         return ev(w, 0) / (c * c)
 
     try:
-        res = gk15_adaptive(integrand, lo, hi, cfg.inner_quad)
+        res = gk15_adaptive(integrand, lo, hi)
     except QuadratureError as exc:
         raise QuadratureError(
             f"sliding-average quadrature failed at (z={z}, y={y})",
@@ -211,11 +191,11 @@ class _Geometry:
     so the elementwise kernel broadcasts them.  ``cm`` and ``cp`` are the
     generic quotients' factors cos z cos y / sin(z -+ y), zeroed on the
     ``near`` and ``near2`` pairs, where the expansions take over; ``band``
-    and ``mirror`` hold the expansion factors there, in row-major order,
-    and ``order`` is the expansion order.  The paired end-region form is
-    evaluated only at the flat indices ``pidx`` of the ``paired`` pairs,
-    from its coefficients there: ``pe`` = cos^2 z / (sin(z-y) sin(z+y)),
-    ``pk`` the factor of D^2 Fp Fm in the bracket, and ``px`` = tan z.
+    and ``mirror`` hold the expansion factors there, in row-major order.
+    The paired end-region form is evaluated only at the flat indices
+    ``pidx`` of the ``paired`` pairs, from its coefficients there:
+    ``pe`` = cos^2 z / (sin(z-y) sin(z+y)), ``pk`` the factor of
+    D^2 Fp Fm in the bracket, and ``px`` = tan z.
     """
 
     cz: np.ndarray
@@ -233,12 +213,6 @@ class _Geometry:
     px: np.ndarray
     band: _Series
     mirror: _Series
-    order: int
-
-    @property
-    def derivs(self) -> int:
-        """Spline derivatives 0..derivs-1 that the expansions take."""
-        return 3 if self.order == 1 else 5
 
     def blocks(self, size: int) -> list[tuple[slice, _Geometry, slice, slice]]:
         """Consecutive blocks of at most ``size`` grid rows: for each, its
@@ -258,7 +232,7 @@ class _Geometry:
                 self.cz[r], self.x[r], self.cy, self.sec2y, self.cm[r], self.cp[r],
                 self.near[r], self.near2[r], self.paired[r], self.pidx[p] - r.start * ny,
                 self.pe[p], self.pk[p], self.px[p], _Series(*(f[b] for f in self.band)),
-                _Series(*(f[m] for f in self.mirror)), self.order), b, m))
+                _Series(*(f[m] for f in self.mirror))), b, m))
         return out
 
 
@@ -281,7 +255,7 @@ def _pair_geometry(z: np.ndarray, yi: np.ndarray, cfg: ResidualConfig,
     d2 = 0.5 * (z + yi)
     near2 = (np.abs(d2) < 0.5 * band) & (d2 * d2 / np.cos(m2) ** 2 < 0.01)
     # the paired end-region form is valid everywhere outside the bands
-    paired = (yi > HALF_PI - cfg.split_halfwidth_end * spacing) & ~(near | near2)
+    paired = (yi > HALF_PI - _END_REGION_WIDTH * spacing) & ~(near | near2)
 
     # every tan difference as sin(z -+ y)/(cos z cos y); the sines vanish
     # only on the bands, whose factors the expansions replace
@@ -301,34 +275,32 @@ def _pair_geometry(z: np.ndarray, yi: np.ndarray, cfg: ResidualConfig,
         px=x[i, 0],
         band=_series_factors(m[near], d[near]),
         mirror=_series_factors(m2[near2], d2[near2]),
-        order=cfg.series_order,
     )
 
 
-def _series(g: _Series, k, order: int):
+# the expansions take the spline derivatives of orders 0.._SERIES_DERIVS-1
+_SERIES_DERIVS = 5
+
+
+def _series(g: _Series, k):
     """Local expansions of the three quotients about the midpoint m.
 
-    ``k`` holds the spline derivatives k, k', ... at m.  Returns
+    ``k`` holds the spline derivatives of orders 0..4 at m.  Returns
     (dq_value, dq_deriv, avg): the quotients (k(z)-k(y))/(tan z - tan y),
     (u(z)-u(y))/(tan z - tan y) with u = k' cos^2, and
-    (P(y)-P(z))/(tan y - tan z), all to O(d^2) or O(d^4) depending on
-    the order, where d = (z - y)/2.
+    (P(y)-P(z))/(tan y - tan z), all to O(d^4), where d = (z - y)/2.
     """
-    c2, sec2 = g.c2, g.sec2
-    km, k1, k2 = k[0], k[1], k[2]
-    u1 = k2 * c2 - k1 * g.s2m
-    if order >= 2:
-        d2, s2m = g.d2, g.s2m
-        k3, k4 = k[3], k[4]
-        den = 1.0 + (3 * sec2 - 2) * d2 / 3.0
-        num_k = k1 + k3 * d2 / 6.0
-        # third derivative of u = k' cos^2
-        u3 = k4 * c2 - 3 * k3 * s2m - 6 * k2 * g.c2m + 4 * k1 * s2m
-        num_u = u1 + u3 * d2 / 6.0
-        # (P' = sec^2 k):  P''' / sec^2 = 2(3 sec^2 - 2) k + 4 tan k' + k''
-        num_p = km + (2 * (3 * sec2 - 2) * km + 4 * g.tanm * k1 + k2) * d2 / 6.0
-        return c2 * num_k / den, c2 * num_u / den, num_p / den
-    return c2 * k1, c2 * u1, km
+    c2, sec2, d2, s2m = g.c2, g.sec2, g.d2, g.s2m
+    km, k1, k2, k3, k4 = k
+    den = 1.0 + (3 * sec2 - 2) * d2 / 3.0
+    num_k = k1 + k3 * d2 / 6.0
+    # first and third derivatives of u = k' cos^2
+    u1 = k2 * c2 - k1 * s2m
+    u3 = k4 * c2 - 3 * k3 * s2m - 6 * k2 * g.c2m + 4 * k1 * s2m
+    num_u = u1 + u3 * d2 / 6.0
+    # (P' = sec^2 k):  P''' / sec^2 = 2(3 sec^2 - 2) k + 4 tan k' + k''
+    num_p = km + (2 * (3 * sec2 - 2) * km + 4 * g.tanm * k1 + k2) * d2 / 6.0
+    return c2 * num_k / den, c2 * num_u / den, num_p / den
 
 
 def _quotients(g: _Geometry, kz, uz, ky, uy, D, band, mirror):
@@ -352,11 +324,11 @@ def _quotients(g: _Geometry, kz, uz, ky, uy, D, band, mirror):
     avg_m = -D * cp
 
     near, near2 = g.near, g.near2
-    dqk, dqu, avg = _series(g.band, band, g.order)
+    dqk, dqu, avg = _series(g.band, band)
     dq_k_m[near] = dqk
     dq_u_m[near] = dqu
     avg_p[near] = avg
-    dqk, dqu, avg = _series(g.mirror, mirror, g.order)
+    dqk, dqu, avg = _series(g.mirror, mirror)
     dq_k_p[near2] = dqk
     dq_u_p[near2] = -dqu
     avg_m[near2] = -avg
@@ -539,8 +511,8 @@ class Discretization:
             "Pz": pz(z), "Py": pz(yi), "b": sm.dense([HALF_PI], 0)[0],
         }
         self.transport = (np.sin(z) * np.cos(z))[:, None] * dk_z
-        self.band = [sm.local(g.band.m, nu) for nu in range(g.derivs)]
-        self.mirror = [sm.local(g.mirror.m, nu) for nu in range(g.derivs)]
+        self.band = [sm.local(g.band.m, nu) for nu in range(_SERIES_DERIVS)]
+        self.mirror = [sm.local(g.mirror.m, nu) for nu in range(_SERIES_DERIVS)]
         # trapezoid weights of the pair columns; the y = pi/2 column has 1/2
         self.w = np.ones(len(yi))
         self.w[0] = 0.5
@@ -555,8 +527,8 @@ class Discretization:
             rows0, first = local[0]           # first is the same for every nu
             quot = np.zeros((3,) + rows0.shape)
             for nu, (rows, _) in enumerate(local):
-                unit = [np.full(len(i), float(mu == nu)) for mu in range(g.derivs)]
-                for q, coef in enumerate(_series(series, unit, g.order)):
+                unit = [np.full(len(i), float(mu == nu)) for mu in range(_SERIES_DERIVS)]
+                for q, coef in enumerate(_series(series, unit)):
                     quot[q] += coef[:, None] * rows
             weight.append(self.hy * self.w[j][:, None] * quot)
             index.append(i[:, None] * len(self.coef) + first[:, None] + np.arange(rows0.shape[1]))
@@ -675,7 +647,7 @@ def residual_at(profile: Profile, z: float, cfg: ResidualConfig | None = None) -
 
     The kernel of ``residual_vector`` on a one-row geometry, with its
     inputs from the profile's spline and an adaptive antiderivative table
-    at tolerance min(inner abs_tol, 1e-12); at the grid nodes it agrees
+    at tolerance 1e-12; at the grid nodes it agrees
     with ``residual_vector`` to quadrature accuracy.  At z = pi/2 every
     term of the equation degenerates (the transport term carries cos z and
     the integrand limits vanish pointwise), so the row is identically zero.
@@ -697,14 +669,14 @@ def residual_at(profile: Profile, z: float, cfg: ResidualConfig | None = None) -
         return ev(w, 0) / (c * c)
 
     pts = np.unique(np.concatenate([[0.0, z], yi]))
-    P = cumulative_gk15(integrand, pts, tol=min(cfg.inner_quad.abs_tol, 1e-12))
+    P = cumulative_gk15(integrand, pts, tol=1e-12)
     inputs = {
         "kz": kz, "uz": dkz * g.cz * g.cz,
         "ky": ev(yi, 0), "uy": ev(yi, 1) * g.cy * g.cy,
         "D": (P[np.searchsorted(pts, yi)] - P[np.searchsorted(pts, z)])[None, :],
         "b": float(ev(HALF_PI, 0)),
-        "band": [ev(g.band.m, nu) for nu in range(g.derivs)],
-        "mirror": [ev(g.mirror.m, nu) for nu in range(g.derivs)],
+        "band": [ev(g.band.m, nu) for nu in range(_SERIES_DERIVS)],
+        "mirror": [ev(g.mirror.m, nu) for nu in range(_SERIES_DERIVS)],
     }
     integral = _outer_integral(g, hy, zc, yi, inputs)[0]
     return float(np.sin(z) * np.cos(z) * dkz[0, 0] + integral)

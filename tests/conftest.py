@@ -14,7 +14,6 @@ from muskatss import (
     kappa,
     make_grid,
 )
-from muskatss.quadrature import QuadConfig
 
 
 def cheap_residual_config():

@@ -92,11 +92,11 @@ def test_criterion_2_quadrature_oracle():
 def test_criterion_3_sliding_average_closed_form(grid):
     t0 = time.time()
     profile = fit_spline(grid, np.sin(grid.nodes) * np.cos(grid.nodes), 0.0)
-    val = delta_tilde(profile, 0.0, np.pi / 4.0, +1, RES)
+    val = delta_tilde(profile, 0.0, np.pi / 4.0, +1)
     err_cf = abs(val - np.log(2.0) / 2.0)
     z = 0.8
-    err_coincide = abs(delta_tilde(profile, z, z + 5e-9, +1, RES) - float(profile.eval(z)))
-    err_end = abs(delta_tilde(profile, 0.4, HALF_PI - 1e-8, +1, RES)
+    err_coincide = abs(delta_tilde(profile, z, z + 5e-9, +1) - float(profile.eval(z)))
+    err_end = abs(delta_tilde(profile, 0.4, HALF_PI - 1e-8, +1)
                   - float(profile.eval(HALF_PI)))
     elapsed = time.time() - t0
     ok = err_cf < 1e-8 and err_coincide < 1e-6 and err_end < 1e-6

@@ -23,6 +23,9 @@ from muskatss.continuation import load_branch
 from conftest import synthetic_branch_doc
 
 FAST = ["--n", "17", "--outer-nodes", "170"]
+# settings that became constants; their flags and config keys are usage errors
+REMOVED_SETTING_FLAGS = [("--inner-abs-tol", "1e-10"), ("--inner-rel-tol", "1e-10"),
+                         ("--split-halfwidth-end", "2"), ("--series-order", "2")]
 
 
 @pytest.fixture(scope="module")
@@ -56,11 +59,20 @@ class TestUsageErrors:
         ["continue", "--s-max", "0.1", "--n", "9", "--fd-step", "1e-6"],
         ["solve", "--s", "0", "--n", "9", "--threads", "2"],
         ["continue", "--s-max", "0.1", "--n", "9", "--threads", "2"],
+        *[[*command, "--n", "9", flag, value]
+          for flag, value in REMOVED_SETTING_FLAGS
+          for command in (["solve", "--s", "0"], ["continue", "--s-max", "0.1"])],
     ])
     def test_flag_not_taken(self, branch_file, tmp_path, argv):
         cfg = tmp_path / "empty.cfg"
         cfg.write_text("")
         assert main([a.format(branch=branch_file, cfg=cfg) for a in argv]) == EX_USAGE
+
+    @pytest.mark.parametrize("s", ["nan", "inf"])
+    def test_non_finite_slope(self, capsys, s):
+        assert main(["solve", "--s", s, "--n", "9", "--outer-nodes", "40"]) == EX_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "slope" in err and s in err
 
     def test_non_finite_setting(self):
         assert main(["solve", "--s", "0.1", "--n", "9", "--outer-nodes", "40",
@@ -70,14 +82,6 @@ class TestUsageErrors:
         path = tmp_path / "absent.cfg"
         assert main(["solve", "--s", "0", "--config", str(path)]) == EX_USAGE
         assert str(path) in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", [["solve", "--s", "0.05"],
-                                         ["continue", "--s-max", "0.05", "--ds", "0.05"]])
-    def test_inner_tolerance_below_floor(self, tmp_path, command):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("inner_abs_tol=1e-300\n")
-        assert main(command + ["--n", "9", "--outer-nodes", "40", "--max-iters", "3",
-                               "--config", str(cfg)]) == EX_USAGE
 
     @pytest.mark.parametrize("command", [
         ["solve", "--s", "0.1"] + FAST,
@@ -246,11 +250,13 @@ class TestValidate:
     def test_missing_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == EX_DATA
 
-    def test_stored_inner_tolerance_below_floor(self, tmp_path):
-        # the floor applies to new solves; a loaded branch keeps its value
+    def test_old_file_with_removed_settings_runs(self, tmp_path):
+        # files written while these were settings store them; they are ignored
         doc = synthetic_branch_doc()
-        doc["meta"]["tolerances"]["inner_abs_tol"] = 1e-15
-        path = tmp_path / "fine.json"
+        doc["meta"]["tolerances"].update(inner_abs_tol=1e-15, inner_rel_tol=1e-10,
+                                         split_halfwidth_end=2.5, series_order=1)
+        assert len(doc["meta"]["tolerances"]) == 12
+        path = tmp_path / "old.json"
         path.write_text(json.dumps(doc))
         assert main(["validate", str(path)]) in (EX_OK, EX_SOFT)
         assert main(["export", str(path), "--figure", "normalized",
@@ -325,13 +331,18 @@ class TestUnevaluableBranch:
         (lambda d: _bad_steps(d, s=-0.2), ["validate"]),
     ], ids=["integrated-huge-range", "huge-values", "huge-slope", "string-ds",
             "string-s", "end-value-misses-s", "nan-s", "negative-s"])
-    def test_exit_65_with_one_line(self, tmp_path, capsys, mutate, argv):
+    def test_exit_65_with_one_line(self, tmp_path, mutate, argv):
+        # in a child process, so that Python warnings count as stderr lines too
         doc = synthetic_branch_doc()
         mutate(doc)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        assert main([argv[0], str(path)] + argv[1:]) == EX_DATA
-        assert capsys.readouterr().err.count("\n") == 1
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run([sys.executable, "-m", "muskatss.cli", argv[0], str(path), *argv[1:]],
+                             capture_output=True, text=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.returncode == EX_DATA, out.stderr
+        assert out.stderr.count("\n") == 1, out.stderr
 
 
 class TestExport:
@@ -405,6 +416,11 @@ class TestConfigFile:
         assert main(["solve", "--s", "0", "--config", str(cfg)]) == EX_USAGE
 
     def test_removed_fd_step_key_rejected(self, tmp_path):
+        # and the keys of the other settings that became constants
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("fd_step=1e-6\n")
-        assert main(["solve", "--s", "0", "--config", str(cfg)]) == EX_USAGE
+        lines = ["fd_step=1e-6"] + [flag[2:].replace("-", "_") + "=" + value
+                                    for flag, value in REMOVED_SETTING_FLAGS]
+        for line in lines:
+            cfg.write_text(line + "\n")
+            for command in (["solve", "--s", "0"], ["continue", "--s-max", "0.1"]):
+                assert main(command + ["--n", "9", "--config", str(cfg)]) == EX_USAGE, line

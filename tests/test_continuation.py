@@ -17,7 +17,7 @@ from muskatss.continuation import (
 from muskatss import continuation
 from muskatss.grid_spline import make_grid
 from muskatss.lm import LMConfig, lm_solve
-from muskatss.quadrature import QuadConfig, QuadratureError
+from muskatss.quadrature import QuadratureError
 from muskatss.residual import ResidualConfig
 
 # small collocation system: fast enough for unit tests, still a real solve
@@ -174,8 +174,7 @@ class TestSerialization:
         assert make_configs({}) == (LMConfig(), ResidualConfig())
         values = {"lambda0": 2e-3, "lambda_up": 5.0, "lambda_down": 0.2,
                   "tol_residual": 2e-8, "tol_step": 2e-10, "max_iters": 7, "outer_nodes": 77,
-                  "inner_abs_tol": 2e-11, "inner_rel_tol": 2e-9, "split_halfwidth_z": 1.5,
-                  "split_halfwidth_end": 2.5, "series_order": 1}
+                  "split_halfwidth_z": 1.5}
         assert set(values) == set(SETTINGS)
         lm, res = make_configs(values)
         assert lm != LMConfig() and res != ResidualConfig()
@@ -185,30 +184,19 @@ class TestSerialization:
         assert (clone.lm, clone.res) == (lm, res)
 
     def test_old_file_with_fd_step_loads(self):
-        # fd_step was a setting once; files that store it still load
+        # fd_step, inner_abs_tol, inner_rel_tol, split_halfwidth_end and
+        # series_order were settings once; files that store them load, and
+        # the stored values are ignored
         text = json.dumps({"meta": {"version": "1", "N": SMALL_N, "ds": 0.1, "tolerances": {
             "lambda0": 2e-3, "lambda_up": 10.0, "lambda_down": 0.1, "fd_step": 2e-6,
             "tol_residual": 1e-8, "tol_step": 1e-10, "max_iters": 50, "outer_nodes": 170,
-            "inner_abs_tol": 1e-10, "inner_rel_tol": 1e-10, "split_halfwidth_z": 2.0,
-            "split_halfwidth_end": 2.0, "series_order": 2}}, "steps": []})
+            "inner_abs_tol": 1e-15, "inner_rel_tol": 1e-10, "split_halfwidth_z": 2.0,
+            "split_halfwidth_end": 2.5, "series_order": 1}}, "steps": []})
         branch = branch_from_json(text)
         assert branch.lm == LMConfig(lambda0=2e-3)
         assert branch.res == ResidualConfig(outer_nodes=170)
-        assert "fd_step" not in json.loads(branch_to_json(branch))["meta"]["tolerances"]
-
-    def test_inner_tolerance_floor(self):
-        # below the floor the antiderivative tables only bisect roundoff,
-        # so a new solve refuses it; a stored branch still loads
-        for bad in (1e-15, 1e-300):
-            res = ResidualConfig(inner_quad=QuadConfig(abs_tol=bad))
-            with pytest.raises(ValueError, match="abs_tol"):
-                solve_profile(0.05, 9, res_cfg=res)
-        text = json.dumps({"meta": {"version": "1", "N": SMALL_N, "ds": 0.1, "tolerances": {
-            "lambda0": 1e-3, "lambda_up": 10.0, "lambda_down": 0.1,
-            "tol_residual": 1e-8, "tol_step": 1e-10, "max_iters": 50, "outer_nodes": 170,
-            "inner_abs_tol": 1e-15, "inner_rel_tol": 1e-10, "split_halfwidth_z": 2.0,
-            "split_halfwidth_end": 2.0, "series_order": 2}}, "steps": []})
-        assert branch_from_json(text).res.inner_quad.abs_tol == 1e-15
+        tol = json.loads(branch_to_json(branch))["meta"]["tolerances"]
+        assert set(tol) == set(SETTINGS) and len(tol) == 8
 
     def test_file_round_trip(self, small_branch, tmp_path):
         path = tmp_path / "branch.json"

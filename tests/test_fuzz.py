@@ -28,10 +28,9 @@ VALIDATE_CODES = {0, 1, 65}
 EXPORT_CODES = {0, 65}
 EXPORT_FLAG_CODES = {0, 64, 65}
 
-INT_KEYS = ("n", "max_iters", "outer_nodes", "series_order")
+INT_KEYS = ("n", "max_iters", "outer_nodes")
 FLOAT_KEYS = ("ds", "s", "s_max", "lambda0", "lambda_up", "lambda_down",
-              "tol_residual", "tol_step", "inner_abs_tol", "inner_rel_tol",
-              "split_halfwidth_z", "split_halfwidth_end")
+              "tol_residual", "tol_step", "split_halfwidth_z")
 SPECIAL_TEXT = ("nan", "inf", "-inf", "0", "-1", "1", "2", "3", "0.5", "1e300", "-1e300",
                 "1e-300", "1e-3", "10", "", "x", "1e4", "true", "None", "9" * 30)
 SPECIAL_FLOATS = (float("nan"), float("inf"), -float("inf"), 0.0, -0.0, -1.0,

@@ -42,8 +42,9 @@ class TestTrapezoid:
             x = np.asarray(x)
             return np.where(x > 0.5, np.inf, x)
 
-        with pytest.raises(QuadratureError, match="node"):
+        with pytest.raises(QuadratureError, match="node") as exc_info:
             trapezoid(f, 0.0, 1.0, 11)
+        assert str(exc_info.value) == "non-finite sample inf at node 6 (x=0.6000000000000001)"
 
 
 class TestGK15:
@@ -123,6 +124,15 @@ class TestGK15:
         assert res.error_estimate == pytest.approx(
             50.0 * np.finfo(float).eps * (np.e - 1.0), rel=1e-6)
         assert res.subdivisions <= cfg.max_subdivisions
+
+    def test_non_finite_message_prints_plain_numbers(self):
+        # numpy 2 reprs a scalar as np.float64(...); the message shows the number
+        with pytest.raises(QuadratureError) as exc_info:
+            with np.errstate(divide="ignore"):
+                gk15_adaptive(lambda x: 1.0 / (x - x[3]), 0.0, 1.0)
+        message = str(exc_info.value)
+        assert "np.float64" not in message and "non-finite integrand at x=0." in message
+        assert all(type(v) is float for v in exc_info.value.interval)
 
     def test_scalar_integrand(self):
         res = gk15_adaptive(lambda x: 3.0, 0.0, 2.0)

@@ -3,8 +3,10 @@ import pytest
 
 from muskatss.grid_spline import HALF_PI, fit_spline, make_grid
 from muskatss.lm import fd_jacobian
-from muskatss.quadrature import QuadConfig, cumulative_gk15
+from muskatss import residual
+from muskatss.quadrature import cumulative_gk15
 from muskatss.residual import (
+    _SERIES_DERIVS,
     ResidualConfig,
     _integrand,
     _integrand_partials,
@@ -131,14 +133,6 @@ class TestResidualAt:
             b = residual_at(linear_profile_01, z, half)
             assert abs(a - b) < 1e-7
 
-    def test_series_order_consistency(self, linear_profile_01):
-        first = ResidualConfig(series_order=1)
-        second = ResidualConfig(series_order=2)
-        z = 0.9
-        a = residual_at(linear_profile_01, z, first)
-        b = residual_at(linear_profile_01, z, second)
-        assert abs(a - b) < 5e-7
-
     def test_domain_validation(self, linear_profile_01):
         with pytest.raises(ValueError):
             residual_at(linear_profile_01, -0.1)
@@ -171,15 +165,24 @@ class TestResidualVector:
 
     @pytest.mark.parametrize("N", [17, 129])
     @pytest.mark.parametrize("s", [0.1, 2.0, 7.0])
-    def test_end_region_seam(self, N, s):
+    def test_end_region_seam(self, N, s, monkeypatch):
         # the paired end-region form is the direct form over a common
         # denominator, so moving the region's edge must not move the rows
         g = make_grid(N)
         p = fit_spline(g, perturbed_arctan(g, s), s)
         base = residual_vector(p).interior
-        for width in (0.5, 6.0, 20.0):
-            other = residual_vector(p, ResidualConfig(split_halfwidth_end=width)).interior
-            assert np.max(np.abs(other - base)) <= 1e-12 * np.max(np.abs(base))
+        paired = {np.count_nonzero(discretization(N, ResidualConfig()).geo.paired)}
+        try:
+            for width in (0.5, 6.0, 20.0):
+                monkeypatch.setattr(residual, "_END_REGION_WIDTH", width)
+                discretization.cache_clear()
+                other = residual_vector(p).interior
+                paired.add(np.count_nonzero(discretization(N, ResidualConfig()).geo.paired))
+                assert np.max(np.abs(other - base)) <= 1e-12 * np.max(np.abs(base))
+        finally:
+            monkeypatch.undo()
+            discretization.cache_clear()
+        assert len(paired) == 4        # each width moved the edge
 
     def test_outer_refinement_stability(self, linear_profile_01):
         r1 = residual_vector(linear_profile_01, ResidualConfig(outer_nodes=1290))
@@ -191,8 +194,6 @@ class TestResidualVector:
             ResidualConfig(outer_nodes=1)
         with pytest.raises(ValueError):
             ResidualConfig(split_halfwidth_z=0.0)
-        with pytest.raises(ValueError):
-            ResidualConfig(series_order=3)
 
 
 def perturbed_arctan(grid, s):
@@ -231,8 +232,8 @@ def reference_interior(profile, cfg):
         ky=ev(yi, 0), uy=ev(yi, 1) * geo.cy ** 2,
         D=P[np.searchsorted(pts, yi)][None, :] - P[np.searchsorted(pts, z)][:, None],
         b=float(ev(HALF_PI, 0)),
-        band=[ev(geo.band.m, nu) for nu in range(geo.derivs)],
-        mirror=[ev(geo.mirror.m, nu) for nu in range(geo.derivs)])
+        band=[ev(geo.band.m, nu) for nu in range(_SERIES_DERIVS)],
+        mirror=[ev(geo.mirror.m, nu) for nu in range(_SERIES_DERIVS)])
     rows = np.column_stack([pairs, end[:, 0]])
     integral = d.hy * (rows.sum(axis=1) - 0.5 * (rows[:, 0] + rows[:, -1]))
     transport = np.sin(z) * np.cos(z) * ev(z, 1)
@@ -243,9 +244,8 @@ class TestResidualOracle:
     @pytest.mark.parametrize("s", [0.1, 2.0, 7.0])
     @pytest.mark.parametrize("N", [17, 33, 129])
     @pytest.mark.parametrize("cfg", [
-        ResidualConfig(), ResidualConfig(series_order=1),
-        ResidualConfig(outer_nodes=77, split_halfwidth_z=1.3),
-    ], ids=["default", "order1", "nodes77"])
+        ResidualConfig(), ResidualConfig(outer_nodes=77, split_halfwidth_z=1.3),
+    ], ids=["default", "nodes77"])
     def test_matches_spline_and_adaptive_table(self, cfg, N, s):
         g = make_grid(N)
         p = fit_spline(g, perturbed_arctan(g, s), s)
@@ -265,11 +265,9 @@ class TestResidualJacobian:
         (17, None, ResidualConfig()),
         (33, None, ResidualConfig()),
         (129, [0, 1, 30, 64, 110, 127], ResidualConfig()),
-        (17, None, ResidualConfig(series_order=1)),
-        (33, None, ResidualConfig(series_order=1)),
         (17, None, ResidualConfig(outer_nodes=77, split_halfwidth_z=1.3)),
         (33, None, ResidualConfig(outer_nodes=77, split_halfwidth_z=1.3)),
-    ], ids=["17", "33", "129", "17-order1", "33-order1", "17-nodes77", "33-nodes77"])
+    ], ids=["17", "33", "129", "17-nodes77", "33-nodes77"])
     def test_matches_finite_differences(self, N, cols, cfg, s):
         g = make_grid(N)
         values = perturbed_arctan(g, s)
@@ -289,7 +287,7 @@ class TestResidualJacobian:
     def test_zero_and_boundary_rows(self):
         N = 17
         J = residual_jacobian(perturbed_arctan(make_grid(N), 0.5),
-                              ResidualConfig(series_order=1, outer_nodes=77))
+                              ResidualConfig(outer_nodes=77))
         assert np.all(J[N - 2] == 0.0)                   # the z = pi/2 row
         assert np.array_equal(J[N - 1], np.eye(N)[0])    # bc0 = values[0]
         assert np.array_equal(J[N], np.eye(N)[-1])       # bc_end = values[-1] - s
@@ -302,9 +300,8 @@ def kernel_inputs(N, cfg, s):
 
 
 KERNEL_CONFIGS = pytest.mark.parametrize("cfg", [
-    ResidualConfig(), ResidualConfig(series_order=1),
-    ResidualConfig(outer_nodes=77, split_halfwidth_z=1.3),
-], ids=["default", "order1", "nodes77"])
+    ResidualConfig(), ResidualConfig(outer_nodes=77, split_halfwidth_z=1.3),
+], ids=["default", "nodes77"])
 
 
 class TestIntegrandPartials:
@@ -346,10 +343,10 @@ class TestIntegrandPartials:
         # the spline derivatives at the midpoints, through the series
         for name, mask, series, quot in (("band", band, g.band, p.band),
                                          ("mirror", mirror, g.mirror, p.mirror)):
-            for nu in range(g.derivs):
+            for nu in range(_SERIES_DERIVS):
                 unit = [np.full(np.count_nonzero(mask), float(mu == nu))
-                        for mu in range(g.derivs)]
-                coefs = _series(series, unit, g.order)
+                        for mu in range(_SERIES_DERIVS)]
+                coefs = _series(series, unit)
                 close(sum(q * c for q, c in zip(quot, coefs)), cstep(name, nu)[0][mask])
 
     def test_finite_where_the_value_is_finite(self):
