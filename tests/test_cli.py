@@ -83,6 +83,15 @@ class TestUsageErrors:
         assert main(["solve", "--s", "0", "--config", str(path)]) == EX_USAGE
         assert str(path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["solve", "--s", "0.05"],
+                                         ["continue", "--s-max", "0.05", "--ds", "0.05"]])
+    def test_inner_tolerance_below_floor(self, tmp_path, command):
+        # the inner tolerance is a constant, so a config file cannot set one
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("inner_abs_tol=1e-300\n")
+        assert main(command + ["--n", "9", "--outer-nodes", "40", "--max-iters", "3",
+                               "--config", str(cfg)]) == EX_USAGE
+
     @pytest.mark.parametrize("command", [
         ["solve", "--s", "0.1"] + FAST,
         ["continue", "--s-max", "0.1"] + FAST,

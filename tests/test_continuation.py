@@ -17,7 +17,7 @@ from muskatss.continuation import (
 from muskatss import continuation
 from muskatss.grid_spline import make_grid
 from muskatss.lm import LMConfig, lm_solve
-from muskatss.quadrature import QuadratureError
+from muskatss.quadrature import QuadConfig, QuadratureError
 from muskatss.residual import ResidualConfig
 
 # small collocation system: fast enough for unit tests, still a real solve
@@ -197,6 +197,19 @@ class TestSerialization:
         assert branch.res == ResidualConfig(outer_nodes=170)
         tol = json.loads(branch_to_json(branch))["meta"]["tolerances"]
         assert set(tol) == set(SETTINGS) and len(tol) == 8
+
+    def test_inner_tolerance_floor(self):
+        # the inner tolerance is a constant: no residual config takes one, and
+        # a stored branch with a value however far below 1e-14 still loads
+        for bad in (1e-15, 1e-300):
+            with pytest.raises(TypeError):
+                ResidualConfig(inner_quad=QuadConfig(abs_tol=bad))
+            text = json.dumps({"meta": {"version": "1", "N": SMALL_N, "ds": 0.1, "tolerances": {
+                "lambda0": 1e-3, "lambda_up": 10.0, "lambda_down": 0.1,
+                "tol_residual": 1e-8, "tol_step": 1e-10, "max_iters": 50, "outer_nodes": 170,
+                "inner_abs_tol": bad, "inner_rel_tol": 1e-10, "split_halfwidth_z": 2.0,
+                "split_halfwidth_end": 2.0, "series_order": 2}}, "steps": []})
+            assert branch_from_json(text).res == ResidualConfig(outer_nodes=170)
 
     def test_file_round_trip(self, small_branch, tmp_path):
         path = tmp_path / "branch.json"
