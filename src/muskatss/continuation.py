@@ -41,17 +41,13 @@ FORMAT_VERSION = "1"
 # The names are the branch-JSON tolerance keys and the config-file keys;
 # with '-' for '_' they are the solve and continue flags.  A setting left
 # out keeps its dataclass default.  Branch files may carry other tolerance
-# keys (older files store fd_step and four settings that are constants
-# now, such as the inner quadrature tolerances); only these names are read.
+# keys (older files store fd_step and eight settings that are constants
+# now, such as the damping schedule); only these names are read.
 SETTINGS = {
-    "lambda0": (float, "lm"),
-    "lambda_up": (float, "lm"),
-    "lambda_down": (float, "lm"),
     "tol_residual": (float, "lm"),
     "tol_step": (float, "lm"),
     "max_iters": (int, "lm"),
     "outer_nodes": (int, "res"),
-    "split_halfwidth_z": (float, "res"),
 }
 
 

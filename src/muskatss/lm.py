@@ -22,28 +22,28 @@ class SolverError(Exception):
     pass
 
 
+# the damping schedule: lambda starts at _LAMBDA0, is multiplied by
+# _LAMBDA_UP on each rejected trial and by _LAMBDA_DOWN on each accepted one
+_LAMBDA0 = 1e-3
+_LAMBDA_UP = 10.0
+_LAMBDA_DOWN = 0.1
+
+
 @dataclass(frozen=True)
 class LMConfig:
-    """Damping and stopping settings.
+    """Stopping settings.
 
     threads is accepted and ignored: no Jacobian is computed in parallel.
     """
 
-    lambda0: float = 1e-3
-    lambda_up: float = 10.0
-    lambda_down: float = 0.1
     tol_residual: float = 1e-8   # max-norm of the residual vector
     tol_step: float = 1e-10      # max-norm of the accepted step
     max_iters: int = 50
     threads: int = 1
 
     def __post_init__(self):
-        if not all(0.0 < v < math.inf for v in (
-                self.lambda0, self.lambda_up, self.lambda_down,
-                self.tol_residual, self.tol_step)):
+        if not all(0.0 < v < math.inf for v in (self.tol_residual, self.tol_step)):
             raise ValueError("all LM parameters must be positive and finite")
-        if not (self.lambda_up > 1.0 > self.lambda_down):
-            raise ValueError("need lambda_up > 1 > lambda_down")
         if self.max_iters < 1 or self.threads < 1:
             raise ValueError("max_iters and threads must be >= 1")
 
@@ -91,8 +91,8 @@ def lm_solve(r, x0: np.ndarray, cfg: LMConfig | None = None) -> SolverReport:
     """Minimize ||r(x)||_2 by damped Gauss-Newton steps.
 
     A trial step solves (J^T J + lambda diag(J^T J)) dx = -J^T r and is
-    accepted iff the 2-norm of the residual decreases; lambda shrinks on
-    acceptance and grows on rejection.  J is ``r.jacobian(x)`` when r has
+    accepted iff the 2-norm of the residual decreases; lambda starts at
+    1e-3, shrinks tenfold on acceptance and grows tenfold on rejection.  J is ``r.jacobian(x)`` when r has
     that attribute (a non-finite one raises SolverError) and
     ``fd_jacobian`` otherwise.  Stops when the residual max-norm falls
     below tol_residual, the accepted step falls below tol_step, or
@@ -105,7 +105,7 @@ def lm_solve(r, x0: np.ndarray, cfg: LMConfig | None = None) -> SolverReport:
     rx = np.asarray(r(x), dtype=float)
     if not np.all(np.isfinite(rx)):
         raise SolverError("residual not finite at the initial point")
-    lam = cfg.lambda0
+    lam = _LAMBDA0
     history = [lam]
     iterations = 0
     converged = np.max(np.abs(rx)) <= cfg.tol_residual
@@ -135,22 +135,22 @@ def lm_solve(r, x0: np.ndarray, cfg: LMConfig | None = None) -> SolverReport:
                     raise SolverError(
                         f"damped normal equations stayed singular (lambda={lam:.3e})"
                     )
-                lam *= cfg.lambda_up
+                lam *= _LAMBDA_UP
                 continue
             if not np.all(np.isfinite(dx)):
-                lam *= cfg.lambda_up
+                lam *= _LAMBDA_UP
                 continue
             rn = np.asarray(r(x + dx), dtype=float)
             if np.all(np.isfinite(rn)) and np.linalg.norm(rn) < rnorm2:
                 x = x + dx
                 rx = rn
-                lam = max(lam * cfg.lambda_down, 1e-15)
+                lam = max(lam * _LAMBDA_DOWN, 1e-15)
                 accepted = True
                 break
             if np.max(np.abs(dx)) <= cfg.tol_step:
                 stalled = True    # damping pushed the step below resolution
                 break
-            lam *= cfg.lambda_up
+            lam *= _LAMBDA_UP
         if not accepted:
             if stalled:
                 break             # converged stays False: stuck at a nonzero residual

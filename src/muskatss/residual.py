@@ -15,8 +15,9 @@ is fully vectorized over (z, y).
 
 Three regions need non-generic handling:
 
-* y ~ z: the difference quotients are 0/0; they are replaced by local
-  expansions about the midpoint m = (y+z)/2, to O(d^4) in d = (z-y)/2.
+* y ~ z: the difference quotients are 0/0; within two grid spacings
+  (``_BAND_HALFWIDTH``) they are replaced by local expansions about the
+  midpoint m = (y+z)/2, to O(d^4) in d = (z-y)/2.
 * y ~ pi/2: the two first-derivative terms diverge like +-tan(y) and
   only their sum is bounded; within two grid spacings of pi/2
   (``_END_REGION_WIDTH``) they are combined over the common denominator
@@ -33,7 +34,7 @@ oddness cancellation at z = 0 exact in floating point.
 The integrand is one elementwise kernel, ``_integrand``, of the
 value-dependent inputs k and u = k' cos^2 at z and y, D = P(y) - P(z),
 k(pi/2) and the spline derivatives at the band midpoints.  The geometry
-(``_pair_geometry``) depends only on (N, ResidualConfig), and so do the
+(``_pair_geometry``) depends only on N and the outer nodes, and so do the
 products of it the kernel needs: the generic quotients' factors
 cos z cos y / sin(z -+ y) and the paired form's coefficients, which are
 stored only at the paired end-region pairs and evaluated only there.
@@ -74,6 +75,9 @@ __all__ = [
     "residual_vector",
 ]
 
+# half-width of the y ~ z band, in grid spacings: inside it the midpoint
+# expansions replace the difference quotients
+_BAND_HALFWIDTH = 2.0
 # width of the y ~ pi/2 region, in grid spacings: inside it the paired form
 # is mandatory; it is valid everywhere outside the diagonal band, so the
 # width only pins the region label
@@ -82,20 +86,16 @@ _END_REGION_WIDTH = 2.0
 
 @dataclass(frozen=True)
 class ResidualConfig:
-    """The two discretization settings that move the residual.
+    """The discretization setting that moves the residual.
 
     outer_nodes: trapezoid nodes for the y-integrals (None -> 10*N).
-    split_halfwidth_z: half-width of the y ~ z region, in grid spacings.
     """
 
     outer_nodes: int | None = None
-    split_halfwidth_z: float = 2.0
 
     def __post_init__(self):
         if self.outer_nodes is not None and self.outer_nodes < 2:
             raise ValueError(f"outer_nodes must be >= 2, got {self.outer_nodes}")
-        if not self.split_halfwidth_z > 0:
-            raise ValueError(f"split_halfwidth_z must be positive, got {self.split_halfwidth_z}")
 
     def resolve_outer_nodes(self, N: int) -> int:
         return self.outer_nodes if self.outer_nodes is not None else 10 * N
@@ -236,10 +236,9 @@ class _Geometry:
         return out
 
 
-def _pair_geometry(z: np.ndarray, yi: np.ndarray, cfg: ResidualConfig,
-                   spacing: float) -> _Geometry:
+def _pair_geometry(z: np.ndarray, yi: np.ndarray, spacing: float) -> _Geometry:
     """Geometry of the pairs z x yi (all z < pi/2, yi the outer nodes but pi/2)."""
-    band = cfg.split_halfwidth_z * spacing
+    band = _BAND_HALFWIDTH * spacing
     z = z[:, None]
     cz, sz, x = np.cos(z), np.sin(z), np.tan(z)
     cy, sy = np.cos(yi), np.sin(yi)
@@ -499,7 +498,7 @@ class Discretization:
         self.z = z = grid.nodes[1:-1]
         self.yi, self.hy = _outer_nodes(N, cfg)
         yi = self.yi
-        self.geo = g = _pair_geometry(z, yi, cfg, grid.spacing)
+        self.geo = g = _pair_geometry(z, yi, grid.spacing)
         self.blocks = g.blocks(max(1, _BLOCK_PAIRS // len(yi)))
         sm = spline_maps(N)
         self.coef = sm.coef
@@ -661,7 +660,7 @@ def residual_at(profile: Profile, z: float, cfg: ResidualConfig | None = None) -
     ev = profile._ev
     yi, hy = _outer_nodes(profile.grid.N, cfg)
     zc = np.array([z])
-    g = _pair_geometry(zc, yi, cfg, profile.grid.spacing)
+    g = _pair_geometry(zc, yi, profile.grid.spacing)
     kz, dkz = ev(zc[:, None], 0), ev(zc[:, None], 1)
 
     def integrand(w):

@@ -25,7 +25,9 @@ from conftest import synthetic_branch_doc
 FAST = ["--n", "17", "--outer-nodes", "170"]
 # settings that became constants; their flags and config keys are usage errors
 REMOVED_SETTING_FLAGS = [("--inner-abs-tol", "1e-10"), ("--inner-rel-tol", "1e-10"),
-                         ("--split-halfwidth-end", "2"), ("--series-order", "2")]
+                         ("--split-halfwidth-end", "2"), ("--series-order", "2"),
+                         ("--lambda0", "1e-3"), ("--lambda-up", "10"), ("--lambda-down", "0.1"),
+                         ("--split-halfwidth-z", "2")]
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +78,7 @@ class TestUsageErrors:
 
     def test_non_finite_setting(self):
         assert main(["solve", "--s", "0.1", "--n", "9", "--outer-nodes", "40",
-                     "--lambda0", "nan"]) == EX_USAGE
+                     "--tol-step", "nan"]) == EX_USAGE
 
     def test_missing_config_file(self, tmp_path, capsys):
         path = tmp_path / "absent.cfg"
@@ -263,7 +265,9 @@ class TestValidate:
         # files written while these were settings store them; they are ignored
         doc = synthetic_branch_doc()
         doc["meta"]["tolerances"].update(inner_abs_tol=1e-15, inner_rel_tol=1e-10,
-                                         split_halfwidth_end=2.5, series_order=1)
+                                         split_halfwidth_end=2.5, series_order=1,
+                                         lambda0=2e-3, lambda_up=5.0, lambda_down=0.2,
+                                         split_halfwidth_z=1.3)
         assert len(doc["meta"]["tolerances"]) == 12
         path = tmp_path / "old.json"
         path.write_text(json.dumps(doc))

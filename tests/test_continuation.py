@@ -16,7 +16,7 @@ from muskatss.continuation import (
 )
 from muskatss import continuation
 from muskatss.grid_spline import make_grid
-from muskatss.lm import LMConfig, lm_solve
+from muskatss.lm import _LAMBDA0, _LAMBDA_DOWN, _LAMBDA_UP, LMConfig, lm_solve
 from muskatss.quadrature import QuadConfig, QuadratureError
 from muskatss.residual import ResidualConfig
 
@@ -105,7 +105,6 @@ class TestContinueBranch:
     def test_raising_trial_is_rejected(self, monkeypatch):
         # the Jacobian calls no residual: 1 start point, then the first
         # trial step
-        lm = LMConfig()
         real = continuation.residual_vector
         calls = []
 
@@ -116,13 +115,12 @@ class TestContinueBranch:
             return real(profile, cfg)
 
         monkeypatch.setattr(continuation, "residual_vector", flaky)
-        branch = continue_branch(0.1, 0.1, SMALL_N, lm, SMALL_RES)
+        branch = continue_branch(0.1, 0.1, SMALL_N, LMConfig(), SMALL_RES)
         assert branch.failure is None
         report = branch.steps[0].report
         assert report.converged
         # the rejected trial raised lambda once before the first acceptance
-        assert report.lambda_history[1] == pytest.approx(
-            lm.lambda0 * lm.lambda_up * lm.lambda_down)
+        assert report.lambda_history[1] == pytest.approx(_LAMBDA0 * _LAMBDA_UP * _LAMBDA_DOWN)
 
     def test_exact_and_fd_jacobian_take_the_same_path(self):
         grid = make_grid(SMALL_N)
@@ -172,9 +170,7 @@ class TestSerialization:
 
     def test_every_setting_reaches_configs_and_json(self):
         assert make_configs({}) == (LMConfig(), ResidualConfig())
-        values = {"lambda0": 2e-3, "lambda_up": 5.0, "lambda_down": 0.2,
-                  "tol_residual": 2e-8, "tol_step": 2e-10, "max_iters": 7, "outer_nodes": 77,
-                  "split_halfwidth_z": 1.5}
+        values = {"tol_residual": 2e-8, "tol_step": 2e-10, "max_iters": 7, "outer_nodes": 77}
         assert set(values) == set(SETTINGS)
         lm, res = make_configs(values)
         assert lm != LMConfig() and res != ResidualConfig()
@@ -184,19 +180,19 @@ class TestSerialization:
         assert (clone.lm, clone.res) == (lm, res)
 
     def test_old_file_with_fd_step_loads(self):
-        # fd_step, inner_abs_tol, inner_rel_tol, split_halfwidth_end and
-        # series_order were settings once; files that store them load, and
-        # the stored values are ignored
+        # fd_step, the damping schedule, the band half-width, the inner
+        # tolerances, the end-region width and the series order were settings
+        # once; files that store them load, and the stored values are ignored
         text = json.dumps({"meta": {"version": "1", "N": SMALL_N, "ds": 0.1, "tolerances": {
-            "lambda0": 2e-3, "lambda_up": 10.0, "lambda_down": 0.1, "fd_step": 2e-6,
+            "lambda0": 2e-3, "lambda_up": 5.0, "lambda_down": 0.2, "fd_step": 2e-6,
             "tol_residual": 1e-8, "tol_step": 1e-10, "max_iters": 50, "outer_nodes": 170,
-            "inner_abs_tol": 1e-15, "inner_rel_tol": 1e-10, "split_halfwidth_z": 2.0,
+            "inner_abs_tol": 1e-15, "inner_rel_tol": 1e-10, "split_halfwidth_z": 1.3,
             "split_halfwidth_end": 2.5, "series_order": 1}}, "steps": []})
         branch = branch_from_json(text)
-        assert branch.lm == LMConfig(lambda0=2e-3)
+        assert branch.lm == LMConfig()
         assert branch.res == ResidualConfig(outer_nodes=170)
         tol = json.loads(branch_to_json(branch))["meta"]["tolerances"]
-        assert set(tol) == set(SETTINGS) and len(tol) == 8
+        assert set(tol) == set(SETTINGS) and len(tol) == 4
 
     def test_inner_tolerance_floor(self):
         # the inner tolerance is a constant: no residual config takes one, and

@@ -136,13 +136,11 @@ class TestLMSolve:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            LMConfig(lambda_up=0.5)
-        with pytest.raises(ValueError):
             LMConfig(tol_residual=-1e-8)
         with pytest.raises(ValueError):
             LMConfig(max_iters=0)
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError):
-                LMConfig(lambda0=bad)
+                LMConfig(tol_residual=bad)
             with pytest.raises(ValueError):
                 LMConfig(tol_step=bad)

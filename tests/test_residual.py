@@ -21,6 +21,31 @@ from muskatss.residual import (
 from conftest import random_odd_values
 
 
+# the refinement cases: the reference settings, and 77 outer nodes with a
+# diagonal band half-width of 1.3 grid spacings
+BAND_CASES = pytest.mark.parametrize("cfg, band", [
+    (ResidualConfig(), 2.0), (ResidualConfig(outer_nodes=77), 1.3),
+], ids=["default", "nodes77"])
+
+
+@pytest.fixture
+def band_halfwidth(monkeypatch):
+    """``set(width)`` makes ``residual._BAND_HALFWIDTH`` width for one test;
+    a change clears the ``discretization`` cache, and so does the teardown."""
+    changed = []
+
+    def set_width(width):
+        if width != residual._BAND_HALFWIDTH:
+            monkeypatch.setattr(residual, "_BAND_HALFWIDTH", width)
+            discretization.cache_clear()
+            changed.append(width)
+
+    yield set_width
+    if changed:
+        monkeypatch.undo()
+        discretization.cache_clear()
+
+
 def sincos_profile(N=129):
     g = make_grid(N)
     return fit_spline(g, np.sin(g.nodes) * np.cos(g.nodes), 0.0)
@@ -122,16 +147,14 @@ class TestResidualAt:
         r = residual_at(linear_profile_01, 0.7)
         assert abs(r) < 1e-3
 
-    def test_seam_consistency(self, linear_profile_01):
+    def test_seam_consistency(self, linear_profile_01, band_halfwidth):
         # shrinking the diagonal split band must not move the values
         rng = np.random.default_rng(17)
-        base = ResidualConfig()
-        half = ResidualConfig(split_halfwidth_z=1.0)
-        for _ in range(5):
-            z = float(rng.uniform(0.05, HALF_PI - 0.05))
-            a = residual_at(linear_profile_01, z, base)
-            b = residual_at(linear_profile_01, z, half)
-            assert abs(a - b) < 1e-7
+        zs = [float(rng.uniform(0.05, HALF_PI - 0.05)) for _ in range(5)]
+        base = [residual_at(linear_profile_01, z) for z in zs]
+        band_halfwidth(1.0)
+        half = [residual_at(linear_profile_01, z) for z in zs]
+        assert np.max(np.abs(np.subtract(base, half))) < 1e-7
 
     def test_domain_validation(self, linear_profile_01):
         with pytest.raises(ValueError):
@@ -192,8 +215,6 @@ class TestResidualVector:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ResidualConfig(outer_nodes=1)
-        with pytest.raises(ValueError):
-            ResidualConfig(split_halfwidth_z=0.0)
 
 
 def perturbed_arctan(grid, s):
@@ -243,10 +264,9 @@ def reference_interior(profile, cfg):
 class TestResidualOracle:
     @pytest.mark.parametrize("s", [0.1, 2.0, 7.0])
     @pytest.mark.parametrize("N", [17, 33, 129])
-    @pytest.mark.parametrize("cfg", [
-        ResidualConfig(), ResidualConfig(outer_nodes=77, split_halfwidth_z=1.3),
-    ], ids=["default", "nodes77"])
-    def test_matches_spline_and_adaptive_table(self, cfg, N, s):
+    @BAND_CASES
+    def test_matches_spline_and_adaptive_table(self, cfg, band, N, s, band_halfwidth):
+        band_halfwidth(band)
         g = make_grid(N)
         p = fit_spline(g, perturbed_arctan(g, s), s)
         want, scale = reference_interior(p, cfg)
@@ -261,14 +281,15 @@ class TestResidualOracle:
 
 class TestResidualJacobian:
     @pytest.mark.parametrize("s", [0.1, 2.0])
-    @pytest.mark.parametrize("N, cols, cfg", [
-        (17, None, ResidualConfig()),
-        (33, None, ResidualConfig()),
-        (129, [0, 1, 30, 64, 110, 127], ResidualConfig()),
-        (17, None, ResidualConfig(outer_nodes=77, split_halfwidth_z=1.3)),
-        (33, None, ResidualConfig(outer_nodes=77, split_halfwidth_z=1.3)),
+    @pytest.mark.parametrize("N, cols, cfg, band", [
+        (17, None, ResidualConfig(), 2.0),
+        (33, None, ResidualConfig(), 2.0),
+        (129, [0, 1, 30, 64, 110, 127], ResidualConfig(), 2.0),
+        (17, None, ResidualConfig(outer_nodes=77), 1.3),
+        (33, None, ResidualConfig(outer_nodes=77), 1.3),
     ], ids=["17", "33", "129", "17-nodes77", "33-nodes77"])
-    def test_matches_finite_differences(self, N, cols, cfg, s):
+    def test_matches_finite_differences(self, N, cols, cfg, band, s, band_halfwidth):
+        band_halfwidth(band)
         g = make_grid(N)
         values = perturbed_arctan(g, s)
         cols = list(range(N - 1)) if cols is None else cols
@@ -299,14 +320,10 @@ def kernel_inputs(N, cfg, s):
     return d.geo, d._inputs(perturbed_arctan(make_grid(N), s))
 
 
-KERNEL_CONFIGS = pytest.mark.parametrize("cfg", [
-    ResidualConfig(), ResidualConfig(outer_nodes=77, split_halfwidth_z=1.3),
-], ids=["default", "nodes77"])
-
-
 class TestIntegrandPartials:
-    @KERNEL_CONFIGS
-    def test_matches_complex_step(self, cfg):
+    @BAND_CASES
+    def test_matches_complex_step(self, cfg, band, band_halfwidth):
+        band_halfwidth(band)
         g, inp = kernel_inputs(33, cfg, 2.0)
         p = _integrand_partials(g, **inp)
         step = 1e-30
