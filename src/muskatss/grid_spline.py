@@ -16,11 +16,12 @@ depends only on N is built once, in the cached ``SplineMaps`` of
 ``spline_maps(N)``: a vectorised Cox-de Boor evaluator of the B-splines
 and their derivatives (de Boor, *A Practical Guide to Splines*, ch. X),
 the N x N cardinal map from nodal values to B-spline coefficients (the
-collocation matrix solved once), and the Taylor map from nodal values to
-the interpolant's Taylor coefficients about each node.  Fitting a profile
-is then one product with the Taylor map, made on the profile's first
-evaluation, and evaluating it is a lookup of the nearest node plus
-Horner's rule.  The same maps give the interpolant as matrices of the
+collocation matrix inverted once, by elimination without pivoting), and the
+Taylor map from nodal values to the interpolant's Taylor coefficients about
+each node.  Neither is built with BLAS, so a fit does not depend on the
+BLAS thread count.  Fitting a profile is then one product with the Taylor
+map, made on the profile's first evaluation, and evaluating it is a lookup
+of the nearest node plus Horner's rule.  The same maps give the interpolant as matrices of the
 values: dense value->derivative maps at fixed points, and the local
 B-spline rows that act on the spline coefficients.  scipy is not needed
 at run time; the tests use it as the oracle of all of this.
@@ -188,15 +189,16 @@ class SplineMaps:
             raise ValueError("degree-4 interpolation needs N >= 5")
         self.t = np.concatenate([np.zeros(K + 1), 0.5 * (x[2:N - 3] + x[3:N - 2]),
                                  np.full(K + 1, HALF_PI)])
-        self.coef = np.linalg.solve(self._on_coef(x, 0), np.eye(N))
+        self.coef = _inverse(self._on_coef(x, 0))
         # Taylor coefficients about each node, used on the cell of points
         # nearest to it: the interior knots are cell bounds, so each cell lies
         # within one polynomial piece, and |x - node| <= h/2 keeps Horner's
         # terms small
         self._nodes, self._cuts = x, 0.5 * (x[1:] + x[:-1])
+        local = [self.basis(x, m) for m in range(K + 1)]
         self.taylor = np.concatenate([
-            self._on_coef(x, m) @ self.coef / math.factorial(m)
-            for m in range(K + 1)])
+            np.einsum("ik,ikn->in", rows, self.coef[first[:, None] + np.arange(K + 1)])
+            / math.factorial(m) for m, (rows, first) in enumerate(local)])
 
     def basis(self, x, nu: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """The nu-th derivatives at x >= 0 of the K+1 B-splines that can be
@@ -247,6 +249,21 @@ class SplineMaps:
         pts = np.asarray(pts, dtype=float)
         rows, first = self.basis(np.abs(pts), nu)
         return self._reflect(rows, pts, nu), first
+
+
+def _inverse(A: np.ndarray) -> np.ndarray:
+    """A^-1 by Gauss-Jordan elimination without pivoting, elementwise.
+
+    No pivoting is needed for a totally positive matrix such as a B-spline
+    collocation matrix (de Boor, *A Practical Guide to Splines*, ch. XIII).
+    """
+    n = len(A)
+    M = np.hstack([A, np.eye(n)])
+    for k in range(n):
+        row = M[k] / M[k, k]
+        M -= M[:, k, None] * row
+        M[k] = row
+    return M[:, n:]
 
 
 @functools.lru_cache(maxsize=8)

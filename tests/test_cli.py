@@ -409,6 +409,33 @@ class TestExport:
                          "--s-list", "0.1", "-o", str(path)]) == EX_OK
         assert a.read_bytes() == b.read_bytes()
 
+    def test_csv_bytes_independent_of_blas_threads(self, tmp_path):
+        # no BLAS call builds the spline maps, so each figure's CSV is the
+        # same at every BLAS thread count
+        branch = tmp_path / "branch.json"
+        branch.write_text(json.dumps(synthetic_branch_doc(N=129, nsteps=70)))
+        src = Path(__file__).resolve().parents[1] / "src"
+        csv = {}
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            out.mkdir()
+            run = subprocess.run(
+                [sys.executable, "-c", _EXPORT_EVERY_FIGURE, str(branch), str(out)],
+                capture_output=True, text=True, timeout=300,
+                env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads})
+            assert run.returncode == 0, run.stderr
+            csv[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(csv["1"]) == 3 and csv["1"] == csv["2"]
+
+
+_EXPORT_EVERY_FIGURE = """
+import sys
+from muskatss.cli import main
+sys.exit(max(main(["export", sys.argv[1], "--figure", figure,
+                   "-o", f"{sys.argv[2]}/{figure}.csv"])
+             for figure in ("discrepancy", "normalized", "integrated")))
+"""
+
 
 class TestConfigFile:
     def test_parse_and_precedence(self, tmp_path):
