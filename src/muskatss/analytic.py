@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QuadConfig, QuadratureError, gk15_adaptive
+from .quadrature import QuadratureError, gk15_adaptive
 
 __all__ = [
     "BrickSample",
@@ -29,11 +29,6 @@ __all__ = [
     "delta_shape_constant",
     "j_shape_constant",
 ]
-
-# Sliding averages are computed with the same adaptive Gauss-Kronrod
-# routine as the residual module (single quadrature code path).
-_BRICK_QUAD = QuadConfig(abs_tol=1e-10, rel_tol=1e-10)
-
 
 @dataclass(frozen=True)
 class BrickSample:
@@ -90,12 +85,13 @@ def pi_s(s: float, y):
     return (L * L - s * s) * L
 
 
-def sliding_average(f, alpha: float, y: float, orientation: int = +1,
-                    cfg: QuadConfig = _BRICK_QUAD) -> float:
+def sliding_average(f, alpha: float, y: float, orientation: int = +1) -> float:
     """Mean of f over [y - alpha, y] (orientation +1) or [y, y + alpha] (-1).
 
     The +1 orientation is the trailing average whose square enters the
     slope equation; alpha -> 0 is defined by the continuous extension f(y).
+    The integral is adaptive GK15 at the ``QuadConfig`` defaults, as for
+    the residual module's sliding average.
     """
     if alpha < 0:
         raise ValueError(f"averaging length must be nonnegative, got {alpha}")
@@ -108,7 +104,7 @@ def sliding_average(f, alpha: float, y: float, orientation: int = +1,
     else:
         raise ValueError(f"orientation must be +1 or -1, got {orientation}")
     try:
-        res = gk15_adaptive(f, a, b, cfg)
+        res = gk15_adaptive(f, a, b)
     except QuadratureError as exc:
         raise QuadratureError(
             f"sliding average did not converge on [{a}, {b}]",
@@ -119,38 +115,37 @@ def sliding_average(f, alpha: float, y: float, orientation: int = +1,
     return res.value / alpha
 
 
-def delta_brick(f, alpha: float, y: float, cfg: QuadConfig = _BRICK_QUAD) -> float:
+def delta_brick(f, alpha: float, y: float) -> float:
     """Antisymmetric quadratic brick: (avg over [y-a, y])^2 - (avg over [y, y+a])^2.
 
     Vanishes for constants; equals -2*y*alpha for f(y) = y; odd in y
     whenever f is odd.
     """
-    ap = sliding_average(f, alpha, y, +1, cfg)
-    am = sliding_average(f, alpha, y, -1, cfg)
+    ap = sliding_average(f, alpha, y, +1)
+    am = sliding_average(f, alpha, y, -1)
     return ap * ap - am * am
 
 
-def delta_brick_polarized(f, g, alpha: float, y: float,
-                          cfg: QuadConfig = _BRICK_QUAD) -> float:
+def delta_brick_polarized(f, g, alpha: float, y: float) -> float:
     """Bilinear polarization of :func:`delta_brick`.
 
     delta[f+g] = delta[f] + 2*delta[f, g] + delta[g].
     """
-    fp = sliding_average(f, alpha, y, +1, cfg)
-    fm = sliding_average(f, alpha, y, -1, cfg)
-    gp = sliding_average(g, alpha, y, +1, cfg)
-    gm = sliding_average(g, alpha, y, -1, cfg)
+    fp = sliding_average(f, alpha, y, +1)
+    fm = sliding_average(f, alpha, y, -1)
+    gp = sliding_average(g, alpha, y, +1)
+    gm = sliding_average(g, alpha, y, -1)
     return fp * gp - fm * gm
 
 
-def j_brick(h, alpha: float, y: float, cfg: QuadConfig = _BRICK_QUAD) -> float:
+def j_brick(h, alpha: float, y: float) -> float:
     """Symmetric quadratic brick: (avg_+)^2 - 2 h(y)^2 + (avg_-)^2.
 
     Vanishes for constants; equals alpha^2/2 for h(y) = y; even in y
     whenever h is odd or even.
     """
-    ap = sliding_average(h, alpha, y, +1, cfg)
-    am = sliding_average(h, alpha, y, -1, cfg)
+    ap = sliding_average(h, alpha, y, +1)
+    am = sliding_average(h, alpha, y, -1)
     hy = float(h(y))
     return ap * ap - 2.0 * hy * hy + am * am
 
