@@ -36,9 +36,8 @@ from .continuation import (
     solve_profile,
 )
 from .diagnostics import ds_derivative_check, figure_data, fit_loglog_slope, h1_distance
-from .lm import LMConfig, SolverError
+from .lm import SolverError
 from .quadrature import QuadratureError
-from .residual import ResidualConfig
 
 EX_OK = 0
 EX_SOFT = 1
@@ -150,10 +149,6 @@ def _run_settings(args) -> dict:
     return merged
 
 
-def build_configs(settings: dict) -> tuple[LMConfig, ResidualConfig]:
-    return make_configs({k: v for k, v in settings.items() if k in SETTINGS})
-
-
 def _profile_json(profile, report, N: int) -> str:
     doc = {
         "meta": {"version": "1", "N": N, "s": profile.s},
@@ -168,7 +163,7 @@ def cmd_solve(args) -> int:
     if "s" not in cfg:
         raise UsageError("solve requires --s")
     s, N = cfg["s"], cfg.get("n", 129)
-    lm, res = build_configs(cfg)
+    lm, res = make_configs(cfg)
     _check_output(args.output)
     try:
         profile, report = solve_profile(s, N, lm, res)
@@ -190,7 +185,7 @@ def cmd_continue(args) -> int:
     cfg = _run_settings(args)
     if "s_max" not in cfg:
         raise UsageError("continue requires --s-max")
-    lm, res = build_configs(cfg)
+    lm, res = make_configs(cfg)
     _check_output(args.output)
     branch = continue_branch(cfg["s_max"], cfg.get("ds", 0.1), cfg.get("n", 129), lm, res,
                              on_step=_print_progress if args.progress else None)

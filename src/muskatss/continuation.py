@@ -52,10 +52,12 @@ SETTINGS = {
 
 
 def make_configs(settings: dict) -> tuple[LMConfig, ResidualConfig]:
-    """LM and residual configs from a flat {SETTINGS name: value} dict."""
+    """LM and residual configs from the SETTINGS names in a flat dict;
+    other keys, such as a run's n or ds, are ignored."""
     fields = {"lm": {}, "res": {}}
-    for name, value in settings.items():
-        fields[SETTINGS[name][1]][name] = value
+    for name, (_, config) in SETTINGS.items():
+        if name in settings:
+            fields[config][name] = settings[name]
     return LMConfig(**fields["lm"]), ResidualConfig(**fields["res"])
 
 

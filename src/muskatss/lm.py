@@ -22,8 +22,7 @@ class SolverError(Exception):
     pass
 
 
-# the damping schedule: lambda starts at _LAMBDA0, is multiplied by
-# _LAMBDA_UP on each rejected trial and by _LAMBDA_DOWN on each accepted one
+# the damping schedule of lm_solve
 _LAMBDA0 = 1e-3
 _LAMBDA_UP = 10.0
 _LAMBDA_DOWN = 0.1
@@ -31,10 +30,7 @@ _LAMBDA_DOWN = 0.1
 
 @dataclass(frozen=True)
 class LMConfig:
-    """Stopping settings.
-
-    threads is accepted and ignored: no Jacobian is computed in parallel.
-    """
+    """Stopping settings; threads is accepted and ignored (no parallel Jacobian)."""
 
     tol_residual: float = 1e-8   # max-norm of the residual vector
     tol_step: float = 1e-10      # max-norm of the accepted step
@@ -92,7 +88,8 @@ def lm_solve(r, x0: np.ndarray, cfg: LMConfig | None = None) -> SolverReport:
 
     A trial step solves (J^T J + lambda diag(J^T J)) dx = -J^T r and is
     accepted iff the 2-norm of the residual decreases; lambda starts at
-    1e-3, shrinks tenfold on acceptance and grows tenfold on rejection.  J is ``r.jacobian(x)`` when r has
+    _LAMBDA0 and is multiplied by _LAMBDA_DOWN on acceptance and by
+    _LAMBDA_UP on rejection.  J is ``r.jacobian(x)`` when r has
     that attribute (a non-finite one raises SolverError) and
     ``fd_jacobian`` otherwise.  Stops when the residual max-norm falls
     below tol_residual, the accepted step falls below tol_step, or

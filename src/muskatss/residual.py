@@ -86,10 +86,8 @@ _END_REGION_WIDTH = 2.0
 
 @dataclass(frozen=True)
 class ResidualConfig:
-    """The discretization setting that moves the residual.
-
-    outer_nodes: trapezoid nodes for the y-integrals (None -> 10*N).
-    """
+    """The discretization setting that moves the residual: outer_nodes, the
+    trapezoid nodes of the y-integrals (None -> 10*N)."""
 
     outer_nodes: int | None = None
 
