@@ -16,15 +16,16 @@ depends only on N is built once, in the cached ``SplineMaps`` of
 ``spline_maps(N)``: a vectorised Cox-de Boor evaluator of the B-splines
 and their derivatives (de Boor, *A Practical Guide to Splines*, ch. X),
 the N x N cardinal map from nodal values to B-spline coefficients (the
-collocation matrix inverted once, by elimination without pivoting), and the
-Taylor map from nodal values to the interpolant's Taylor coefficients about
-each node.  Neither is built with BLAS, so a fit does not depend on the
-BLAS thread count.  Fitting a profile is then one product with the Taylor
+collocation matrix inverted once, by elimination without pivoting), and
+the Taylor map from nodal values to the interpolant's Taylor coefficients
+about each node; neither is built with BLAS, so a fit does not depend on
+its thread count.  Fitting a profile is then one product with the Taylor
 map, made on the profile's first evaluation, and evaluating it is a lookup
-of the nearest node plus Horner's rule.  The same maps give the interpolant as matrices of the
-values: dense value->derivative maps at fixed points, and the local
-B-spline rows that act on the spline coefficients.  scipy is not needed
-at run time; the tests use it as the oracle of all of this.
+of the nearest node plus Horner's rule.  The same maps give the
+interpolant as matrices of the values: dense value->derivative maps at
+fixed points, and the local B-spline rows that act on the spline
+coefficients.  scipy is not needed at run time; the tests use it as the
+oracle of all of this.
 """
 
 from __future__ import annotations

@@ -75,8 +75,7 @@ __all__ = [
     "residual_vector",
 ]
 
-# half-width of the y ~ z band, in grid spacings: inside it the midpoint
-# expansions replace the difference quotients
+# half-width of the y ~ z band of the midpoint expansions, in grid spacings
 _BAND_HALFWIDTH = 2.0
 # width of the y ~ pi/2 region, in grid spacings: inside it the paired form
 # is mandatory; it is valid everywhere outside the diagonal band, so the
