@@ -109,9 +109,10 @@ class Profile:
 
     @staticmethod
     def _check_domain(z):
+        # written as "not <=" so that NaN fails too (max propagates it)
         z = np.asarray(z)
-        if z.size and np.abs(z).max() > HALF_PI + 1e-12:
-            bad = z[(z < -HALF_PI - 1e-12) | (z > HALF_PI + 1e-12)]
+        if z.size and not np.abs(z).max() <= HALF_PI + 1e-12:
+            bad = z[~(np.abs(z) <= HALF_PI + 1e-12)]
             raise ValueError(f"evaluation point {bad!r} outside [-pi/2, pi/2]")
 
 

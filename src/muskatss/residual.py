@@ -33,24 +33,25 @@ oddness cancellation at z = 0 exact in floating point.
 
 The integrand is one elementwise kernel, ``_integrand``, of the
 value-dependent inputs k and u = k' cos^2 at z and y, D = P(y) - P(z),
-k(pi/2) and the spline derivatives at the band midpoints.  The geometry
-(``_pair_geometry``) depends only on N and the outer nodes, and so do the
-products of it the kernel needs: the generic quotients' factors
-cos z cos y / sin(z -+ y) and the paired form's coefficients, which are
-stored only at the paired end-region pairs and evaluated only there.
-Every input is linear in the nodal values, so a cached ``Discretization``
-builds fixed value -> input maps once per (N, ResidualConfig), P among
-them from one GK15 panel per gap.  ``residual_vector`` is those maps and
-one kernel pass per block of rows; the Jacobian (``residual_jacobian``)
-is the kernel's elementwise partials, from the hand-derived gradient
-``_integrand_partials`` in one real pass per block, contracted with the
-same maps.  The band expansions are linear in their inputs, so their part
-of the Jacobian is fixed coefficients times the partials in the three
-expansion quotients.  A complex step through ``_integrand`` is the tests'
-check of that gradient.  ``residual_at`` runs the same kernel on one row,
-with its inputs from the profile's spline and an adaptive antiderivative
-table at 1e-12.  ``delta_tilde`` is the sliding average itself, by
-adaptive GK15 at the ``QuadConfig`` defaults.
+k(pi/2) and the three expansion quotients at the band and mirror pairs.
+The geometry (``_pair_geometry``) depends only on N and the outer nodes,
+and so do the products of it the kernel needs: the generic quotients'
+factors cos z cos y / sin(z -+ y) and the paired form's coefficients,
+which are stored only at the paired end-region pairs and evaluated only
+there.  Every input is linear in the nodal values, so a cached
+``Discretization`` builds fixed value -> input maps once per (N,
+ResidualConfig): P from one GK15 panel per gap, and the expansion
+quotients as fixed weights on the spline coefficients (``_series``
+applied to the B-spline rows at the midpoints).  ``residual_vector`` is
+those maps and one kernel pass per block of rows; the Jacobian
+(``residual_jacobian``) is the kernel's elementwise partials, from the
+hand-derived gradient ``_integrand_partials`` in one real pass per block,
+contracted with the same maps.  A complex step through ``_integrand`` is
+the tests' check of that gradient.  ``residual_at`` runs the same kernel
+on one row, with its inputs from the profile's spline (``_series`` of
+its derivatives at the midpoints) and an adaptive antiderivative table at
+1e-12.  ``delta_tilde`` is the sliding average itself, by adaptive GK15
+at the ``QuadConfig`` defaults.
 """
 
 from __future__ import annotations
@@ -188,9 +189,10 @@ class _Geometry:
     so the elementwise kernel broadcasts them.  ``cm`` and ``cp`` are the
     generic quotients' factors cos z cos y / sin(z -+ y), zeroed on the
     ``near`` and ``near2`` pairs, where the expansions take over; ``band``
-    and ``mirror`` hold the expansion factors there, in row-major order.
-    The paired end-region form is evaluated only at the flat indices
-    ``pidx`` of the ``paired`` pairs, from its coefficients there:
+    and ``mirror`` hold the expansion factors there, in row-major order
+    (a block's geometry has none: its kernel takes the quotients).  The
+    paired end-region form is evaluated only at the flat indices ``pidx``
+    of the ``paired`` pairs, from its coefficients there:
     ``pe`` = cos^2 z / (sin(z-y) sin(z+y)), ``pk`` the factor of
     D^2 Fp Fm in the bracket, and ``px`` = tan z.
     """
@@ -208,8 +210,8 @@ class _Geometry:
     pe: np.ndarray
     pk: np.ndarray
     px: np.ndarray
-    band: _Series
-    mirror: _Series
+    band: _Series | None = None
+    mirror: _Series | None = None
 
     def blocks(self, size: int) -> list[tuple[slice, _Geometry, slice, slice]]:
         """Consecutive blocks of at most ``size`` grid rows: for each, its
@@ -228,8 +230,7 @@ class _Geometry:
             out.append((r, _Geometry(
                 self.cz[r], self.x[r], self.cy, self.sec2y, self.cm[r], self.cp[r],
                 self.near[r], self.near2[r], self.paired[r], self.pidx[p] - r.start * ny,
-                self.pe[p], self.pk[p], self.px[p], _Series(*(f[b] for f in self.band)),
-                _Series(*(f[m] for f in self.mirror))), b, m))
+                self.pe[p], self.pk[p], self.px[p]), b, m))
         return out
 
 
@@ -285,6 +286,8 @@ def _series(g: _Series, k):
     (dq_value, dq_deriv, avg): the quotients (k(z)-k(y))/(tan z - tan y),
     (u(z)-u(y))/(tan z - tan y) with u = k' cos^2, and
     (P(y)-P(z))/(tan y - tan z), all to O(d^4), where d = (z - y)/2.
+    The series is linear in ``k``, so on B-spline rows it gives the
+    quotients' weights on the spline coefficients.
     """
     c2, sec2, d2, s2m = g.c2, g.sec2, g.d2, g.s2m
     km, k1, k2, k3, k4 = k
@@ -305,8 +308,9 @@ def _quotients(g: _Geometry, kz, uz, ky, uy, D, band, mirror):
     Returns (du, dq_k_m, dq_u_m, avg_p, dq_k_p, dq_u_p, avg_m): the
     difference quotients of k and u over tan z - tan y and tan z + tan y,
     and the sliding averages -D/(tan z -+ tan y).  On the ``near`` pairs
-    the first three quotients are the series of ``band``; on the ``near2``
-    pairs the last three are (dq_k, -dq_u, -avg) of the series of ``mirror``.
+    the first three quotients are ``band``, the expansion quotients
+    (dq_k, dq_u, avg) of ``_series``; on the ``near2`` pairs the last three
+    are (dq_k, -dq_u, -avg) of the expansion quotients ``mirror``.
     On the ``paired`` pairs dq_u_m and dq_u_p are 0, as the paired
     end-region form replaces their terms.
     """
@@ -320,11 +324,11 @@ def _quotients(g: _Geometry, kz, uz, ky, uy, D, band, mirror):
     avg_m = -D * cp
 
     near, near2 = g.near, g.near2
-    dqk, dqu, avg = _series(g.band, band)
+    dqk, dqu, avg = band
     dq_k_m[near] = dqk
     dq_u_m[near] = dqu
     avg_p[near] = avg
-    dqk, dqu, avg = _series(g.mirror, mirror)
+    dqk, dqu, avg = mirror
     dq_k_p[near2] = dqk
     dq_u_p[near2] = -dqu
     avg_m[near2] = -avg
@@ -337,12 +341,12 @@ def _integrand(g: _Geometry, kz, uz, ky, uy, D, b, band, mirror):
     """The outer integrand: its values at the pairs of ``g`` and at y = pi/2.
 
     The inputs are the value-dependent quantities: k and u = k' cos^2 at
-    z and at y, D = P(y) - P(z), b = k(pi/2), and the spline derivatives
-    at the band and mirror midpoints.  Every output is an elementwise
-    function of them, so complex inputs give complex-step derivatives
-    (the tests' check of ``_integrand_partials``).  Returns (pairs, end):
-    the integrand at each pair and, at each z, its analytic limit at the
-    endpoint y = pi/2.
+    z and at y, D = P(y) - P(z), b = k(pi/2), and the expansion quotients
+    (dq_k, dq_u, avg) at the band and mirror pairs.  Every output is an
+    elementwise function of them, so complex inputs give complex-step
+    derivatives (the tests' check of ``_integrand_partials``).  Returns
+    (pairs, end): the integrand at each pair and, at each z, its analytic
+    limit at the endpoint y = pi/2.
     """
     du, dq_k_m, dq_u_m, avg_p, dq_k_p, dq_u_p, avg_m = _quotients(
         g, kz, uz, ky, uy, D, band, mirror)
@@ -388,12 +392,11 @@ def _integrand_partials(g: _Geometry, kz, uz, ky, uy, D, b, band, mirror) -> _Pa
     At the pairs: in kz, ky, du = uz - uy (u enters only as that
     difference, so the uy partial is minus the du one) and D.  At the
     endpoint column, one per z: in kz, uz and b.  At the ``near`` and
-    ``near2`` pairs, in order: in the three quotients (dq_k, dq_u, avg)
-    of ``_series`` on ``band`` and on ``mirror``; the series is linear in
-    its inputs, so these give the band partials through fixed
-    coefficients.  With F = 1/(1+a^2) and G = a F^2 the derivatives are
-    written F' = -2aF.F and G' = F^2 (4F - 3) (as a^2 F = 1 - F), which
-    stay finite wherever F and G do.
+    ``near2`` pairs, in order: in the three expansion quotients
+    (dq_k, dq_u, avg) of ``band`` and of ``mirror``.  With F = 1/(1+a^2)
+    and G = a F^2 the derivatives are written F' = -2aF.F and
+    G' = F^2 (4F - 3) (as a^2 F = 1 - F), which stay finite wherever F
+    and G do.
     """
     cm, cp, near, near2, p = g.cm, g.cp, g.near, g.near2, g.pidx
     du, dq_k_m, dq_u_m, avg_p, dq_k_p, dq_u_p, avg_m = _quotients(
@@ -481,12 +484,15 @@ class Discretization:
     the outer integrand: ``maps[name] @ values`` gives the input ``name``
     (spline maps E_nu at the rows, the outer nodes and pi/2, and a
     value -> P map from one GK15 panel per gap between consecutive rows and
-    outer nodes), and ``band``/``mirror`` hold the local B-spline rows at
-    the expansion midpoints.  A residual is these maps and one kernel pass
-    per block; a Jacobian is one pass of the kernel's partials per block.
-    The band term of the Jacobian is a fixed scatter into coefficient
-    space: one flat index and, per expansion quotient, one fixed weight
-    per B-spline row entry.  ``discretization`` builds it once per (N, cfg).
+    outer nodes).  The expansion quotients at the band and mirror pairs
+    are fixed weights on the spline coefficients: ``band_weight`` (per
+    quotient, pair and entry) on the five coefficients ``band_gather``
+    whose B-splines can be nonzero at each pair's midpoint.  A residual is these maps and one kernel pass per block; a
+    Jacobian is one pass of the kernel's partials per block.  Its band
+    term is the partials in the quotients, times the pair's trapezoid
+    weight ``band_column`` and the same weights, scattered into
+    coefficient space by the flat index ``band_index`` with one
+    ``np.bincount``.  ``discretization`` builds it once per (N, cfg).
     """
 
     def __init__(self, N: int, cfg: ResidualConfig):
@@ -507,44 +513,34 @@ class Discretization:
             "Pz": pz(z), "Py": pz(yi), "b": sm.dense([HALF_PI], 0)[0],
         }
         self.transport = (np.sin(z) * np.cos(z))[:, None] * dk_z
-        self.band = [sm.local(g.band.m, nu) for nu in range(_SERIES_DERIVS)]
-        self.mirror = [sm.local(g.mirror.m, nu) for nu in range(_SERIES_DERIVS)]
         # trapezoid weights of the pair columns; the y = pi/2 column has 1/2
         self.w = np.ones(len(yi))
         self.w[0] = 0.5
 
-        # the band term's scatter: _series is linear, so at a band or mirror
-        # pair (i, j) each quotient is sum_nu series(unit input nu) times the
-        # B-spline rows of nu, a fixed weight on the coefficients first..first+4
-        index, weight = [], []
-        for mask, series, local in ((g.near, g.band, self.band),
-                                    (g.near2, g.mirror, self.mirror)):
-            i, j = np.nonzero(mask)
-            rows0, first = local[0]           # first is the same for every nu
-            quot = np.zeros((3,) + rows0.shape)
-            for nu, (rows, _) in enumerate(local):
-                unit = [np.full(len(i), float(mu == nu)) for mu in range(_SERIES_DERIVS)]
-                for q, coef in enumerate(_series(series, unit)):
-                    quot[q] += coef[:, None] * rows
-            weight.append(self.hy * self.w[j][:, None] * quot)
-            index.append(i[:, None] * len(self.coef) + first[:, None] + np.arange(rows0.shape[1]))
-        self.band_weight = np.concatenate(weight, axis=1)     # (quotient, pair, row entry)
-        self.band_index = np.concatenate(index).ravel()
+        # _series is linear in the spline derivatives, so on the B-spline
+        # rows of each order at a pair's midpoint it gives each quotient's
+        # weights on the coefficients first..first+4 of that pair
+        weight, gather = [], []
+        for f in (g.band, g.mirror):
+            local = [sm.local(f.m, nu) for nu in range(_SERIES_DERIVS)]
+            first = local[0][1]                 # the same for every order
+            weight.append(_series(_Series(*(a[:, None] for a in f)), [r for r, _ in local]))
+            gather.append(first[:, None] + np.arange(local[0][0].shape[1]))
+        i, j = (np.concatenate(a) for a in zip(np.nonzero(g.near), np.nonzero(g.near2)))
+        self.band_weight = np.concatenate(weight, axis=1)     # (quotient, pair, entry)
+        self.band_gather = np.concatenate(gather)             # (pair, entry)
+        self.band_column = self.hy * self.w[j]
+        self.band_index = (i[:, None] * len(self.coef) + self.band_gather).ravel()
         self.n_band = np.count_nonzero(g.near)
 
     def _inputs(self, values: np.ndarray) -> dict:
         """The integrand inputs at nodal values ``values``, for the whole grid."""
         inp = {name: E @ values for name, E in self.maps.items()}
-        c = self.coef @ values
-
-        def at(local):
-            return [np.einsum("ek,ek->e", rows, c[first[:, None] + np.arange(rows.shape[1])])
-                    for rows, first in local]
-
+        quot = np.einsum("qek,ek->qe", self.band_weight, (self.coef @ values)[self.band_gather])
         return {"kz": inp["kz"][:, None], "uz": inp["uz"][:, None],
                 "ky": inp["ky"], "uy": inp["uy"], "b": inp["b"],
                 "D": inp["Py"][None, :] - inp["Pz"][:, None],
-                "band": at(self.band), "mirror": at(self.mirror)}
+                "band": quot[:, :self.n_band], "mirror": quot[:, self.n_band:]}
 
     def _passes(self, values):
         """Per row block: (rows, band slice, mirror slice, geometry, kernel inputs)."""
@@ -552,8 +548,8 @@ class Discretization:
         for r, geo, b, m in self.blocks:
             yield r, b, m, geo, {
                 "kz": inp["kz"][r], "uz": inp["uz"][r], "ky": inp["ky"], "uy": inp["uy"],
-                "D": inp["D"][r], "b": inp["b"], "band": [a[b] for a in inp["band"]],
-                "mirror": [a[m] for a in inp["mirror"]]}
+                "D": inp["D"][r], "b": inp["b"], "band": inp["band"][:, b],
+                "mirror": inp["mirror"][:, m]}
 
     def residual(self, values) -> np.ndarray:
         """The interior rows of ``residual_vector`` at nodal values ``values``.
@@ -574,8 +570,8 @@ class Discretization:
         block gives the integrand's partials, contracted with the input
         maps: row scalings for the z inputs and products with the y and P
         maps.  The band term is the partials in the expansion quotients
-        times the fixed band weights, summed into coefficient space with
-        one ``np.bincount``.
+        times the trapezoid weights and the fixed quotient weights, summed
+        into coefficient space with one ``np.bincount``.
         """
         N, w, hy, maps = self.N, self.w, self.hy, self.maps
         nz = len(self.z)
@@ -598,7 +594,8 @@ class Discretization:
             quot[:, self.n_band + m.start:self.n_band + m.stop] = p.mirror
 
         G = np.bincount(self.band_index,
-                        np.einsum("qe,qek->ek", quot, self.band_weight).ravel(),
+                        np.einsum("qe,qek->ek", quot * self.band_column,
+                                  self.band_weight).ravel(),
                         minlength=nz * len(self.coef))
         J[:nz] += G.reshape(nz, -1) @ self.coef
         return J
@@ -660,6 +657,9 @@ def residual_at(profile: Profile, z: float, cfg: ResidualConfig | None = None) -
     g = _pair_geometry(zc, yi, profile.grid.spacing)
     kz, dkz = ev(zc[:, None], 0), ev(zc[:, None], 1)
 
+    def quotients(f: _Series):
+        return _series(f, [ev(f.m, nu) for nu in range(_SERIES_DERIVS)])
+
     def integrand(w):
         c = np.cos(w)
         return ev(w, 0) / (c * c)
@@ -671,8 +671,7 @@ def residual_at(profile: Profile, z: float, cfg: ResidualConfig | None = None) -
         "ky": ev(yi, 0), "uy": ev(yi, 1) * g.cy * g.cy,
         "D": (P[np.searchsorted(pts, yi)] - P[np.searchsorted(pts, z)])[None, :],
         "b": float(ev(HALF_PI, 0)),
-        "band": [ev(g.band.m, nu) for nu in range(_SERIES_DERIVS)],
-        "mirror": [ev(g.mirror.m, nu) for nu in range(_SERIES_DERIVS)],
+        "band": quotients(g.band), "mirror": quotients(g.mirror),
     }
     integral = _outer_integral(g, hy, zc, yi, inputs)[0]
     return float(np.sin(z) * np.cos(z) * dkz[0, 0] + integral)

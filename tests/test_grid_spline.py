@@ -102,6 +102,14 @@ class TestFitSpline:
         with pytest.raises(ValueError):
             p.eval_deriv(-2.0)
 
+    @pytest.mark.parametrize("z", [np.nan, np.array([0.1, np.nan, 0.2])], ids=["scalar", "array"])
+    @pytest.mark.parametrize("method", ["eval", "eval_deriv"])
+    def test_nan_point_rejected(self, z, method):
+        # as residual_at and delta_tilde do; the message names the point
+        p = fit_spline(make_grid(9), np.zeros(9), 0.0)
+        with pytest.raises(ValueError, match=r"point array\(\[nan\]\) outside"):
+            getattr(p, method)(z)
+
     def test_input_validation(self):
         g = make_grid(9)
         with pytest.raises(ValueError):

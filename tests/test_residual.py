@@ -239,6 +239,12 @@ def scipy_evaluator(profile):
     return ev
 
 
+def oracle_quotients(ev, series):
+    """The expansion quotients at the midpoints of ``series``, from the
+    derivatives of the spline evaluator ``ev``."""
+    return _series(series, [ev(series.m, nu) for nu in range(_SERIES_DERIVS)])
+
+
 def reference_interior(profile, cfg):
     """The interior rows as the residual once computed them: scipy spline
     evaluation and an adaptive antiderivative table at 1e-12, through the
@@ -253,8 +259,7 @@ def reference_interior(profile, cfg):
         ky=ev(yi, 0), uy=ev(yi, 1) * geo.cy ** 2,
         D=P[np.searchsorted(pts, yi)][None, :] - P[np.searchsorted(pts, z)][:, None],
         b=float(ev(HALF_PI, 0)),
-        band=[ev(geo.band.m, nu) for nu in range(_SERIES_DERIVS)],
-        mirror=[ev(geo.mirror.m, nu) for nu in range(_SERIES_DERIVS)])
+        band=oracle_quotients(ev, geo.band), mirror=oracle_quotients(ev, geo.mirror))
     rows = np.column_stack([pairs, end[:, 0]])
     integral = d.hy * (rows.sum(axis=1) - 0.5 * (rows[:, 0] + rows[:, -1]))
     transport = np.sin(z) * np.cos(z) * ev(z, 1)
@@ -277,6 +282,27 @@ class TestResidualOracle:
         at = np.array([residual_at(p, g.nodes[i], cfg) for i in nodes])
         assert np.max(np.abs(at - got[np.array(nodes) - 1])) <= 1e-12 * scale
         assert residual_at(p, HALF_PI, cfg) == got[-1] == 0.0
+
+
+class TestBandQuotients:
+    @pytest.mark.parametrize("N", [17, 33, 129])
+    @BAND_CASES
+    def test_fixed_weights_match_the_series(self, cfg, band, N, band_halfwidth):
+        # the quotients from the fixed weights on the spline coefficients
+        # are the series of the scipy spline's derivatives at the midpoints;
+        # the series' d^2 k'''' term carries the roundoff of the fourth
+        # derivative, eps/h^4 times d^2 <= h^2, so the bound scales as 1/h^2
+        band_halfwidth(band)
+        g = make_grid(N)
+        values = perturbed_arctan(g, 2.0)
+        d = discretization(N, cfg)
+        ev = scipy_evaluator(fit_spline(g, values, 2.0))
+        inp = d._inputs(values)
+        for name in ("band", "mirror"):
+            want = np.array(oracle_quotients(ev, getattr(d.geo, name)))
+            assert want.shape == inp[name].shape and want.size > 0
+            tol = 2e-15 / g.spacing ** 2 * np.max(np.abs(want))
+            assert np.max(np.abs(inp[name] - want)) <= tol
 
 
 class TestResidualJacobian:
@@ -327,15 +353,15 @@ class TestIntegrandPartials:
         g, inp = kernel_inputs(33, cfg, 2.0)
         p = _integrand_partials(g, **inp)
         step = 1e-30
-        cinp = {name: ([a.astype(complex) for a in v] if isinstance(v, list)
-                       else np.asarray(v, dtype=complex)) for name, v in inp.items()}
+        cinp = {name: np.asarray(v, dtype=complex) for name, v in inp.items()}
 
-        def cstep(name, nu=None):
+        def cstep(name, q=None):
             args = dict(cinp)
-            if nu is None:
-                args[name] = cinp[name] + 1j * step
+            args[name] = cinp[name].copy()
+            if q is None:
+                args[name] += 1j * step
             else:
-                args[name] = [a + 1j * step * (mu == nu) for mu, a in enumerate(cinp[name])]
+                args[name][q] += 1j * step
             pairs, end = _integrand(g, **args)
             return pairs.imag / step, end.imag[:, 0] / step
 
@@ -357,21 +383,18 @@ class TestIntegrandPartials:
         for name, want in (("kz", p.end_kz), ("uz", p.end_uz), ("b", p.end_b)):
             close(want, cstep(name)[1])
 
-        # the spline derivatives at the midpoints, through the series
-        for name, mask, series, quot in (("band", band, g.band, p.band),
-                                         ("mirror", mirror, g.mirror, p.mirror)):
-            for nu in range(_SERIES_DERIVS):
-                unit = [np.full(np.count_nonzero(mask), float(mu == nu))
-                        for mu in range(_SERIES_DERIVS)]
-                coefs = _series(series, unit)
-                close(sum(q * c for q, c in zip(quot, coefs)), cstep(name, nu)[0][mask])
+        # the three expansion quotients at the band and mirror pairs
+        for name, mask, quot in (("band", band, p.band), ("mirror", mirror, p.mirror)):
+            for q in range(3):
+                close(quot[q], cstep(name, q)[0][mask])
 
     def test_finite_where_the_value_is_finite(self):
         # |avg| ~ 1e200 on the band and mirror pairs: F and G underflow to 0,
         # and G' written as F^2 - 4 a^2 F^3 would be inf * 0 = NaN there
         g, inp = kernel_inputs(33, ResidualConfig(), 2.0)
         for name in ("band", "mirror"):
-            inp[name] = [np.full_like(inp[name][0], 1e200)] + inp[name][1:]
+            inp[name] = inp[name].copy()
+            inp[name][2] = 1e200
         with np.errstate(over="ignore"):
             pairs, end = _integrand(g, **inp)
             p = _integrand_partials(g, **inp)
