@@ -487,12 +487,12 @@ class Discretization:
     outer nodes).  The expansion quotients at the band and mirror pairs
     are fixed weights on the spline coefficients: ``band_weight`` (per
     quotient, pair and entry) on the five coefficients ``band_gather``
-    whose B-splines can be nonzero at each pair's midpoint.  A residual is these maps and one kernel pass per block; a
-    Jacobian is one pass of the kernel's partials per block.  Its band
-    term is the partials in the quotients, times the pair's trapezoid
-    weight ``band_column`` and the same weights, scattered into
-    coefficient space by the flat index ``band_index`` with one
-    ``np.bincount``.  ``discretization`` builds it once per (N, cfg).
+    whose B-splines can be nonzero at each pair's midpoint.  A residual
+    is these maps and one kernel pass per block; a Jacobian is one pass
+    of the kernel's partials per block.  Its band term, the partials in
+    the quotients times the trapezoid weight ``band_column`` and the same
+    weights, is scattered into coefficient space by ``band_index`` with
+    one ``np.bincount``.  ``discretization`` builds it once per (N, cfg).
     """
 
     def __init__(self, N: int, cfg: ResidualConfig):
