@@ -200,18 +200,18 @@ def continue_branch(s_max: float, ds: float, N: int = 129,
 
 
 def _solve_step(s, N, lm, res, guess):
+    """(profile, report) of one step; a SolverError gives no profile and an
+    unconverged report at the guess."""
     try:
         return solve_profile(s, N, lm, res, initial=guess)
     except SolverError:
-        report = SolverReport(solution=guess, residual_norm=np.inf,
-                              iterations=0, converged=False)
-        grid = make_grid(N)
-        return fit_spline(grid, np.concatenate([[0.0], guess]), s), report
+        return None, SolverReport(solution=guess, residual_norm=np.inf,
+                                  iterations=0, converged=False)
 
 
 def _half_step_retry(s_m, ds, N, lm, res, prev, shift):
     half = 0.5 * ds
-    p1, r1 = _solve_step(s_m - half, N, lm, res, prev + half * shift)
+    r1 = _solve_step(s_m - half, N, lm, res, prev + half * shift)[1]
     if not r1.converged:
         return None
     p2, r2 = _solve_step(s_m, N, lm, res, r1.solution + half * shift)

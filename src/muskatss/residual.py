@@ -24,22 +24,24 @@ Three regions need non-generic handling:
   tan^2 z - tan^2 y before evaluation, and at the endpoint y = pi/2 the
   integrand is replaced by its analytic limit.
 * elsewhere: direct evaluation, with every tan difference rewritten as
-  sin(z -+ y)/(cos z cos y) so no catastrophic cancellation occurs.
+  sin(+-z - y)/(cos z cos y) so no catastrophic cancellation occurs.
 
-The mirror identities  (u(z)-u(y))/(tan z + tan y) = -DQ[u](-z, y)  and
-P(-w) = P(w) (odd integrand) mean the "plus" quotients are singular only
-near z = y = 0, where the same midpoint expansions apply; this makes the
-oddness cancellation at z = 0 exact in floating point.
+As k is odd and u = k' cos^2 and P are even, the "plus" quotients over
+tan z + tan y at (z, y) are the "minus" quotients at the reflected row
+(-z, y).  So each row has two halves, z and -z, with one formula, band
+rule and expansion set, and the integrand is half 0's terms minus half
+1's.  Half 1's band y ~ -z is met only near z = y = 0; expanding there
+makes the oddness cancellation at z = 0 exact in floating point.
 
 The integrand is one elementwise kernel, ``_integrand``, of the
 value-dependent inputs k and u = k' cos^2 at z and y, D = P(y) - P(z),
-k(pi/2) and the three expansion quotients at the band and mirror pairs.
-The geometry (``_pair_geometry``) depends only on N and the outer nodes,
-and so do the products of it the kernel needs: the generic quotients'
-factors cos z cos y / sin(z -+ y) and the paired form's coefficients,
-which are stored only at the paired end-region pairs and evaluated only
-there.  Every input is linear in the nodal values, so a cached
-``Discretization`` builds fixed value -> input maps once per (N,
+k(pi/2) and the three expansion quotients at the near pairs of both
+halves.  The geometry (``_pair_geometry``) depends only on N and the
+outer nodes, and so do the products of it the kernel needs: the generic
+quotients' factors cos z cos y / sin(+-z - y) and the paired form's
+coefficients, which are stored only at the paired end-region pairs and
+evaluated only there.  Every input is linear in the nodal values, so a
+cached ``Discretization`` builds fixed value -> input maps once per (N,
 ResidualConfig): P from one GK15 panel per gap, and the expansion
 quotients as fixed weights on the spline coefficients (``_series``
 applied to the B-spline rows at the midpoints).  ``residual_vector`` is
@@ -120,8 +122,8 @@ def delta_tilde(profile: Profile, z: float, y: float, sign: int) -> float:
     sign=+1: integral_z^y sec^2(w) k(w) dw / (tan y - tan z); tends to
     k(z) as y -> z and to k(pi/2) as y -> pi/2.  sign=-1: the reflected
     average with denominator tan z + tan y, defined through the odd
-    extension of the profile.  The integral is adaptive GK15 at the
-    ``QuadConfig`` defaults.
+    extension of the profile; it tends to k(z) as y -> -z.  The integral
+    is adaptive GK15 at the ``QuadConfig`` defaults.
     """
     if not (-HALF_PI <= z <= HALF_PI and 0.0 <= y <= HALF_PI):
         raise ValueError(f"(z, y) = ({z}, {y}) outside [-pi/2, pi/2] x [0, pi/2]")
@@ -141,8 +143,8 @@ def delta_tilde(profile: Profile, z: float, y: float, sign: int) -> float:
     else:
         if y == HALF_PI:
             return -float(ev(HALF_PI, 0))
-        if z + y < 1e-8 and z >= 0.0:
-            return 0.0
+        if abs(z + y) < 1e-8:           # the reflected interval is a point
+            return float(ev(z, 0))
         if z == HALF_PI:
             return float(ev(HALF_PI, 0))
         lo, hi = min(-y, z), max(-y, z)
@@ -161,24 +163,7 @@ def delta_tilde(profile: Profile, z: float, y: float, sign: int) -> float:
             value=exc.value, error_estimate=exc.error_estimate,
             interval=(lo, hi),
         ) from exc
-    return orient * res.value / denom
-
-
-class _Series(NamedTuple):
-    """Value-independent factors of the midpoint expansions at m, d = (z-y)/2."""
-
-    m: np.ndarray
-    c2: np.ndarray
-    sec2: np.ndarray
-    s2m: np.ndarray
-    c2m: np.ndarray
-    tanm: np.ndarray
-    d2: np.ndarray
-
-
-def _series_factors(m, d) -> _Series:
-    c2 = np.cos(m) ** 2
-    return _Series(m, c2, 1.0 / c2, np.sin(2 * m), np.cos(2 * m), np.tan(m), d * d)
+    return float(orient * res.value / denom)
 
 
 @dataclass(frozen=True)
@@ -186,52 +171,27 @@ class _Geometry:
     """Value-independent arrays of the outer integrand on a grid of pairs (z, y).
 
     z arrays have shape (nz, 1), y arrays (ny,) and pair arrays (nz, ny),
-    so the elementwise kernel broadcasts them.  ``cm`` and ``cp`` are the
-    generic quotients' factors cos z cos y / sin(z -+ y), zeroed on the
-    ``near`` and ``near2`` pairs, where the expansions take over; ``band``
-    and ``mirror`` hold the expansion factors there, in row-major order
-    (a block's geometry has none: its kernel takes the quotients).  The
-    paired end-region form is evaluated only at the flat indices ``pidx``
-    of the ``paired`` pairs, from its coefficients there:
-    ``pe`` = cos^2 z / (sin(z-y) sin(z+y)), ``pk`` the factor of
-    D^2 Fp Fm in the bracket, and ``px`` = tan z.
+    so the elementwise kernel broadcasts them.  Per half h (the row z,
+    then its reflection -z): ``c[h]`` = cos z cos y / sin(+-z - y), zeroed
+    on the ``near[h]`` pairs, whose midpoints ``m`` and squared
+    half-distances ``d2`` (half 0's first, row-major) feed the expansions.
+    The paired end-region form is evaluated only at the flat indices
+    ``pidx`` of the ``paired`` pairs, from its coefficients there: ``pe`` =
+    cos^2 z / (sin(z-y) sin(z+y)), ``pk`` the factor of D^2 F0 F1 in the
+    bracket, and ``px`` = tan z.
     """
 
-    cz: np.ndarray
     x: np.ndarray
-    cy: np.ndarray
     sec2y: np.ndarray
-    cm: np.ndarray
-    cp: np.ndarray
-    near: np.ndarray
-    near2: np.ndarray
+    c: tuple
+    near: tuple
     paired: np.ndarray
     pidx: np.ndarray
     pe: np.ndarray
     pk: np.ndarray
     px: np.ndarray
-    band: _Series | None = None
-    mirror: _Series | None = None
-
-    def blocks(self, size: int) -> list[tuple[slice, _Geometry, slice, slice]]:
-        """Consecutive blocks of at most ``size`` grid rows: for each, its
-        row slice, its geometry and the slices of the band and mirror pairs
-        it holds."""
-        def firsts(mask):
-            return np.concatenate([[0], np.cumsum(np.count_nonzero(mask, axis=1))])
-
-        nz, ny = self.cm.shape
-        fb, fm, fp = firsts(self.near), firsts(self.near2), firsts(self.paired)
-        out = []
-        for r0 in range(0, nz, size):
-            r = slice(r0, min(r0 + size, nz))
-            b, m = slice(fb[r.start], fb[r.stop]), slice(fm[r.start], fm[r.stop])
-            p = slice(fp[r.start], fp[r.stop])
-            out.append((r, _Geometry(
-                self.cz[r], self.x[r], self.cy, self.sec2y, self.cm[r], self.cp[r],
-                self.near[r], self.near2[r], self.paired[r], self.pidx[p] - r.start * ny,
-                self.pe[p], self.pk[p], self.px[p]), b, m))
-        return out
+    m: np.ndarray
+    d2: np.ndarray
 
 
 def _pair_geometry(z: np.ndarray, yi: np.ndarray, spacing: float) -> _Geometry:
@@ -240,38 +200,31 @@ def _pair_geometry(z: np.ndarray, yi: np.ndarray, spacing: float) -> _Geometry:
     z = z[:, None]
     cz, sz, x = np.cos(z), np.sin(z), np.tan(z)
     cy, sy = np.cos(yi), np.sin(yi)
-    # diagonal band y ~ z; the sec^2 d^2 guard turns the expansion
-    # off where tan varies too fast across the band (only possible
-    # next to pi/2, where direct evaluation is accurate anyway)
-    m = 0.5 * (yi + z)
-    d = 0.5 * (z - yi)
-    near = (np.abs(d) < 0.5 * band) & (d * d / np.cos(m) ** 2 < 0.01)
-    # mirror band y ~ -z (active only near z = 0): the plus
-    # quotients are the minus quotients of the reflected point -z
-    m2 = 0.5 * (yi - z)
-    d2 = 0.5 * (z + yi)
-    near2 = (np.abs(d2) < 0.5 * band) & (d2 * d2 / np.cos(m2) ** 2 < 0.01)
+    czcy, per_half = cz * cy, []
+    for zh in (z, -z):
+        # band y ~ +-z (half 1's only near z = 0); the sec^2 d^2 guard turns
+        # the expansion off where tan varies too fast across the band (only
+        # next to pi/2, where direct evaluation is accurate anyway)
+        mh, dh = 0.5 * (yi + zh), 0.5 * (zh - yi)
+        dd = dh * dh
+        nh = (np.abs(dh) < 0.5 * band) & (dd / np.cos(mh) ** 2 < 0.01)
+        # tan(+-z) - tan y as sin(+-z - y)/(cos z cos y); the sine vanishes
+        # only on the band, whose factors the expansions replace
+        with np.errstate(divide="ignore"):
+            ch = czcy / np.sin(zh - yi)
+        ch[nh] = 0.0
+        per_half.append((ch, nh, mh[nh], dd[nh]))
+    c, near, m, d2 = zip(*per_half)
     # the paired end-region form is valid everywhere outside the bands
-    paired = (yi > HALF_PI - _END_REGION_WIDTH * spacing) & ~(near | near2)
-
-    # every tan difference as sin(z -+ y)/(cos z cos y); the sines vanish
-    # only on the bands, whose factors the expansions replace
-    s_minus, s_plus = np.sin(z - yi), np.sin(z + yi)
-    with np.errstate(divide="ignore"):
-        cm = cz * cy / s_minus
-        cp = cz * cy / s_plus
-    cm[near] = 0.0
-    cp[near2] = 0.0
+    paired = (yi > HALF_PI - _END_REGION_WIDTH * spacing) & ~(near[0] | near[1])
     i, j = np.nonzero(paired)
-    czp, sm, sp = cz[i, 0], s_minus[i, j], s_plus[i, j]
+    czp, sm, sp = cz[i, 0], np.sin(z[i, 0] - yi[j]), np.sin(z[i, 0] + yi[j])
     return _Geometry(
-        cz=cz, x=x, cy=cy, sec2y=1.0 / (cy * cy), cm=cm, cp=cp,
-        near=near, near2=near2, paired=paired, pidx=np.flatnonzero(paired),
+        x=x, sec2y=1.0 / (cy * cy), c=c, near=near,
+        paired=paired, pidx=np.flatnonzero(paired),
         pe=czp * czp / (sm * sp),
         pk=-4.0 * sz[i, 0] * sy[j] ** 2 * czp ** 3 * cy[j] ** 2 / (sm * sm * sp * sp),
-        px=x[i, 0],
-        band=_series_factors(m[near], d[near]),
-        mirror=_series_factors(m2[near2], d2[near2]),
+        px=x[i, 0], m=np.concatenate(m), d2=np.concatenate(d2),
     )
 
 
@@ -279,92 +232,88 @@ def _pair_geometry(z: np.ndarray, yi: np.ndarray, spacing: float) -> _Geometry:
 _SERIES_DERIVS = 5
 
 
-def _series(g: _Series, k):
+def _series(m, d2, k) -> np.ndarray:
     """Local expansions of the three quotients about the midpoint m.
 
-    ``k`` holds the spline derivatives of orders 0..4 at m.  Returns
-    (dq_value, dq_deriv, avg): the quotients (k(z)-k(y))/(tan z - tan y),
-    (u(z)-u(y))/(tan z - tan y) with u = k' cos^2, and
-    (P(y)-P(z))/(tan y - tan z), all to O(d^4), where d = (z - y)/2.
-    The series is linear in ``k``, so on B-spline rows it gives the
-    quotients' weights on the spline coefficients.
+    ``k`` holds the spline derivatives of orders 0..4 at m, and d2 = d^2
+    for d = (z - y)/2.  Returns the array (dq_value, dq_deriv, avg): the
+    quotients of k(z) - k(y), u(z) - u(y) with u = k' cos^2, and
+    P(y) - P(z) over tan z - tan y, tan z - tan y and tan y - tan z, all
+    to O(d^4).  The series is linear in ``k``, so on B-spline rows it
+    gives the quotients' weights on the spline coefficients.
     """
-    c2, sec2, d2, s2m = g.c2, g.sec2, g.d2, g.s2m
+    c2 = np.cos(m) ** 2
+    sec2, s2m = 1.0 / c2, np.sin(2 * m)
     km, k1, k2, k3, k4 = k
     den = 1.0 + (3 * sec2 - 2) * d2 / 3.0
     num_k = k1 + k3 * d2 / 6.0
     # first and third derivatives of u = k' cos^2
     u1 = k2 * c2 - k1 * s2m
-    u3 = k4 * c2 - 3 * k3 * s2m - 6 * k2 * g.c2m + 4 * k1 * s2m
+    u3 = k4 * c2 - 3 * k3 * s2m - 6 * k2 * np.cos(2 * m) + 4 * k1 * s2m
     num_u = u1 + u3 * d2 / 6.0
     # (P' = sec^2 k):  P''' / sec^2 = 2(3 sec^2 - 2) k + 4 tan k' + k''
-    num_p = km + (2 * (3 * sec2 - 2) * km + 4 * g.tanm * k1 + k2) * d2 / 6.0
-    return c2 * num_k / den, c2 * num_u / den, num_p / den
+    num_p = km + (2 * (3 * sec2 - 2) * km + 4 * np.tan(m) * k1 + k2) * d2 / 6.0
+    return np.array([c2 * num_k / den, c2 * num_u / den, num_p / den])
 
 
-def _quotients(g: _Geometry, kz, uz, ky, uy, D, band, mirror):
-    """The difference du = uz - uy and the six quotients of the pairs of ``g``.
+def _quotients(g: _Geometry, h: int, kz, du, ky, D, band):
+    """Half h's quotients (dq_k, dq_u, avg) at the pairs of ``g``, and
+    F = 1/(1 + avg^2).
 
-    Returns (du, dq_k_m, dq_u_m, avg_p, dq_k_p, dq_u_p, avg_m): the
-    difference quotients of k and u over tan z - tan y and tan z + tan y,
-    and the sliding averages -D/(tan z -+ tan y).  On the ``near`` pairs
-    the first three quotients are ``band``, the expansion quotients
-    (dq_k, dq_u, avg) of ``_series``; on the ``near2`` pairs the last three
-    are (dq_k, -dq_u, -avg) of the expansion quotients ``mirror``.
-    On the ``paired`` pairs dq_u_m and dq_u_p are 0, as the paired
-    end-region form replaces their terms.
+    With x = +-z the row of half h (k odd, u = k' cos^2 and P even): the
+    quotients of k(x) - k(y), u(x) - u(y) and -D over tan x - tan y.  On
+    the ``near[h]`` pairs they are ``band``, the half's expansion
+    quotients; on the ``paired`` pairs dq_u is 0, as the paired
+    end-region form replaces its term.
     """
-    cm, cp = g.cm, g.cp
-    du = uz - uy
-    dq_k_m = (kz - ky) * cm
-    dq_u_m = du * cm
-    dq_k_p = (kz + ky) * cp
-    dq_u_p = du * cp
-    avg_p = -D * cm
-    avg_m = -D * cp
-
-    near, near2 = g.near, g.near2
-    dqk, dqu, avg = band
-    dq_k_m[near] = dqk
-    dq_u_m[near] = dqu
-    avg_p[near] = avg
-    dqk, dqu, avg = mirror
-    dq_k_p[near2] = dqk
-    dq_u_p[near2] = -dqu
-    avg_m[near2] = -avg
-    dq_u_m.ravel()[g.pidx] = 0.0
-    dq_u_p.ravel()[g.pidx] = 0.0
-    return du, dq_k_m, dq_u_m, avg_p, dq_k_p, dq_u_p, avg_m
+    c, near = g.c[h], g.near[h]
+    dq_k = ((kz if h == 0 else -kz) - ky) * c
+    dq_u = du * c
+    avg = -D * c
+    dq_k[near], dq_u[near], avg[near] = band
+    dq_u.ravel()[g.pidx] = 0.0
+    return dq_k, dq_u, avg, 1.0 / (1.0 + avg * avg)
 
 
-def _integrand(g: _Geometry, kz, uz, ky, uy, D, b, band, mirror):
+def _halves(g: _Geometry, band):
+    """``band`` (quotient, near entry) cut into half 0's and half 1's entries."""
+    n0 = np.count_nonzero(g.near[0])
+    return enumerate((band[:, :n0], band[:, n0:]))
+
+
+def _half_terms(g: _Geometry, h: int, kz, du, ky, D, band):
+    """Half h's terms t = dq_u F and v = dq_k^2 avg F^2 of the pair
+    integrand, and F at the paired pairs."""
+    dq_k, dq_u, avg, F = _quotients(g, h, kz, du, ky, D, band)
+    return dq_u * F, dq_k * dq_k * avg * F * F, F.ravel()[g.pidx]
+
+
+def _integrand(g: _Geometry, kz, uz, ky, uy, D, b, band):
     """The outer integrand: its values at the pairs of ``g`` and at y = pi/2.
 
     The inputs are the value-dependent quantities: k and u = k' cos^2 at
     z and at y, D = P(y) - P(z), b = k(pi/2), and the expansion quotients
-    (dq_k, dq_u, avg) at the band and mirror pairs.  Every output is an
-    elementwise function of them, so complex inputs give complex-step
-    derivatives (the tests' check of ``_integrand_partials``).  Returns
-    (pairs, end): the integrand at each pair and, at each z, its analytic
-    limit at the endpoint y = pi/2.
+    (dq_k, dq_u, avg) at the near pairs of both halves, half 0's first.
+    Every output is an elementwise function of them, so complex inputs
+    give complex-step derivatives (the tests' check of
+    ``_integrand_partials``).  Returns (pairs, end): the integrand at each
+    pair, (t0 - t1 - 2 (v0 - v1)) sec^2 y / pi in the halves' terms
+    (``_half_terms``, formed one half after the other), and, at each z,
+    its analytic limit at the endpoint y = pi/2.
     """
-    du, dq_k_m, dq_u_m, avg_p, dq_k_p, dq_u_p, avg_m = _quotients(
-        g, kz, uz, ky, uy, D, band, mirror)
-    Fp = 1.0 / (1.0 + avg_p * avg_p)
-    Fm = 1.0 / (1.0 + avg_m * avg_m)
+    du = uz - uy
+    (t0, v0, F0), (t1, v1, F1) = (
+        _half_terms(g, h, kz, du, ky, D, q) for h, q in _halves(g, band))
 
     # first-derivative terms: separately the two quotients diverge like
     # +-tan(y) toward pi/2, so on the paired pairs they are combined over
     # the common denominator tan^2 z - tan^2 y instead (an algebraic
-    # identity; tan(y)*(Fp - Fm) gets the stable product form
-    # pk D^2 Fp Fm, which stays finite as y -> pi/2)
-    pairs = (dq_u_m * Fp + dq_u_p * Fm
-             - 2.0 * (dq_k_m * dq_k_m * avg_p * Fp * Fp + dq_k_p * dq_k_p * avg_m * Fm * Fm)
-             ) * (g.sec2y / np.pi)
-    p = g.pidx
-    Fp, Fm, Dp = Fp.ravel()[p], Fm.ravel()[p], D.ravel()[p]
+    # identity; tan(y)*(F0 - F1) gets the stable product form
+    # pk D^2 F0 F1, which stays finite as y -> pi/2)
+    pairs = (t0 - t1 - 2.0 * (v0 - v1)) * (g.sec2y / np.pi)
+    p, Dp = g.pidx, D.ravel()[g.pidx]
     pairs.ravel()[p] += (du.ravel()[p] * g.pe / np.pi
-                         * (g.px * (Fp + Fm) + g.pk * Dp * Dp * Fp * Fm))
+                         * (g.px * (F0 + F1) + g.pk * Dp * Dp * F0 * F1))
 
     # endpoint y = pi/2: analytic limit of the paired integrand
     Fb = 1.0 / (1.0 + b * b)
@@ -382,57 +331,58 @@ class _Partials(NamedTuple):
     end_kz: np.ndarray
     end_uz: np.ndarray
     end_b: np.ndarray
-    band: tuple
-    mirror: tuple
+    band: np.ndarray
 
 
-def _integrand_partials(g: _Geometry, kz, uz, ky, uy, D, b, band, mirror) -> _Partials:
+def _half_partials(g: _Geometry, h: int, kz, du, ky, D, band, sec2y):
+    """Partials of half h's pair terms (t - 2 v) sec2y in its quotients
+    (dq_k, dq_u, avg): times ``c[h]`` at every pair and as they are at the
+    ``near[h]`` pairs; with F and avg F^2 c[h] at the paired pairs."""
+    dq_k, dq_u, avg, F = _quotients(g, h, kz, du, ky, D, band)
+    # dq_u is 0 on the paired pairs, so its term drops out of p_avg there
+    p_dq_u = sec2y * F
+    p_dq_k = -4.0 * dq_k * (avg * F * F) * sec2y
+    p_avg = (-2.0 * avg * F * dq_u * p_dq_u
+             - 2.0 * dq_k * dq_k * F * F * (4.0 * F - 3.0) * sec2y)
+    c, near, p = g.c[h], g.near[h], g.pidx
+    at_near = np.array([p_dq_k[near], p_dq_u[near], p_avg[near]])
+    Fp = F.ravel()[p]
+    Gp = avg.ravel()[p] * Fp * Fp * c.ravel()[p]
+    for part in (p_dq_k, p_dq_u, p_avg):
+        part *= c
+    return p_dq_k, p_dq_u, p_avg, at_near, Fp, Gp
+
+
+def _integrand_partials(g: _Geometry, kz, uz, ky, uy, D, b, band) -> _Partials:
     """The partials of ``_integrand`` at real inputs, in one pass.
 
     At the pairs: in kz, ky, du = uz - uy (u enters only as that
     difference, so the uy partial is minus the du one) and D.  At the
-    endpoint column, one per z: in kz, uz and b.  At the ``near`` and
-    ``near2`` pairs, in order: in the three expansion quotients
-    (dq_k, dq_u, avg) of ``band`` and of ``mirror``.  With F = 1/(1+a^2)
-    and G = a F^2 the derivatives are written F' = -2aF.F and
-    G' = F^2 (4F - 3) (as a^2 F = 1 - F), which stay finite wherever F
-    and G do.
+    endpoint column, one per z: in kz, uz and b.  At the near pairs of
+    both halves, in the order of ``band``: in the three expansion
+    quotients (dq_k, dq_u, avg).  The pair value is half 0's terms minus
+    half 1's, and half h's quotients are c[h] times +-kz - ky, du and -D:
+    the halves' partials (``_half_partials``) combine with those signs.
+    With F = 1/(1+a^2) and G = a F^2 the derivatives are written
+    F' = -2aF.F and G' = F^2 (4F - 3) (as a^2 F = 1 - F), which stay
+    finite wherever F and G do.
     """
-    cm, cp, near, near2, p = g.cm, g.cp, g.near, g.near2, g.pidx
-    du, dq_k_m, dq_u_m, avg_p, dq_k_p, dq_u_p, avg_m = _quotients(
-        g, kz, uz, ky, uy, D, band, mirror)
+    du = uz - uy
     sec2y = g.sec2y / np.pi
-
-    Fp = 1.0 / (1.0 + avg_p * avg_p)
-    Fm = 1.0 / (1.0 + avg_m * avg_m)
-    # p_*: the pair value's partial in each quotient; dq_u_* are 0 on the
-    # paired pairs, so their terms drop out of p_avg_* there
-    p_dq_u_m = sec2y * Fp
-    p_dq_u_p = sec2y * Fm
-    p_dq_k_m = -4.0 * dq_k_m * (avg_p * Fp * Fp) * sec2y
-    p_dq_k_p = -4.0 * dq_k_p * (avg_m * Fm * Fm) * sec2y
-    p_avg_p = (-2.0 * avg_p * Fp * dq_u_m * p_dq_u_m
-               - 2.0 * dq_k_m * dq_k_m * Fp * Fp * (4.0 * Fp - 3.0) * sec2y)
-    p_avg_m = (-2.0 * avg_m * Fm * dq_u_p * p_dq_u_p
-               - 2.0 * dq_k_p * dq_k_p * Fm * Fm * (4.0 * Fm - 3.0) * sec2y)
-
-    # through the generic quotients, whose factors cm, cp are 0 where the
+    (k0, u0, a0, q0, F0, G0), (k1, u1, a1, q1, F1, G1) = (
+        _half_partials(g, h, kz, du, ky, D, q, sec2y) for h, q in _halves(g, band))
+    # through the generic quotients, whose factors c[h] are 0 where the
     # band expansions replace them
-    d_kz = p_dq_k_m * cm + p_dq_k_p * cp
-    d_ky = p_dq_k_p * cp - p_dq_k_m * cm
-    d_du = p_dq_u_m * cm + p_dq_u_p * cp
-    d_D = -(p_avg_p * cm + p_avg_m * cp)
+    d_kz, d_ky, d_du, d_D = k0 + k1, k1 - k0, u0 - u1, a1 - a0
 
     # the paired form, on the paired pairs: its du partial replaces the
-    # generic one; its D enters through Fp, Fm and pk D^2 Fp Fm, whose
-    # D-derivative is 2 pk D Fp Fm (Fp + Fm - 1)
-    Fp, Fm, Dp = Fp.ravel()[p], Fm.ravel()[p], D.ravel()[p]
-    e, fpfm = g.pe / np.pi, Fp * Fm
-    d_du.ravel()[p] = e * (g.px * (Fp + Fm) + g.pk * Dp * Dp * fpfm)
+    # generic one; its D enters through F0, F1 and pk D^2 F0 F1, whose
+    # D-derivative is 2 pk D F0 F1 (F0 + F1 - 1)
+    p, Dp = g.pidx, D.ravel()[g.pidx]
+    e, f01 = g.pe / np.pi, F0 * F1
+    d_du.ravel()[p] = e * (g.px * (F0 + F1) + g.pk * Dp * Dp * f01)
     d_D.ravel()[p] += du.ravel()[p] * e * (
-        2.0 * g.px * (avg_p.ravel()[p] * Fp * Fp * cm.ravel()[p]
-                      + avg_m.ravel()[p] * Fm * Fm * cp.ravel()[p])
-        + 2.0 * g.pk * Dp * fpfm * (Fp + Fm - 1.0))
+        2.0 * g.px * (G0 + G1) + 2.0 * g.pk * Dp * f01 * (F0 + F1 - 1.0))
 
     # endpoint y = pi/2, with (1 - b^2) Fb^2 = (2Fb - 1) Fb and b^2 Fb^2 = (1 - Fb) Fb
     x = g.x
@@ -441,11 +391,8 @@ def _integrand_partials(g: _Geometry, kz, uz, ky, uy, D, b, band, mirror) -> _Pa
     end_uz = -2.0 * x * (2.0 * Fb - 1.0) * Fb / np.pi
     end_b = ((-2.0 * x * uz * (4.0 * Fb - 1.0) + 8.0 * kz * (1.0 - 2.0 * Fb))
              * (-2.0 * b * Fb * Fb) / np.pi)
-    return _Partials(
-        d_kz, d_ky, d_du, d_D, end_kz, end_uz[:, 0], end_b[:, 0],
-        band=(p_dq_k_m[near], p_dq_u_m[near], p_avg_p[near]),
-        mirror=(p_dq_k_p[near2], -p_dq_u_p[near2], -p_avg_m[near2]),
-    )
+    return _Partials(d_kz, d_ky, d_du, d_D, end_kz, end_uz[:, 0], end_b[:, 0],
+                     band=np.concatenate([q0, -q1], axis=1))
 
 
 def _outer_nodes(N: int, cfg: ResidualConfig) -> tuple[np.ndarray, float]:
@@ -472,27 +419,26 @@ def _outer_integral(g: _Geometry, hy: float, z, yi, inputs: dict) -> np.ndarray:
     return hy * (pairs.sum(axis=1) - 0.5 * pairs[:, 0] + 0.5 * end[:, 0])
 
 
-# pairs per row block of a kernel pass (bounds its memory)
+# pairs per row block of a kernel pass: the block bounds the memory, and
+# with it the working set of the kernel's temporaries
 _BLOCK_PAIRS = 1 << 15
 
 
 class Discretization:
     """The value-independent part of ``residual_vector`` for one (N, cfg).
 
-    Holds the pair geometry of the interior rows (z < pi/2), cut into row
-    blocks, and the linear maps from the nodal values to every input of
-    the outer integrand: ``maps[name] @ values`` gives the input ``name``
-    (spline maps E_nu at the rows, the outer nodes and pi/2, and a
+    Holds the interior rows (z < pi/2) in row ``blocks``, each with its
+    pair geometry, and the linear maps from the nodal values to every
+    input of the outer integrand: ``maps[name] @ values`` gives the input
+    ``name`` (spline maps E_nu at the rows, the outer nodes and pi/2, and a
     value -> P map from one GK15 panel per gap between consecutive rows and
-    outer nodes).  The expansion quotients at the band and mirror pairs
-    are fixed weights on the spline coefficients: ``band_weight`` (per
-    quotient, pair and entry) on the five coefficients ``band_gather``
-    whose B-splines can be nonzero at each pair's midpoint.  A residual
-    is these maps and one kernel pass per block; a Jacobian is one pass
-    of the kernel's partials per block.  Its band term, the partials in
-    the quotients times the trapezoid weight ``band_column`` and the same
-    weights, is scattered into coefficient space by ``band_index`` with
-    one ``np.bincount``.  ``discretization`` builds it once per (N, cfg).
+    outer nodes).  The expansion quotients at the near pairs are fixed
+    weights ``band_weight`` (per quotient, entry and coefficient) on the
+    five coefficients ``band_gather`` whose B-splines can be nonzero at an
+    entry's midpoint; each block's entries, half 0's then half 1's, are one
+    slice.  A Jacobian's band term, the partials in the quotients times the
+    trapezoid weight ``band_column`` and the same weights, is summed into
+    coefficient space by ``band_index`` with one ``np.bincount``.
     """
 
     def __init__(self, N: int, cfg: ResidualConfig):
@@ -501,15 +447,14 @@ class Discretization:
         self.z = z = grid.nodes[1:-1]
         self.yi, self.hy = _outer_nodes(N, cfg)
         yi = self.yi
-        self.geo = g = _pair_geometry(z, yi, grid.spacing)
-        self.blocks = g.blocks(max(1, _BLOCK_PAIRS // len(yi)))
         sm = spline_maps(N)
         self.coef = sm.coef
         pz = _primitive_map(sm, np.unique(np.concatenate([[0.0], z, yi])))
         dk_z = sm.dense(z, 1)
+        cz, cy = np.cos(z)[:, None], np.cos(yi)
         self.maps = {
-            "kz": sm.dense(z, 0), "uz": (g.cz * g.cz) * dk_z,
-            "ky": sm.dense(yi, 0), "uy": (g.cy * g.cy)[:, None] * sm.dense(yi, 1),
+            "kz": sm.dense(z, 0), "uz": (cz * cz) * dk_z,
+            "ky": sm.dense(yi, 0), "uy": (cy * cy)[:, None] * sm.dense(yi, 1),
             "Pz": pz(z), "Py": pz(yi), "b": sm.dense([HALF_PI], 0)[0],
         }
         self.transport = (np.sin(z) * np.cos(z))[:, None] * dk_z
@@ -517,39 +462,43 @@ class Discretization:
         self.w = np.ones(len(yi))
         self.w[0] = 0.5
 
+        # per block: its rows, geometry and slice of the expansion entries
+        size = max(1, _BLOCK_PAIRS // len(yi))
+        self.blocks, entries, n = [], [], 0
+        for r0 in range(0, len(z), size):
+            r = slice(r0, min(r0 + size, len(z)))
+            g = _pair_geometry(z[r], yi, grid.spacing)
+            _, i, j = np.nonzero(g.near)
+            self.blocks.append((r, g, slice(n, n + len(i))))
+            entries.append((r0 + i, j, g.m, g.d2))
+            n += len(i)
         # _series is linear in the spline derivatives, so on the B-spline
-        # rows of each order at a pair's midpoint it gives each quotient's
-        # weights on the coefficients first..first+4 of that pair
-        weight, gather = [], []
-        for f in (g.band, g.mirror):
-            local = [sm.local(f.m, nu) for nu in range(_SERIES_DERIVS)]
-            first = local[0][1]                 # the same for every order
-            weight.append(_series(_Series(*(a[:, None] for a in f)), [r for r, _ in local]))
-            gather.append(first[:, None] + np.arange(local[0][0].shape[1]))
-        i, j = (np.concatenate(a) for a in zip(np.nonzero(g.near), np.nonzero(g.near2)))
-        self.band_weight = np.concatenate(weight, axis=1)     # (quotient, pair, entry)
-        self.band_gather = np.concatenate(gather)             # (pair, entry)
+        # rows of each order at an entry's midpoint it gives each quotient's
+        # weights on the coefficients first..first+4 of that entry
+        i, j, m, d2 = (np.concatenate(a) for a in zip(*entries))
+        local = [sm.local(m, nu) for nu in range(_SERIES_DERIVS)]
+        first = local[0][1]                     # the same for every order
+        self.band_weight = _series(m[:, None], d2[:, None], [rows for rows, _ in local])
+        self.band_gather = first[:, None] + np.arange(local[0][0].shape[1])
         self.band_column = self.hy * self.w[j]
         self.band_index = (i[:, None] * len(self.coef) + self.band_gather).ravel()
-        self.n_band = np.count_nonzero(g.near)
 
     def _inputs(self, values: np.ndarray) -> dict:
         """The integrand inputs at nodal values ``values``, for the whole grid."""
         inp = {name: E @ values for name, E in self.maps.items()}
-        quot = np.einsum("qek,ek->qe", self.band_weight, (self.coef @ values)[self.band_gather])
         return {"kz": inp["kz"][:, None], "uz": inp["uz"][:, None],
                 "ky": inp["ky"], "uy": inp["uy"], "b": inp["b"],
                 "D": inp["Py"][None, :] - inp["Pz"][:, None],
-                "band": quot[:, :self.n_band], "mirror": quot[:, self.n_band:]}
+                "band": np.einsum("qek,ek->qe", self.band_weight,
+                                  (self.coef @ values)[self.band_gather])}
 
     def _passes(self, values):
-        """Per row block: (rows, band slice, mirror slice, geometry, kernel inputs)."""
+        """Per row block: (rows, entry slice, geometry, kernel inputs)."""
         inp = self._inputs(np.asarray(values, dtype=float))
-        for r, geo, b, m in self.blocks:
-            yield r, b, m, geo, {
+        for r, geo, b in self.blocks:
+            yield r, b, geo, {
                 "kz": inp["kz"][r], "uz": inp["uz"][r], "ky": inp["ky"], "uy": inp["uy"],
-                "D": inp["D"][r], "b": inp["b"], "band": inp["band"][:, b],
-                "mirror": inp["mirror"][:, m]}
+                "D": inp["D"][r], "b": inp["b"], "band": inp["band"][:, b]}
 
     def residual(self, values) -> np.ndarray:
         """The interior rows of ``residual_vector`` at nodal values ``values``.
@@ -559,7 +508,7 @@ class Discretization:
         """
         out = np.zeros(self.N - 1)
         out[:len(self.z)] = self.transport @ values
-        for r, _, _, geo, inputs in self._passes(values):
+        for r, _, geo, inputs in self._passes(values):
             out[r] += _outer_integral(geo, self.hy, self.z[r], self.yi, inputs)
         return out
 
@@ -573,15 +522,14 @@ class Discretization:
         times the trapezoid weights and the fixed quotient weights, summed
         into coefficient space with one ``np.bincount``.
         """
-        N, w, hy, maps = self.N, self.w, self.hy, self.maps
-        nz = len(self.z)
+        N, w, hy, maps, nz = self.N, self.w, self.hy, self.maps, len(self.z)
         J = np.zeros((N + 1, N))
         J[:nz] = self.transport
         J[N - 1, 0] = 1.0             # bc0 = values[0]
         J[N, N - 1] = 1.0             # bc_end = values[-1] - s
 
         quot = np.empty(self.band_weight.shape[:2])
-        for r, b, m, geo, inputs in self._passes(values):
+        for r, b, geo, inputs in self._passes(values):
             with np.errstate(over="ignore", invalid="ignore"):   # lm_solve checks J
                 p = _integrand_partials(geo, **inputs)
             J[r] += hy * (
@@ -591,7 +539,6 @@ class Discretization:
                 + (p.D * w) @ maps["Py"] - (p.D @ w)[:, None] * maps["Pz"][r]
                 + 0.5 * p.end_b[:, None] * maps["b"])
             quot[:, b] = p.band
-            quot[:, self.n_band + m.start:self.n_band + m.stop] = p.mirror
 
         G = np.bincount(self.band_index,
                         np.einsum("qe,qek->ek", quot * self.band_column,
@@ -656,9 +603,7 @@ def residual_at(profile: Profile, z: float, cfg: ResidualConfig | None = None) -
     zc = np.array([z])
     g = _pair_geometry(zc, yi, profile.grid.spacing)
     kz, dkz = ev(zc[:, None], 0), ev(zc[:, None], 1)
-
-    def quotients(f: _Series):
-        return _series(f, [ev(f.m, nu) for nu in range(_SERIES_DERIVS)])
+    cz, cy = np.cos(zc[:, None]), np.cos(yi)
 
     def integrand(w):
         c = np.cos(w)
@@ -667,11 +612,11 @@ def residual_at(profile: Profile, z: float, cfg: ResidualConfig | None = None) -
     pts = np.unique(np.concatenate([[0.0, z], yi]))
     P = cumulative_gk15(integrand, pts, tol=1e-12)
     inputs = {
-        "kz": kz, "uz": dkz * g.cz * g.cz,
-        "ky": ev(yi, 0), "uy": ev(yi, 1) * g.cy * g.cy,
+        "kz": kz, "uz": dkz * cz * cz,
+        "ky": ev(yi, 0), "uy": ev(yi, 1) * cy * cy,
         "D": (P[np.searchsorted(pts, yi)] - P[np.searchsorted(pts, z)])[None, :],
         "b": float(ev(HALF_PI, 0)),
-        "band": quotients(g.band), "mirror": quotients(g.mirror),
+        "band": _series(g.m, g.d2, [ev(g.m, nu) for nu in range(_SERIES_DERIVS)]),
     }
     integral = _outer_integral(g, hy, zc, yi, inputs)[0]
     return float(np.sin(z) * np.cos(z) * dkz[0, 0] + integral)

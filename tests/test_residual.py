@@ -10,6 +10,8 @@ from muskatss.residual import (
     ResidualConfig,
     _integrand,
     _integrand_partials,
+    _pair_geometry,
+    _quotients,
     _series,
     delta_tilde,
     discretization,
@@ -99,6 +101,19 @@ class TestDeltaTilde:
             lhs = delta_tilde(p, z, y, -1)
             rhs = -delta_tilde(p, -z, y, +1)
             assert lhs == pytest.approx(rhs, abs=1e-9)
+
+    def test_reflected_coincidence(self):
+        # z = -y: the reflected interval is the single point z, where the
+        # average is k(z); it once divided 0 by 0
+        g = make_grid(65)
+        p = fit_spline(g, random_odd_values(g, np.random.default_rng(7)), 0.3)
+        for y in (0.0, 1e-9, 0.3, 1.0, HALF_PI - 0.1):
+            val = delta_tilde(p, -y, y, -1)
+            assert type(val) is float
+            assert val == pytest.approx(float(p.eval(-y)), rel=1e-15, abs=1e-300)
+            assert val == -delta_tilde(p, y, y, +1)
+        for sign in (+1, -1):
+            assert type(delta_tilde(p, 0.3, 1.1, sign)) is float
 
     def test_minus_sign_endpoint(self):
         p = sincos_profile()
@@ -194,13 +209,18 @@ class TestResidualVector:
         g = make_grid(N)
         p = fit_spline(g, perturbed_arctan(g, s), s)
         base = residual_vector(p).interior
-        paired = {np.count_nonzero(discretization(N, ResidualConfig()).geo.paired)}
+
+        def n_paired():
+            return sum(np.count_nonzero(geo.paired)
+                       for _, geo, _ in discretization(N, ResidualConfig()).blocks)
+
+        paired = {n_paired()}
         try:
             for width in (0.5, 6.0, 20.0):
                 monkeypatch.setattr(residual, "_END_REGION_WIDTH", width)
                 discretization.cache_clear()
                 other = residual_vector(p).interior
-                paired.add(np.count_nonzero(discretization(N, ResidualConfig()).geo.paired))
+                paired.add(n_paired())
                 assert np.max(np.abs(other - base)) <= 1e-12 * np.max(np.abs(base))
         finally:
             monkeypatch.undo()
@@ -239,10 +259,10 @@ def scipy_evaluator(profile):
     return ev
 
 
-def oracle_quotients(ev, series):
-    """The expansion quotients at the midpoints of ``series``, from the
-    derivatives of the spline evaluator ``ev``."""
-    return _series(series, [ev(series.m, nu) for nu in range(_SERIES_DERIVS)])
+def oracle_quotients(ev, geo):
+    """The expansion quotients at the near pairs of ``geo``, both halves,
+    from the derivatives of the spline evaluator ``ev``."""
+    return _series(geo.m, geo.d2, [ev(geo.m, nu) for nu in range(_SERIES_DERIVS)])
 
 
 def reference_interior(profile, cfg):
@@ -251,15 +271,15 @@ def reference_interior(profile, cfg):
     same kernel on the same geometry."""
     g, N = profile.grid, profile.grid.N
     d = discretization(N, cfg)
-    geo, z, yi, ev = d.geo, g.nodes[1:-1], d.yi, scipy_evaluator(profile)
+    z, yi, ev = g.nodes[1:-1], d.yi, scipy_evaluator(profile)
+    geo = _pair_geometry(z, yi, g.spacing)
     pts = np.unique(np.concatenate([[0.0], z, yi]))
     P = cumulative_gk15(lambda w: ev(w, 0) / np.cos(w) ** 2, pts, tol=1e-12)
     pairs, end = _integrand(
-        geo, kz=ev(z[:, None], 0), uz=ev(z[:, None], 1) * geo.cz ** 2,
-        ky=ev(yi, 0), uy=ev(yi, 1) * geo.cy ** 2,
+        geo, kz=ev(z[:, None], 0), uz=ev(z[:, None], 1) * np.cos(z[:, None]) ** 2,
+        ky=ev(yi, 0), uy=ev(yi, 1) * np.cos(yi) ** 2,
         D=P[np.searchsorted(pts, yi)][None, :] - P[np.searchsorted(pts, z)][:, None],
-        b=float(ev(HALF_PI, 0)),
-        band=oracle_quotients(ev, geo.band), mirror=oracle_quotients(ev, geo.mirror))
+        b=float(ev(HALF_PI, 0)), band=oracle_quotients(ev, geo))
     rows = np.column_stack([pairs, end[:, 0]])
     integral = d.hy * (rows.sum(axis=1) - 0.5 * (rows[:, 0] + rows[:, -1]))
     transport = np.sin(z) * np.cos(z) * ev(z, 1)
@@ -297,12 +317,21 @@ class TestBandQuotients:
         values = perturbed_arctan(g, 2.0)
         d = discretization(N, cfg)
         ev = scipy_evaluator(fit_spline(g, values, 2.0))
-        inp = d._inputs(values)
-        for name in ("band", "mirror"):
-            want = np.array(oracle_quotients(ev, getattr(d.geo, name)))
-            assert want.shape == inp[name].shape and want.size > 0
-            tol = 2e-15 / g.spacing ** 2 * np.max(np.abs(want))
-            assert np.max(np.abs(inp[name] - want)) <= tol
+        got = d._inputs(values)["band"]
+        # each block's entries are half 0's (the band y ~ z) then half 1's
+        # (the band y ~ -z of the reflected row)
+        parts = [([], []), ([], [])]        # per half: (fixed weights, oracle)
+        for _, geo, b in d.blocks:
+            n0 = np.count_nonzero(geo.near[0])
+            want = oracle_quotients(ev, geo)
+            for h, cut in enumerate((slice(None, n0), slice(n0, None))):
+                parts[h][0].append(got[:, b][:, cut])
+                parts[h][1].append(want[:, cut])
+        for h, (mine, oracle) in enumerate(parts):
+            mine, oracle = np.concatenate(mine, axis=1), np.concatenate(oracle, axis=1)
+            assert mine.shape == oracle.shape and oracle.size > 0
+            tol = 2e-15 / g.spacing ** 2 * np.max(np.abs(oracle))
+            assert np.max(np.abs(mine - oracle)) <= tol, h
 
 
 class TestResidualJacobian:
@@ -341,9 +370,38 @@ class TestResidualJacobian:
 
 
 def kernel_inputs(N, cfg, s):
-    """The interior-row geometry of (N, cfg) and the kernel's inputs there."""
+    """The interior-row geometry of (N, cfg), one block, and the kernel's
+    inputs there."""
     d = discretization(N, cfg)
-    return d.geo, d._inputs(perturbed_arctan(make_grid(N), s))
+    (_, geo, _), = d.blocks
+    return geo, d._inputs(perturbed_arctan(make_grid(N), s))
+
+
+class TestQuotients:
+    @BAND_CASES
+    @pytest.mark.parametrize("h", [0, 1])
+    def test_generic_pairs_match_tan(self, h, cfg, band, band_halfwidth):
+        # away from the bands and the paired region each half's quotients
+        # are the difference quotients written with np.tan: half 0's over
+        # tan z - tan y, half 1's the plus quotients over tan z + tan y
+        band_halfwidth(band)
+        g, inp = kernel_inputs(33, cfg, 2.0)
+        kz, uz, ky, uy, D = (inp[name] for name in ("kz", "uz", "ky", "uy", "D"))
+        d = discretization(33, cfg)
+        tz, ty = np.tan(d.z[:, None]), np.tan(d.yi)
+        with np.errstate(divide="ignore", invalid="ignore"):    # 0/0 at y = z
+            if h == 0:
+                want = ((kz - ky) / (tz - ty), (uz - uy) / (tz - ty), -D / (tz - ty))
+            else:
+                want = ((kz + ky) / (tz + ty), -(uz - uy) / (tz + ty), D / (tz + ty))
+        n0 = np.count_nonzero(g.near[0])
+        band_h = inp["band"][:, n0:] if h else inp["band"][:, :n0]
+        got = _quotients(g, h, kz, uz - uy, ky, D, band_h)
+        generic = ~(g.near[0] | g.near[1] | g.paired)
+        assert np.count_nonzero(generic) > 0.5 * generic.size
+        for mine, oracle in zip(got, want):
+            oracle = oracle[generic]
+            assert np.max(np.abs(mine[generic] - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
 
 class TestIntegrandPartials:
@@ -369,9 +427,8 @@ class TestIntegrandPartials:
             assert want.size > 0
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-        band, mirror = g.near, g.near2
-        kinds = {"generic": ~(band | mirror | g.paired), "paired": g.paired,
-                 "band": band, "mirror": mirror}
+        kinds = {"generic": ~(g.near[0] | g.near[1] | g.paired), "paired": g.paired,
+                 "half 0 band": g.near[0], "half 1 band": g.near[1]}
         for name, want in (("kz", p.kz), ("ky", p.ky), ("uz", p.du), ("uy", -p.du),
                            ("D", p.D)):
             pairs, _ = cstep(name)
@@ -383,21 +440,22 @@ class TestIntegrandPartials:
         for name, want in (("kz", p.end_kz), ("uz", p.end_uz), ("b", p.end_b)):
             close(want, cstep(name)[1])
 
-        # the three expansion quotients at the band and mirror pairs
-        for name, mask, quot in (("band", band, p.band), ("mirror", mirror, p.mirror)):
+        # the three expansion quotients at the near pairs of each half (a
+        # pair near z = y = 0 can be in both, so each half has its own step)
+        n0 = np.count_nonzero(g.near[0])
+        for h, cut in enumerate((slice(None, n0), slice(n0, None))):
             for q in range(3):
-                close(quot[q], cstep(name, q)[0][mask])
+                close(p.band[q, cut], cstep("band", (q, cut))[0][g.near[h]])
 
     def test_finite_where_the_value_is_finite(self):
-        # |avg| ~ 1e200 on the band and mirror pairs: F and G underflow to 0,
-        # and G' written as F^2 - 4 a^2 F^3 would be inf * 0 = NaN there
+        # |avg| ~ 1e200 on the near pairs of both halves: F and G underflow
+        # to 0, and G' written as F^2 - 4 a^2 F^3 would be inf * 0 = NaN there
         g, inp = kernel_inputs(33, ResidualConfig(), 2.0)
-        for name in ("band", "mirror"):
-            inp[name] = inp[name].copy()
-            inp[name][2] = 1e200
+        inp["band"] = inp["band"].copy()
+        inp["band"][2] = 1e200
         with np.errstate(over="ignore"):
             pairs, end = _integrand(g, **inp)
             p = _integrand_partials(g, **inp)
         assert np.all(np.isfinite(pairs)) and np.all(np.isfinite(end))
-        for part in (p.kz, p.ky, p.du, p.D, p.end_kz, p.end_uz, p.end_b, *p.band, *p.mirror):
+        for part in (p.kz, p.ky, p.du, p.D, p.end_kz, p.end_uz, p.end_b, p.band):
             assert np.all(np.isfinite(part))
