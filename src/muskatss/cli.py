@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -35,7 +36,14 @@ from .continuation import (
     make_configs,
     solve_profile,
 )
-from .diagnostics import ds_derivative_check, figure_data, fit_loglog_slope, h1_distance
+# h1_distance is unused here but stays importable: bench/tracer.py wraps it
+from .diagnostics import (  # noqa: F401
+    ds_derivative_check,
+    figure_data,
+    fit_loglog_slope,
+    h1_distance,
+    h1_distances,
+)
 from .lm import SolverError
 from .quadrature import QuadratureError
 
@@ -225,13 +233,15 @@ def _evaluating(path):
 
 
 def cmd_validate(args) -> int:
+    if not (math.isfinite(args.s_window) and args.s_window >= 0):
+        raise UsageError(f"--s-window must be finite and >= 0, got {args.s_window}")
     branch = _load_branch(args.branch)
     with _evaluating(args.branch):
         print(f"{'s':>8} {'H1(kappa_arctan)':>18} {'H1(theorem_arctan)':>19} {'max|k-ref|':>12}")
+        profiles = [st.profile for st in branch.steps]
         distances = []
-        for st in branch.steps:
-            rk = h1_distance(st.profile, "kappa_arctan")
-            rt = h1_distance(st.profile, "theorem_arctan")
+        for st, rk, rt in zip(branch.steps, h1_distances(profiles, "kappa_arctan"),
+                              h1_distances(profiles, "theorem_arctan")):
             distances.append((st.s, rk.h1_distance))
             print(f"{st.s:8.3f} {rk.h1_distance:18.6e} {rt.h1_distance:19.6e} "
                   f"{rk.linf_distance:12.4e}")
@@ -291,7 +301,9 @@ def _add_run_flags(p):
         p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind)
 
 
+@functools.cache
 def make_parser() -> _Parser:
+    """The parser of every subcommand, built once per process."""
     parser = _Parser(prog="muskatss",
                      description="self-similar profiles of the Muskat slope equation")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -25,14 +25,15 @@ import numpy as np
 
 from .analytic import kappa
 from .continuation import Branch
-from .grid_spline import HALF_PI, Profile, fit_spline
-from .quadrature import QuadConfig, cumulative_gk15, gk15_adaptive
+from .grid_spline import HALF_PI, Profile, QuarticSpline, fit_spline
+from .quadrature import QuadConfig, cumulative_gk15, gk15_adaptive, gk15_adaptive_many
 
 __all__ = [
     "H1Report",
     "FigureTable",
     "h1_norm",
     "h1_distance",
+    "h1_distances",
     "h1_profile_distance",
     "ds_derivative_check",
     "figure_data",
@@ -71,6 +72,23 @@ class FigureTable:
         return "\n".join(lines) + "\n"
 
 
+def _h1_integrand(f, fprime):
+    """The H^1 integrand in z of f; ``which``, if given, passes on to f and fprime."""
+
+    def integrand(z, *which):
+        c2 = np.cos(z) ** 2
+        fv = f(z, *which)
+        dv = fprime(z, *which) * c2
+        return (fv * fv + dv * dv) / c2
+
+    return integrand
+
+
+def _h1_total(integral: float, end_slope: float, end_exclusion: float) -> float:
+    """The norm from the integral up to the excluded sliver and f'(pi/2)."""
+    return float(np.sqrt(2.0 * (integral + end_slope ** 2 * end_exclusion)))
+
+
 def h1_norm(f, fprime, end_exclusion: float = _END_EXCLUSION) -> float:
     """Full-line H^1 norm of an odd function given in compactified form.
 
@@ -79,64 +97,83 @@ def h1_norm(f, fprime, end_exclusion: float = _END_EXCLUSION) -> float:
     finite; the excluded endpoint sliver contributes the linearized
     tail f'(pi/2)^2 * end_exclusion.
     """
-
-    def integrand(z):
-        c2 = np.cos(z) ** 2
-        fv = f(z)
-        dv = fprime(z) * c2
-        return (fv * fv + dv * dv) / c2
-
-    res = gk15_adaptive(integrand, 0.0, HALF_PI - end_exclusion, _H1_QUAD)
-    tail = float(fprime(np.array([HALF_PI]))[0]) ** 2 * end_exclusion
-    return float(np.sqrt(2.0 * (res.value + tail)))
+    res = gk15_adaptive(_h1_integrand(f, fprime), 0.0, HALF_PI - end_exclusion, _H1_QUAD)
+    return _h1_total(res.value, float(fprime(np.array([HALF_PI]))[0]), end_exclusion)
 
 
-def _reference_funcs(reference: str, s: float):
+def _reference_funcs(reference: str, s):
+    """The references of the slopes ``s`` and their z-derivatives.
+
+    Both are functions of (z, k): the reference of slope s[k] at z, with k
+    an index or one index per point.
+    """
+    s = np.asarray(s, dtype=float)
     if reference == "theorem_arctan":
         slope = 2.0 * s / np.pi
-        return (lambda z: slope * z), (lambda z: slope * np.ones_like(z))
+        return (lambda z, k: slope[k] * z), (lambda z, k: slope[k] * np.ones_like(z))
     if reference == "kappa_arctan":
-        kb = 1.0 / kappa(s)
+        kb = np.array([1.0 / kappa(x) for x in s])
         amp = 2.0 * s / np.pi
 
-        def ref(z):
-            return amp * np.arctan(kb * np.tan(z))
+        def ref(z, k):
+            return amp[k] * np.arctan(kb[k] * np.tan(z))
 
-        def ref_deriv(z):
+        def ref_deriv(z, k):
             c = np.cos(z)
             sn = np.sin(z)
-            return amp * kb / (c * c + (kb * sn) ** 2)
+            kbk = kb[k]
+            return amp[k] * kbk / (c * c + (kbk * sn) ** 2)
 
         return ref, ref_deriv
     raise ValueError(f"unknown reference {reference!r}; expected one of {REFERENCES}")
 
 
+def h1_distances(profiles, reference: str = "kappa_arctan",
+                 mismatch_tol: float = 1e-6) -> list[H1Report]:
+    """H^1 and sup-norm distances between solved profiles and a reference.
+
+    The profiles must share one grid.  Their H^1 integrals run in one
+    ``gk15_adaptive_many`` loop, each to its own tolerance and budget;
+    the 2001-point sup norms run one profile at a time.  Raises for the
+    first profile whose difference does not vanish at pi/2 (wrong
+    reference or unconverged profile), since its H^1 integral diverges.
+    """
+    profiles = list(profiles)
+    ref, ref_deriv = _reference_funcs(reference, [p.s for p in profiles])
+    if not profiles:
+        return []
+    end = np.array([HALF_PI])
+    zs = np.linspace(0.0, HALF_PI, 2001)
+    linf = []
+    for k, p in enumerate(profiles):
+        end_gap = abs(float((p.eval(end) - ref(end, k))[0]))
+        if end_gap > mismatch_tol:
+            raise ValueError(
+                f"difference does not decay: |f(pi/2)| = {end_gap:.3e} "
+                f"(reference mismatch for s={p.s})"
+            )
+        linf.append(float(np.max(np.abs(p.eval(zs) - ref(zs, k)))))
+    spline = QuarticSpline.stack([p.spline for p in profiles])
+
+    def f(z, k):
+        return spline(z, 0, k) - ref(z, k)
+
+    def fprime(z, k):
+        return spline(z, 1, k) - ref_deriv(z, k)
+
+    cut = HALF_PI - _END_EXCLUSION
+    results = gk15_adaptive_many(_h1_integrand(f, fprime), np.zeros(len(profiles)),
+                                 np.full(len(profiles), cut), _H1_QUAD)
+    return [H1Report(s=p.s, h1_distance=_h1_total(r.value, float(fprime(end, k)[0]),
+                                                  _END_EXCLUSION),
+                     linf_distance=linf[k], reference=reference)
+            for k, (p, r) in enumerate(zip(profiles, results))]
+
+
 def h1_distance(profile: Profile, reference: str = "kappa_arctan",
                 mismatch_tol: float = 1e-6) -> H1Report:
-    """H^1 and sup-norm distance between a solved profile and a reference.
-
-    Raises if the difference does not vanish at pi/2 (wrong reference or
-    unconverged profile), since the H^1 integral then diverges.
-    """
-    s = profile.s
-    ref, ref_deriv = _reference_funcs(reference, s)
-
-    def f(z):
-        return profile.eval(z) - ref(z)
-
-    def fprime(z):
-        return profile.eval_deriv(z) - ref_deriv(z)
-
-    end_gap = abs(float(f(np.array([HALF_PI]))[0]))
-    if end_gap > mismatch_tol:
-        raise ValueError(
-            f"difference does not decay: |f(pi/2)| = {end_gap:.3e} "
-            f"(reference mismatch for s={s})"
-        )
-    zs = np.linspace(0.0, HALF_PI, 2001)
-    linf = float(np.max(np.abs(f(zs))))
-    return H1Report(s=s, h1_distance=h1_norm(f, fprime),
-                    linf_distance=linf, reference=reference)
+    """``h1_distances`` of one profile."""
+    return h1_distances([profile], reference, mismatch_tol)[0]
 
 
 def h1_profile_distance(p1: Profile, p2: Profile) -> float:

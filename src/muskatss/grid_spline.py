@@ -142,20 +142,35 @@ class QuarticSpline:
     to x, then Horner's rule in x minus that node.  Each node's polynomial
     is that of the knot interval holding the node's cell; the end nodes'
     polynomials extend past 0 and pi/2.
+
+    ``QuarticSpline.stack(splines)`` holds the splines of one grid side by
+    side; ``stacked(x, nu, which)`` evaluates spline ``which[j]`` at x[j]
+    with the same arithmetic as that spline alone.
     """
 
     def __init__(self, cuts: np.ndarray, centers: np.ndarray, taylor: np.ndarray):
         self._cuts = cuts              # bounds between the cells of consecutive centers
         self._centers = centers
-        self._taylor = {0: taylor}     # nu -> (K+1-nu, centers) Taylor coefficients
+        self._taylor = {0: taylor}     # nu -> (K+1-nu, splines*centers) Taylor coefficients
 
-    def __call__(self, x, nu: int = 0):
+    @classmethod
+    def stack(cls, splines) -> QuarticSpline:
+        """The splines of one grid as one, told apart by ``which`` on evaluation."""
+        first = splines[0]
+        if not all(np.array_equal(sp._centers, first._centers) for sp in splines[1:]):
+            raise ValueError("stacked splines must share one grid")
+        return cls(first._cuts, first._centers,
+                   np.concatenate([sp._taylor[0] for sp in splines], axis=1))
+
+    def __call__(self, x, nu: int = 0, which=None):
         c = self._taylor.get(nu)
         if c is None:
             c = self._taylor[nu] = self._derivative(nu)
         x = np.asarray(x, dtype=float)
         i = self._cuts.searchsorted(x, side="right")
         dx = x - self._centers.take(i)
+        if which is not None:
+            i += len(self._centers) * np.asarray(which)
         c = c.take(i, axis=1)
         v = c[-1]
         for row in c[-2::-1]:
@@ -167,7 +182,7 @@ class QuarticSpline:
         if nu < 0:
             raise ValueError(f"derivative order must be >= 0, got {nu}")
         if nu > K:
-            return np.zeros((1, len(self._centers)))
+            return np.zeros((1, self._taylor[0].shape[1]))
         scale = [math.perm(m, nu) for m in range(nu, K + 1)]
         return self._taylor[0][nu:] * np.array(scale)[:, None]
 

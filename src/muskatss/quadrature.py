@@ -3,12 +3,14 @@
 Two rules cover everything the solver needs: a composite trapezoid on
 uniform grids (used for the outer collocation integrals) and an adaptive
 15-point Gauss-Kronrod rule (used for sliding averages, norms and
-reference integrals).  A batched cumulative variant of the Kronrod rule
-computes antiderivative tables at many points.
+reference integrals).  A batched variant integrates many integrands at
+once, and a cumulative variant computes antiderivative tables at many
+points.
 
-Both adaptive rules are thin callers of one level-synchronous bisection
-loop: each pass integrates every open panel in one vectorized call, then
-closes or halves each one, within a bisection budget.  A panel whose
+All adaptive rules are thin callers of one level-synchronous bisection
+loop: each pass integrates every open panel, of every integral, in one
+vectorized call, then closes or halves each one, within each integral's
+bisection budget.  A panel whose
 error estimate is already its roundoff floor (50*eps times the integral
 of |f| over it) gains nothing from halving, since the floors of its
 halves add up to the same amount; once the budget would run out such
@@ -29,6 +31,7 @@ __all__ = [
     "QuadratureError",
     "trapezoid",
     "gk15_adaptive",
+    "gk15_adaptive_many",
     "gk15_panels",
     "gk15_rule",
     "cumulative_gk15",
@@ -187,40 +190,53 @@ def gk15_panels(f, a, b):
     return k15, np.maximum(err, floor), floor
 
 
-def _bisect(f, a, b, accept, max_bisections):
+def _bisect(f, a, b, integral, accept, max_bisections):
     """Level-synchronous adaptive GK15 over the panels [a_i, b_i].
 
-    The loop of the module docstring.  ``accept(values, errors, widths,
-    total_value, total_error)`` picks the open panels to close; the
-    totals sum closed and open panels.  Returns the value and error sums
-    per input panel and the number of bisections.
+    The loop of the module docstring.  Input panel i belongs to integral
+    ``integral[i]`` (numbered from 0), and ``f(x, k)`` is integral k's
+    integrand at the points x, with k the integral of each point.  Each
+    integral has its own budget of ``max_bisections``.  ``accept(values,
+    errors, widths, k, total_values, total_errors)`` picks the open panels
+    to close, where k is each panel's integral and the totals, one per
+    integral, sum its closed and open panels.  Returns the value and error
+    sums per input panel and the number of bisections per integral.
     """
+    count = int(integral.max()) + 1
     vals_done = np.zeros(len(a))
     errs_done = np.zeros(len(a))
     owner = np.arange(len(a))
-    nsplit = 0
+    nsplit = np.zeros(count, dtype=int)
     while len(a):
-        vals, errs, floor = gk15_panels(f, a, b)
-        total_val = vals_done.sum() + vals.sum()
-        total_err = errs_done.sum() + errs.sum()
-        ok = accept(vals, errs, b - a, total_val, total_err)
-        if nsplit + np.count_nonzero(~ok) > max_bisections:
-            ok |= errs <= floor
+        k = integral[owner]
+        vals, errs, floor = gk15_panels(lambda x: f(x, k.repeat(15)), a, b)
+        total_val = (np.bincount(integral, vals_done, count)
+                     + np.bincount(k, vals, count))
+        total_err = (np.bincount(integral, errs_done, count)
+                     + np.bincount(k, errs, count))
+        ok = accept(vals, errs, b - a, k, total_val, total_err)
+        short = nsplit + np.bincount(k[~ok], minlength=count) > max_bisections
+        ok |= short[k] & (errs <= floor)
         np.add.at(vals_done, owner[ok], vals[ok])
         np.add.at(errs_done, owner[ok], errs[ok])
-        a, b, owner = a[~ok], b[~ok], owner[~ok]
+        a, b, owner, k = a[~ok], b[~ok], owner[~ok], k[~ok]
         if len(a) == 0:
             break
         mid = 0.5 * (a + b)
-        nsplit += len(a)
-        if nsplit > max_bisections or np.any((mid <= a) | (mid >= b)):
+        nsplit += np.bincount(k, minlength=count)
+        over = nsplit > max_bisections
+        stuck = (mid <= a) | (mid >= b)
+        if over.any() or stuck.any():
+            # report the failing integral numbered first, at its first open panel
+            g = int(k[over[k] | stuck].min())
+            i = int(np.argmax(k == g))
             reason = (f"more than {max_bisections} bisections needed"
-                      if nsplit > max_bisections else "a panel cannot be bisected further")
+                      if over[g] else "a panel cannot be bisected further")
             raise QuadratureError(
-                f"{reason} on [{a[0]}, {b[0]}]",
-                value=float(total_val),
-                error_estimate=float(total_err),
-                interval=(float(a[0]), float(b[0])),
+                f"{reason} on [{a[i]}, {b[i]}]",
+                value=float(total_val[g]),
+                error_estimate=float(total_err[g]),
+                interval=(float(a[i]), float(b[i])),
             )
         a = np.concatenate([a, mid])
         b = np.concatenate([mid, b])
@@ -237,24 +253,44 @@ def gk15_adaptive(f, a: float, b: float, cfg: QuadConfig | None = None) -> QuadR
     ``max_subdivisions`` panels.  A tolerance below roundoff returns the
     roundoff-limited value, whose error estimate then exceeds the
     tolerance; an exhausted budget raises QuadratureError carrying the
-    estimate.
+    estimate.  The one-integral case of ``gk15_adaptive_many``.
+    """
+    return gk15_adaptive_many(lambda x, k: f(x), [a], [b], cfg)[0]
+
+
+def gk15_adaptive_many(f, a, b, cfg: QuadConfig | None = None) -> list[QuadResult]:
+    """``gk15_adaptive`` of integral k of ``f`` over [a[k], b[k]], for every k.
+
+    ``f(x, k)`` evaluates integral k's integrand at the points x, where k
+    holds the integral of each point.  All integrals share one bisection
+    loop, so each level makes one call of ``f``; each keeps its own
+    tolerance ``max(abs_tol, rel_tol*|I_k|)`` and its own budget of
+    ``max_subdivisions`` panels, so each closes the panels it would close
+    alone.  If any integral exhausts its budget, QuadratureError carries
+    the estimate of the one numbered first.
     """
     if cfg is None:
         cfg = QuadConfig()
-    if a > b:
-        raise ValueError(f"inverted interval [{a}, {b}]")
-    if a == b:
-        return QuadResult(0.0, 0.0, 1)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if np.any(a > b):
+        i = int(np.argmax(a > b))
+        raise ValueError(f"inverted interval [{a[i]}, {b[i]}]")
+    results = [QuadResult(0.0, 0.0, 1)] * len(a)
+    todo = np.flatnonzero(a != b)
+    if len(todo) == 0:
+        return results
+    span = b[todo] - a[todo]
 
-    def accept(vals, errs, widths, total_val, total_err):
-        goal = max(cfg.abs_tol, cfg.rel_tol * abs(total_val))
-        if total_err <= goal:
-            return np.ones(len(errs), dtype=bool)
-        return errs <= goal * widths / (b - a)
+    def accept(vals, errs, widths, k, total_val, total_err):
+        goal = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total_val))
+        return (total_err <= goal)[k] | (errs <= goal[k] * widths / span[k])
 
-    val, err, nsplit = _bisect(f, np.array([a], dtype=float), np.array([b], dtype=float),
-                               accept, cfg.max_subdivisions - 1)
-    return QuadResult(float(val[0]), float(err[0]), nsplit + 1)
+    val, err, nsplit = _bisect(lambda x, k: f(x, todo[k]), a[todo], b[todo],
+                               np.arange(len(todo)), accept, cfg.max_subdivisions - 1)
+    for j, i in enumerate(todo):
+        results[i] = QuadResult(float(val[j]), float(err[j]), int(nsplit[j]) + 1)
+    return results
 
 
 # Bisections allowed per antiderivative table.  The solver's tables need a
@@ -278,7 +314,8 @@ def cumulative_gk15(f, points, tol: float = 1e-12):
     if len(points) == 1:
         return np.zeros(1)
 
-    gap_vals, _, _ = _bisect(f, points[:-1], points[1:],
+    gap_vals, _, _ = _bisect(lambda x, k: f(x), points[:-1], points[1:],
+                             np.zeros(len(points) - 1, dtype=int),
                              lambda vals, errs, *_: errs <= tol,
                              _CUMULATIVE_MAX_BISECTIONS)
     out = np.empty(len(points))

@@ -116,6 +116,14 @@ class TestUsageErrors:
         assert main(["export", str(tmp_path / "absent.json"), "--figure", "integrated"]
                     + flags) == EX_USAGE
 
+    @pytest.mark.parametrize("window", ["nan", "inf", "-inf", "-1"])
+    def test_bad_s_window(self, branch_file, tmp_path, capsys, window):
+        for path in (branch_file, tmp_path / "absent.json"):
+            assert main(["validate", str(path), "--s-window", window]) == EX_USAGE
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith("usage error:") and "--s-window" in err
+
 
 class TestSolve:
     def test_solver_error_exits_2(self, capsys):
@@ -179,7 +187,7 @@ def test_validate_too_large_for_memory(branch_file, monkeypatch, capsys):
     def allocate(*args, **kwargs):
         raise MemoryError("Unable to allocate 745. GiB")
 
-    monkeypatch.setattr(cli, "h1_distance", allocate)
+    monkeypatch.setattr(cli, "h1_distances", allocate)
     assert main(["validate", str(branch_file)]) == EX_USAGE
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and "too large for memory" in lines[0]
@@ -303,6 +311,22 @@ class TestValidate:
         assert load_branch(empty).steps == []
         assert main(["validate", str(empty)]) == EX_DATA
 
+    def test_stdout_independent_of_blas_threads(self, tmp_path):
+        # every step's H1 integral runs in one batched GK15 loop, whose
+        # matrix-vector products go through BLAS
+        branch = tmp_path / "branch.json"
+        branch.write_text(json.dumps(synthetic_branch_doc(N=129, nsteps=70)))
+        src = Path(__file__).resolve().parents[1] / "src"
+        stdout = {}
+        for threads in ("1", "2"):
+            run = subprocess.run(
+                [sys.executable, "-m", "muskatss.cli", "validate", str(branch)],
+                capture_output=True, text=True, timeout=300,
+                env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads})
+            assert run.returncode == EX_OK, run.stderr
+            stdout[threads] = run.stdout
+        assert len(stdout["1"].splitlines()) == 73 and stdout["1"] == stdout["2"]
+
     def test_single_step_soft_failure(self, tmp_path):
         out = tmp_path / "single.json"
         assert main(["continue", "--s-max", "0.1", "--ds", "0.1",
@@ -400,6 +424,18 @@ class TestExport:
     def test_missing_s_value(self, branch_file):
         assert main(["export", str(branch_file), "--figure", "normalized",
                      "--s-list", "0.7"]) == EX_DATA
+
+    def test_no_state_carried_between_calls(self, branch_file, tmp_path):
+        # the parser is built once per process; an omitted --s-list is the default again
+        assert cli.make_parser() is cli.make_parser()
+        headers = []
+        for extra in (["--s-list", "0.1"], []):
+            out = tmp_path / f"n{len(headers)}.csv"
+            assert main(["export", str(branch_file), "--figure", "normalized",
+                         "-o", str(out)] + extra) == EX_OK
+            headers.append(out.read_text().splitlines()[0])
+        assert headers == ["y,s=0.1", "y,s=0.1,s=0.2"]
+        assert cli.FIGURE_S_DEFAULTS["normalized"][:2] == (0.1, 0.2)
 
     def test_deterministic_csv(self, branch_file, tmp_path):
         a = tmp_path / "a.csv"

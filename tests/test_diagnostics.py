@@ -3,17 +3,20 @@ import pytest
 
 from muskatss.analytic import kappa, linear_profile
 from muskatss.continuation import Branch, BranchStep
+from muskatss import diagnostics
 from muskatss.diagnostics import (
+    REFERENCES,
     ds_derivative_check,
     figure_data,
     fit_loglog_slope,
     h1_distance,
+    h1_distances,
     h1_norm,
     h1_profile_distance,
 )
 from muskatss.grid_spline import HALF_PI, fit_spline, make_grid
 from muskatss.lm import SolverReport
-from muskatss.quadrature import gk15_adaptive
+from muskatss.quadrature import QuadConfig, QuadratureError, gk15_adaptive
 
 
 def arctan_profile(s, N=129):
@@ -87,6 +90,85 @@ class TestH1Distance:
         dbc = h1_profile_distance(b, c)
         dac = h1_profile_distance(a, c)
         assert dac <= dab + dbc + 1e-10
+
+
+def deviating_profiles(s_values, N=65):
+    """kappa-arctan nodal values plus an s^3 deviation that vanishes at both ends."""
+    g = make_grid(N)
+    profiles = []
+    for s in s_values:
+        vals = ((2.0 * s / np.pi) * np.arctan(np.tan(g.nodes) / kappa(s))
+                + 0.02 * s ** 3 * np.sin(2.0 * g.nodes))
+        vals[0], vals[-1] = 0.0, s
+        profiles.append(fit_spline(g, vals, s))
+    return profiles
+
+
+BRANCH_S = (0.1, 0.2, 0.4, 1.0, 2.0, 4.0, 7.0)
+
+
+class TestH1Distances:
+    """All profiles' H^1 integrals in one loop, each as if it ran alone."""
+
+    @pytest.mark.parametrize("reference", REFERENCES)
+    def test_matches_one_profile_at_a_time(self, reference):
+        profiles = deviating_profiles(BRANCH_S)
+        many = h1_distances(profiles, reference)
+        assert len(many) == len(profiles)
+        for rep, p in zip(many, profiles):
+            one = h1_distance(p, reference)
+            assert (rep.s, rep.reference, rep.linf_distance) == (one.s, one.reference,
+                                                                  one.linf_distance)
+            assert abs(rep.h1_distance - one.h1_distance) <= 1e-15 * one.h1_distance
+
+    def test_budget_counted_per_integral(self, monkeypatch):
+        profiles = deviating_profiles(BRANCH_S)
+        full = h1_distances(profiles)
+
+        def passes(p, budget):
+            monkeypatch.setattr(diagnostics, "_H1_QUAD",
+                                QuadConfig(abs_tol=1e-12, rel_tol=1e-10,
+                                           max_subdivisions=budget))
+            try:
+                h1_distance(p)
+            except QuadratureError:
+                return False
+            return True
+
+        def smallest_budget(p):
+            lo, hi = 1, 4000          # passes(p, hi), and passing is monotone
+            while lo < hi:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if passes(p, mid) else (mid + 1, hi)
+            return lo
+
+        need = [smallest_budget(p) for p in profiles]
+        budget = max(need)
+        # one budget shared by the batch would run out
+        assert sum(need) > budget + len(need)
+        monkeypatch.setattr(diagnostics, "_H1_QUAD",
+                            QuadConfig(abs_tol=1e-12, rel_tol=1e-10, max_subdivisions=budget))
+        assert h1_distances(profiles) == full
+        monkeypatch.setattr(diagnostics, "_H1_QUAD",
+                            QuadConfig(abs_tol=1e-12, rel_tol=1e-10,
+                                       max_subdivisions=budget - 1))
+        with pytest.raises(QuadratureError):
+            h1_distances(profiles)
+
+    def test_first_mismatched_step_raises(self):
+        profiles = deviating_profiles(BRANCH_S)
+        g = profiles[0].grid
+        for i in (2, 5):
+            p = profiles[i]
+            profiles[i] = fit_spline(g, p.values, p.s + 1e-3 * i)
+        with pytest.raises(ValueError) as alone:
+            h1_distance(profiles[2], "theorem_arctan")
+        with pytest.raises(ValueError) as batch:
+            h1_distances(profiles, "theorem_arctan")
+        assert "decay" in str(batch.value) and str(batch.value) == str(alone.value)
+
+    def test_no_profiles(self):
+        assert h1_distances([]) == []
 
 
 class TestDsDerivativeCheck:

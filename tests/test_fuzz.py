@@ -25,6 +25,7 @@ FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=100
 SOLVE_CODES = {0, 2, 64}
 CONTINUE_CODES = {0, 3, 64}
 VALIDATE_CODES = {0, 1, 65}
+VALIDATE_FLAG_CODES = {0, 1, 64}
 EXPORT_CODES = {0, 65}
 EXPORT_FLAG_CODES = {0, 64, 65}
 
@@ -149,6 +150,14 @@ def test_continue_flags_give_documented_code(fuzz_dir, pairs, s_max, ds):
     argv = (["continue", "--s-max", s_max, "--ds", ds] + _flags(pairs) + PINNED
             + ["-o", str(fuzz_dir / "b.json")])
     assert main(argv) in CONTINUE_CODES
+
+
+@FUZZ
+@given(s_window=st.one_of(flag_text, st.floats().map(repr)))
+def test_validate_flags_give_documented_code(fuzz_dir, s_window):
+    path = fuzz_dir / "valid.json"
+    path.write_text(json.dumps(VALID))
+    assert main(["validate", str(path), "--s-window", s_window]) in VALIDATE_FLAG_CODES
 
 
 @FUZZ

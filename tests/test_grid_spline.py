@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from muskatss.grid_spline import HALF_PI, SplineMaps, fit_spline, make_grid
+from muskatss.grid_spline import HALF_PI, QuarticSpline, SplineMaps, fit_spline, make_grid
 from muskatss.residual import residual_vector
 
 
@@ -152,6 +152,29 @@ class TestSplineMaps:
         tol = 1e-12 * np.max(np.abs(want))
         assert np.max(np.abs(maps.dense(pts, nu) @ values - want)) <= tol
         assert np.max(np.abs(local - want)) <= tol
+
+
+class TestStack:
+    @pytest.mark.parametrize("nu", range(6))
+    def test_each_spline_as_alone(self, nu):
+        # the same Horner arithmetic on the same coefficients: equal bits
+        g = make_grid(33)
+        rng = np.random.default_rng(nu)
+        splines = []
+        for _ in range(4):
+            values = np.concatenate([[0.0], rng.normal(size=32)])
+            splines.append(fit_spline(g, values, 0.0).spline)
+        x = np.concatenate([rng.uniform(0.0, HALF_PI, 60), g.nodes])
+        which = rng.integers(len(splines), size=len(x))
+        got = QuarticSpline.stack(splines)(x, nu, which)
+        want = np.array([splines[k](xi, nu) for xi, k in zip(x, which)])
+        assert np.array_equal(got, want)
+
+    def test_grids_must_match(self):
+        splines = [fit_spline(make_grid(N), np.linspace(0.0, 1.0, N), 1.0).spline
+                   for N in (9, 17)]
+        with pytest.raises(ValueError, match="grid"):
+            QuarticSpline.stack(splines)
 
 
 # scipy is the oracle of the numpy spline: the tests depend on it, the package does not

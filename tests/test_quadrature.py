@@ -11,6 +11,7 @@ from muskatss.quadrature import (
     QuadratureError,
     cumulative_gk15,
     gk15_adaptive,
+    gk15_adaptive_many,
     trapezoid,
 )
 
@@ -137,6 +138,48 @@ class TestGK15:
     def test_scalar_integrand(self):
         res = gk15_adaptive(lambda x: 3.0, 0.0, 2.0)
         assert res.value == pytest.approx(6.0, abs=1e-14)
+
+
+class TestGK15Many:
+    """Many integrals in one bisection loop, each closing the panels it would alone."""
+
+    FUNCS = (np.sqrt, np.exp, lambda x: 1.0 / (1.0 + 100.0 * x * x), np.cos)
+
+    def _many(self, a, b, cfg=None):
+        funcs = self.FUNCS
+
+        def f(x, k):
+            out = np.empty_like(x)
+            for j, g in enumerate(funcs):
+                out[k == j] = g(x[k == j])
+            return out
+
+        return gk15_adaptive_many(f, a, b, cfg)
+
+    def test_matches_one_at_a_time(self):
+        cfg = QuadConfig(abs_tol=1e-13, rel_tol=1e-12)
+        a, b = [0.0, -1.0, -2.0, 0.5], [1.0, 2.0, 3.0, 0.5]
+        many = self._many(a, b, cfg)
+        for g, lo, hi, res in zip(self.FUNCS, a, b, many):
+            one = gk15_adaptive(g, lo, hi, cfg)
+            assert res.subdivisions == one.subdivisions
+            assert res.value == pytest.approx(one.value, rel=1e-15, abs=1e-300)
+            assert res.error_estimate == pytest.approx(one.error_estimate, rel=1e-12)
+        assert many[3] == gk15_adaptive(np.cos, 0.5, 0.5)
+
+    def test_budget_per_integral(self):
+        # each alone needs this budget; together they need more than one of it
+        a, b = [0.0, -1.0, -2.0, 0.0], [1.0, 2.0, 3.0, 9.0]
+        need = max(gk15_adaptive(g, lo, hi, QuadConfig(1e-12, 1e-12)).subdivisions
+                   for g, lo, hi in zip(self.FUNCS, a, b))
+        many = self._many(a, b, QuadConfig(1e-12, 1e-12, max_subdivisions=need))
+        assert sum(r.subdivisions for r in many) > need
+        with pytest.raises(QuadratureError, match=f"more than {need - 2} bisections"):
+            self._many(a, b, QuadConfig(1e-12, 1e-12, max_subdivisions=need - 1))
+
+    def test_inverted_interval_rejected(self):
+        with pytest.raises(ValueError, match="inverted"):
+            self._many([0.0, 1.0], [1.0, 0.5])
 
 
 class TestCumulative:
