@@ -42,22 +42,21 @@ quotients' factors cos z cos y / sin(+-z - y) and the paired form's
 coefficients, which are stored only at the paired end-region pairs and
 evaluated only there.  Every input is linear in the nodal values, so a
 cached ``Discretization`` builds fixed value -> input maps once per (N,
-ResidualConfig): P from one GK15 panel per gap, and the expansion
-quotients as fixed weights on the spline coefficients (``_series``
-applied to the B-spline rows at the midpoints).  ``residual_vector`` is
-those maps and one kernel pass per block of rows; the Jacobian
-(``residual_jacobian``) is the kernel's elementwise partials, from the
-hand-derived gradient ``_integrand_partials`` in one real pass per block,
-contracted with the same maps.  A complex step through ``_integrand`` is
-the tests' check of that gradient.  ``residual_at`` runs the same kernel
-on one row, with its inputs from the profile's spline (``_series`` of
-its derivatives at the midpoints) and an adaptive antiderivative table at
-1e-12.  ``delta_tilde`` is the sliding average itself, by adaptive GK15
-at the ``QuadConfig`` defaults.
+ResidualConfig): P from a table with one GK15 panel per gap, and the
+expansion quotients as fixed weights on the spline coefficients
+(``_series`` applied to the B-spline rows at the midpoints).
+``residual_vector`` is those maps and one kernel pass per block of rows;
+the Jacobian (``residual_jacobian``) is the kernel's elementwise partials,
+from the hand-derived gradient ``_integrand_partials`` in one real pass per
+block, contracted with the same maps.  A complex step through
+``_integrand`` is the tests' check of that gradient.  ``residual_at`` is
+the one-row discretization of its z, sharing the outer-node maps and the
+P table.  ``delta_tilde`` is the sliding average itself, by adaptive GK15.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -65,7 +64,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid_spline import HALF_PI, Profile, SplineMaps, make_grid, spline_maps
-from .quadrature import QuadratureError, cumulative_gk15, gk15_adaptive, gk15_rule
+# cumulative_gk15 is unused here but stays importable: bench/tracer.py wraps it
+from .quadrature import QuadratureError, cumulative_gk15, gk15_adaptive, gk15_rule  # noqa: F401
 
 __all__ = [
     "Discretization",
@@ -120,36 +120,28 @@ def delta_tilde(profile: Profile, z: float, y: float, sign: int) -> float:
     """Sliding average of the profile between tan z and +-tan y.
 
     sign=+1: integral_z^y sec^2(w) k(w) dw / (tan y - tan z); tends to
-    k(z) as y -> z and to k(pi/2) as y -> pi/2.  sign=-1: the reflected
-    average with denominator tan z + tan y, defined through the odd
-    extension of the profile; it tends to k(z) as y -> -z.  The integral
-    is adaptive GK15 at the ``QuadConfig`` defaults.
+    k(z) as y -> z and to k(+-pi/2) as y or |z| -> pi/2.  sign=-1: the
+    reflected average with denominator tan z + tan y, defined through the
+    odd extension of the profile; k is odd and sec^2 even, so it is minus
+    the plain average at -z.  The integral is adaptive GK15 at the
+    ``QuadConfig`` defaults.
     """
     if not (-HALF_PI <= z <= HALF_PI and 0.0 <= y <= HALF_PI):
         raise ValueError(f"(z, y) = ({z}, {y}) outside [-pi/2, pi/2] x [0, pi/2]")
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
+    if sign == -1:
+        return -delta_tilde(profile, -z, y, +1)
 
     ev = profile._ev
-    if sign == +1:
-        if abs(y - z) < 1e-8:
-            return float(ev(z, 0))
-        if y == HALF_PI or z == HALF_PI:
-            return float(ev(HALF_PI, 0))
-        # orientation flips in the integral and the denominator cancel
-        lo, hi = min(z, y), max(z, y)
-        denom = np.tan(hi) - np.tan(lo)
-        orient = 1.0
-    else:
-        if y == HALF_PI:
-            return -float(ev(HALF_PI, 0))
-        if abs(z + y) < 1e-8:           # the reflected interval is a point
-            return float(ev(z, 0))
-        if z == HALF_PI:
-            return float(ev(HALF_PI, 0))
-        lo, hi = min(-y, z), max(-y, z)
-        denom = np.tan(z) + np.tan(y)
-        orient = 1.0 if z > -y else -1.0  # integral runs from -y to z
+    if abs(y - z) < 1e-8:
+        return float(ev(z, 0))
+    if y == HALF_PI:
+        return float(ev(HALF_PI, 0))
+    if abs(z) == HALF_PI:
+        return float(ev(z, 0))
+    # orientation flips in the integral and the denominator cancel
+    lo, hi = min(z, y), max(z, y)
 
     def integrand(w):
         c = np.cos(w)
@@ -163,7 +155,7 @@ def delta_tilde(profile: Profile, z: float, y: float, sign: int) -> float:
             value=exc.value, error_estimate=exc.error_estimate,
             interval=(lo, hi),
         ) from exc
-    return float(orient * res.value / denom)
+    return float(res.value / (np.tan(hi) - np.tan(lo)))
 
 
 @dataclass(frozen=True)
@@ -425,49 +417,79 @@ _BLOCK_PAIRS = 1 << 15
 
 
 class Discretization:
-    """The value-independent part of ``residual_vector`` for one (N, cfg).
+    """The value-independent part of the residual for one (N, cfg) and its rows.
 
-    Holds the interior rows (z < pi/2) in row ``blocks``, each with its
-    pair geometry, and the linear maps from the nodal values to every
-    input of the outer integrand: ``maps[name] @ values`` gives the input
-    ``name`` (spline maps E_nu at the rows, the outer nodes and pi/2, and a
-    value -> P map from one GK15 panel per gap between consecutive rows and
-    outer nodes).  The expansion quotients at the near pairs are fixed
-    weights ``band_weight`` (per quotient, entry and coefficient) on the
-    five coefficients ``band_gather`` whose B-splines can be nonzero at an
-    entry's midpoint; each block's entries, half 0's then half 1's, are one
-    slice.  A Jacobian's band term, the partials in the quotients times the
-    trapezoid weight ``band_column`` and the same weights, is summed into
-    coefficient space by ``band_index`` with one ``np.bincount``.
+    Holds the rows z (the interior nodes but pi/2, or the one point of
+    ``row``) in row ``blocks``, each with its pair geometry, and the linear
+    maps from the nodal values to every input of the outer integrand:
+    ``maps[name] @ values`` gives the input ``name`` (spline maps E_nu at the
+    rows, the outer nodes and pi/2, and value -> P maps).  P is a table at
+    0, the interior nodes and the outer nodes, from one GK15 panel per gap,
+    plus one panel from the table point below a row that is not one.  The
+    expansion quotients at the near pairs are fixed weights ``band_weight``
+    (per quotient, entry and coefficient) on the five coefficients
+    ``band_gather`` whose B-splines can be nonzero at an entry's midpoint;
+    each block's entries, half 0's then half 1's, are one slice.  A
+    Jacobian's band term, the partials in the quotients times the trapezoid
+    weight ``band_column`` and the same weights, is summed into coefficient
+    space by ``band_index`` with one ``np.bincount``.
     """
 
     def __init__(self, N: int, cfg: ResidualConfig):
         grid = make_grid(N)
-        self.N = N
-        self.z = z = grid.nodes[1:-1]
+        self.N, self.spacing = N, grid.spacing
         self.yi, self.hy = _outer_nodes(N, cfg)
-        yi = self.yi
-        sm = spline_maps(N)
+        yi, z = self.yi, grid.nodes[1:-1]
+        self.sm = sm = spline_maps(N)
         self.coef = sm.coef
-        pz = _primitive_map(sm, np.unique(np.concatenate([[0.0], z, yi])))
-        dk_z = sm.dense(z, 1)
-        cz, cy = np.cos(z)[:, None], np.cos(yi)
-        self.maps = {
-            "kz": sm.dense(z, 0), "uz": (cz * cz) * dk_z,
-            "ky": sm.dense(yi, 0), "uy": (cy * cy)[:, None] * sm.dense(yi, 1),
-            "Pz": pz(z), "Py": pz(yi), "b": sm.dense([HALF_PI], 0)[0],
-        }
-        self.transport = (np.sin(z) * np.cos(z))[:, None] * dk_z
+        self.pts = pts = np.unique(np.concatenate([[0.0], z, yi]))
+        A = np.zeros((len(pts), N))
+        for lo in range(0, len(pts) - 1, 256):      # 256 gaps at a time bound the memory
+            hi = min(lo + 256, len(pts) - 1)
+            A[lo + 1:hi + 1] = _panels(sm, pts[lo:hi], pts[lo + 1:hi + 1])
+        self.P = np.cumsum(A, axis=0, out=A)
+        self.maps = {"ky": sm.dense(yi, 0), "uy": np.cos(yi)[:, None] ** 2 * sm.dense(yi, 1),
+                     "Py": self._primitive(yi), "b": sm.dense([HALF_PI], 0)[0]}
         # trapezoid weights of the pair columns; the y = pi/2 column has 1/2
         self.w = np.ones(len(yi))
         self.w[0] = 0.5
+        self._set_rows(z)
+
+    def row(self, z: float) -> Discretization:
+        """The discretization of the one row z (0 <= z < pi/2), sharing the
+        outer-node maps and the P table."""
+        d = copy.copy(self)
+        d._set_rows(np.array([z], dtype=float))
+        return d
+
+    def _primitive(self, at: np.ndarray) -> np.ndarray:
+        """Value -> P maps at the points ``at``: the table's at the table point
+        a below, plus GK15 panels from a up to each point that is not one.
+        A panel is no wider than its distance from the pole of sec^2 at pi/2:
+        one panel before the last table point, and halvings after it."""
+        i = self.pts.searchsorted(at, side="right") - 1
+        A = self.P[i]
+        for n in np.flatnonzero(self.pts[i] < at):
+            gap, rest = HALF_PI - self.pts[i[n]], HALF_PI - at[n]
+            cuts = HALF_PI - gap * 0.5 ** np.arange(1 + int(np.log2(gap / rest)))
+            A[n] += _panels(self.sm, cuts, np.append(cuts[1:], at[n])).sum(axis=0)
+        return A
+
+    def _set_rows(self, z: np.ndarray) -> None:
+        """The row maps, transport term, blocks and band weights of rows z."""
+        sm, yi = self.sm, self.yi
+        self.z = z
+        dk_z = sm.dense(z, 1)
+        self.maps = {**self.maps, "kz": sm.dense(z, 0), "uz": np.cos(z)[:, None] ** 2 * dk_z,
+                     "Pz": self._primitive(z)}
+        self.transport = (np.sin(z) * np.cos(z))[:, None] * dk_z
 
         # per block: its rows, geometry and slice of the expansion entries
         size = max(1, _BLOCK_PAIRS // len(yi))
         self.blocks, entries, n = [], [], 0
         for r0 in range(0, len(z), size):
             r = slice(r0, min(r0 + size, len(z)))
-            g = _pair_geometry(z[r], yi, grid.spacing)
+            g = _pair_geometry(z[r], yi, self.spacing)
             _, i, j = np.nonzero(g.near)
             self.blocks.append((r, g, slice(n, n + len(i))))
             entries.append((r0 + i, j, g.m, g.d2))
@@ -484,7 +506,7 @@ class Discretization:
         self.band_index = (i[:, None] * len(self.coef) + self.band_gather).ravel()
 
     def _inputs(self, values: np.ndarray) -> dict:
-        """The integrand inputs at nodal values ``values``, for the whole grid."""
+        """The integrand inputs at nodal values ``values``, for every row."""
         inp = {name: E @ values for name, E in self.maps.items()}
         return {"kz": inp["kz"][:, None], "uz": inp["uz"][:, None],
                 "ky": inp["ky"], "uy": inp["uy"], "b": inp["b"],
@@ -501,13 +523,9 @@ class Discretization:
                 "D": inp["D"][r], "b": inp["b"], "band": inp["band"][:, b]}
 
     def residual(self, values) -> np.ndarray:
-        """The interior rows of ``residual_vector`` at nodal values ``values``.
-
-        Length N-1; the last row, at z = pi/2, is 0.  The transport term is
-        one map of the values, the integral one kernel pass per row block.
-        """
-        out = np.zeros(self.N - 1)
-        out[:len(self.z)] = self.transport @ values
+        """The residual at the rows z at nodal values ``values``: the transport
+        term, one map of the values, plus one kernel pass per row block."""
+        out = self.transport @ values
         for r, _, geo, inputs in self._passes(values):
             out[r] += _outer_integral(geo, self.hy, self.z[r], self.yi, inputs)
         return out
@@ -548,20 +566,12 @@ class Discretization:
         return J
 
 
-def _primitive_map(sm: SplineMaps, pts: np.ndarray):
-    """Value -> P maps at points of ``pts``, from one GK15 panel per gap.
-
-    P(w) = integral_0^w sec^2(t) k(t) dt, the antiderivative the residual
-    tabulates on ``pts``; returns a function of the points wanted.
-    """
-    A = np.zeros((len(pts), sm.coef.shape[1]))
-    for lo in range(0, len(pts) - 1, 256):      # 256 gaps at a time bound the memory
-        hi = min(lo + 256, len(pts) - 1)
-        nodes, wts = gk15_rule(pts[lo:hi], pts[lo + 1:hi + 1])
-        E = sm.dense(nodes.ravel(), 0).reshape(*nodes.shape, -1)
-        A[lo + 1:hi + 1] = np.einsum("gq,gqn->gn", wts / np.cos(nodes) ** 2, E)
-    np.cumsum(A, axis=0, out=A)
-    return lambda at: A[np.searchsorted(pts, at)]
+def _panels(sm: SplineMaps, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Value -> maps of the integrals of sec^2(t) k(t) over [lo_i, hi_i],
+    one GK15 panel each."""
+    nodes, wts = gk15_rule(lo, hi)
+    E = sm.dense(nodes.ravel(), 0).reshape(*nodes.shape, sm.coef.shape[1])
+    return np.einsum("gq,gqn->gn", wts / np.cos(nodes) ** 2, E)
 
 
 @functools.lru_cache(maxsize=4)
@@ -585,12 +595,11 @@ def residual_jacobian(values, cfg: ResidualConfig | None = None) -> np.ndarray:
 def residual_at(profile: Profile, z: float, cfg: ResidualConfig | None = None) -> float:
     """Equation residual at a single z in [0, pi/2].
 
-    The kernel of ``residual_vector`` on a one-row geometry, with its
-    inputs from the profile's spline and an adaptive antiderivative table
-    at tolerance 1e-12; at the grid nodes it agrees
-    with ``residual_vector`` to quadrature accuracy.  At z = pi/2 every
-    term of the equation degenerates (the transport term carries cos z and
-    the integrand limits vanish pointwise), so the row is identically zero.
+    The one row z of the discretization (``Discretization.row``): the
+    maps, band weights, kernel and trapezoid of ``residual_vector``, whose
+    interior rows it is at the grid nodes.  At z = pi/2 every term of the
+    equation degenerates (the transport term carries cos z and the
+    integrand limits vanish pointwise), so the row is identically zero.
     """
     if cfg is None:
         cfg = ResidualConfig()
@@ -598,28 +607,7 @@ def residual_at(profile: Profile, z: float, cfg: ResidualConfig | None = None) -
         raise ValueError(f"z={z} outside [0, pi/2]")
     if z == HALF_PI:
         return 0.0
-    ev = profile._ev
-    yi, hy = _outer_nodes(profile.grid.N, cfg)
-    zc = np.array([z])
-    g = _pair_geometry(zc, yi, profile.grid.spacing)
-    kz, dkz = ev(zc[:, None], 0), ev(zc[:, None], 1)
-    cz, cy = np.cos(zc[:, None]), np.cos(yi)
-
-    def integrand(w):
-        c = np.cos(w)
-        return ev(w, 0) / (c * c)
-
-    pts = np.unique(np.concatenate([[0.0, z], yi]))
-    P = cumulative_gk15(integrand, pts, tol=1e-12)
-    inputs = {
-        "kz": kz, "uz": dkz * cz * cz,
-        "ky": ev(yi, 0), "uy": ev(yi, 1) * cy * cy,
-        "D": (P[np.searchsorted(pts, yi)] - P[np.searchsorted(pts, z)])[None, :],
-        "b": float(ev(HALF_PI, 0)),
-        "band": _series(g.m, g.d2, [ev(g.m, nu) for nu in range(_SERIES_DERIVS)]),
-    }
-    integral = _outer_integral(g, hy, zc, yi, inputs)[0]
-    return float(np.sin(z) * np.cos(z) * dkz[0, 0] + integral)
+    return float(discretization(profile.grid.N, cfg).row(z).residual(profile.values)[0])
 
 
 def residual_vector(profile: Profile, cfg: ResidualConfig | None = None) -> ResidualVector:
@@ -633,7 +621,7 @@ def residual_vector(profile: Profile, cfg: ResidualConfig | None = None) -> Resi
     if cfg is None:
         cfg = ResidualConfig()
     return ResidualVector(
-        interior=discretization(profile.grid.N, cfg).residual(profile.values),
+        interior=np.append(discretization(profile.grid.N, cfg).residual(profile.values), 0.0),
         bc0=float(profile.values[0]),
         bc_end=float(profile.values[-1] - profile.s),
     )

@@ -98,9 +98,7 @@ class TestDeltaTilde:
         for _ in range(10):
             z = float(rng.uniform(0, HALF_PI * 0.99))
             y = float(rng.uniform(0, HALF_PI * 0.99))
-            lhs = delta_tilde(p, z, y, -1)
-            rhs = -delta_tilde(p, -z, y, +1)
-            assert lhs == pytest.approx(rhs, abs=1e-9)
+            assert delta_tilde(p, z, y, -1) == -delta_tilde(p, -z, y, +1)
 
     def test_reflected_coincidence(self):
         # z = -y: the reflected interval is the single point z, where the
@@ -118,6 +116,17 @@ class TestDeltaTilde:
     def test_minus_sign_endpoint(self):
         p = sincos_profile()
         assert delta_tilde(p, 0.4, HALF_PI, -1) == -float(p.eval(HALF_PI))
+
+    def test_row_endpoints_are_the_limit(self):
+        # |z| = pi/2 is treated like y = pi/2: the average is the profile's
+        # limit k(z) there; z = -pi/2 once raised QuadratureError
+        p = sincos_profile()
+        end = float(p.eval(HALF_PI))
+        for y in (0.0, 0.7, HALF_PI - 0.1):
+            assert delta_tilde(p, -HALF_PI, y, +1) == -end
+            assert delta_tilde(p, HALF_PI, y, +1) == end
+            assert delta_tilde(p, HALF_PI, y, -1) == end
+            assert delta_tilde(p, -HALF_PI, y, -1) == -end
 
     def test_domain_validation(self):
         p = sincos_profile()
@@ -265,13 +274,13 @@ def oracle_quotients(ev, geo):
     return _series(geo.m, geo.d2, [ev(geo.m, nu) for nu in range(_SERIES_DERIVS)])
 
 
-def reference_interior(profile, cfg):
-    """The interior rows as the residual once computed them: scipy spline
+def reference_rows(profile, cfg, z):
+    """The rows z (< pi/2) as the residual once computed them: scipy spline
     evaluation and an adaptive antiderivative table at 1e-12, through the
-    same kernel on the same geometry."""
-    g, N = profile.grid, profile.grid.N
-    d = discretization(N, cfg)
-    z, yi, ev = g.nodes[1:-1], d.yi, scipy_evaluator(profile)
+    same kernel on the same geometry; and the largest transport term."""
+    g = profile.grid
+    d = discretization(g.N, cfg)
+    yi, ev = d.yi, scipy_evaluator(profile)
     geo = _pair_geometry(z, yi, g.spacing)
     pts = np.unique(np.concatenate([[0.0], z, yi]))
     P = cumulative_gk15(lambda w: ev(w, 0) / np.cos(w) ** 2, pts, tol=1e-12)
@@ -283,7 +292,7 @@ def reference_interior(profile, cfg):
     rows = np.column_stack([pairs, end[:, 0]])
     integral = d.hy * (rows.sum(axis=1) - 0.5 * (rows[:, 0] + rows[:, -1]))
     transport = np.sin(z) * np.cos(z) * ev(z, 1)
-    return np.append(transport + integral, 0.0), np.max(np.abs(transport))
+    return transport + integral, np.max(np.abs(transport))
 
 
 class TestResidualOracle:
@@ -294,14 +303,33 @@ class TestResidualOracle:
         band_halfwidth(band)
         g = make_grid(N)
         p = fit_spline(g, perturbed_arctan(g, s), s)
-        want, scale = reference_interior(p, cfg)
+        want, scale = reference_rows(p, cfg, g.nodes[1:-1])
         got = residual_vector(p, cfg).interior
-        assert np.max(np.abs(got - want)) <= 1e-12 * scale
-        # residual_at shares the kernel, on one row with the adaptive table
+        assert np.max(np.abs(got[:-1] - want)) <= 1e-12 * scale
+        # residual_at is the one-row discretization of its z: at a node,
+        # that node's row up to the roundoff of one-row products
         nodes = range(1, N) if N < 129 else range(1, N, 9)
         at = np.array([residual_at(p, g.nodes[i], cfg) for i in nodes])
-        assert np.max(np.abs(at - got[np.array(nodes) - 1])) <= 1e-12 * scale
+        assert np.max(np.abs(at - got[np.array(nodes) - 1])) <= 1e-13 * scale
         assert residual_at(p, HALF_PI, cfg) == got[-1] == 0.0
+        # between the table points, P adds GK15 panels to the table's value;
+        # the last point lies past the last outer node, next to the pole of
+        # sec^2 at pi/2
+        hy = discretization(N, cfg).hy
+        off = np.append(np.random.default_rng(N).uniform(0.0, HALF_PI, 4), HALF_PI - 0.03 * hy)
+        want, _ = reference_rows(p, cfg, off)
+        at = np.array([residual_at(p, z, cfg) for z in off])
+        assert np.max(np.abs(at - want)) <= 1e-12 * scale
+
+    def test_finite_next_to_the_endpoint(self):
+        # the adaptive table the residual once used here stopped at its
+        # bisection budget for z within about 1e-7 of pi/2
+        g = make_grid(17)
+        p = fit_spline(g, perturbed_arctan(g, 2.0), 2.0)
+        near = [residual_at(p, HALF_PI - e) for e in (1e-6, 1e-9, 1e-12)]
+        assert np.all(np.isfinite(near))
+        # the row tends to a limit, linearly in pi/2 - z
+        assert abs(near[2] - near[1]) <= 1e-2 * abs(near[1] - near[0])
 
 
 class TestBandQuotients:
