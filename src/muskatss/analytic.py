@@ -20,7 +20,6 @@ __all__ = [
     "BrickSample",
     "kappa",
     "linear_profile",
-    "linear_profile_deriv",
     "pi_s",
     "sliding_average",
     "delta_brick",
@@ -66,14 +65,6 @@ def linear_profile(s: float, y):
     """
     s = _require_slope(s)
     return (2.0 * s / np.pi) * np.arctan((1.0 + s * s / 3.0) * np.asarray(y, dtype=float))
-
-
-def linear_profile_deriv(s: float, y):
-    """d/dy of :func:`linear_profile`."""
-    s = _require_slope(s)
-    kb = 1.0 + s * s / 3.0
-    y = np.asarray(y, dtype=float)
-    return (2.0 * s / np.pi) * kb / (1.0 + (kb * y) ** 2)
 
 
 def pi_s(s: float, y):

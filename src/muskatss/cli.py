@@ -28,6 +28,7 @@ import sys
 import numpy as np
 
 from .continuation import (
+    S_MATCH_TOL,
     SETTINGS,
     Branch,
     branch_to_json,
@@ -275,7 +276,7 @@ def cmd_export(args) -> int:
     branch = _load_branch(args.branch)
 
     def present(s):
-        return any(abs(st.s - s) <= 1e-9 for st in branch.steps)
+        return any(abs(st.s - s) <= S_MATCH_TOL for st in branch.steps)
 
     if args.s_list:
         missing = [s for s in args.s_list if not present(s)]

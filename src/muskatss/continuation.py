@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 FORMAT_VERSION = "1"
+# slopes this close are one step's (Branch.step_at, export's slope sets)
+S_MATCH_TOL = 1e-9
 
 # Every solver setting, declared once: name -> (type, config), where config
 # is "lm" (LMConfig) or "res" (ResidualConfig) and the name is the field.
@@ -101,9 +103,9 @@ class Branch:
     def s_values(self):
         return [st.s for st in self.steps]
 
-    def step_at(self, s: float, tol: float = 1e-9) -> BranchStep:
+    def step_at(self, s: float) -> BranchStep:
         for st in self.steps:
-            if abs(st.s - s) <= tol:
+            if abs(st.s - s) <= S_MATCH_TOL:
                 return st
         raise KeyError(f"s={s} not present in branch (have {self.s_values})")
 

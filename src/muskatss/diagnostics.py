@@ -43,6 +43,8 @@ __all__ = [
 
 REFERENCES = ("theorem_arctan", "kappa_arctan")
 _END_EXCLUSION = 1e-8
+# largest |f(pi/2)| of a profile minus its reference: the H^1 integral converges
+_MISMATCH_TOL = 1e-6
 _H1_QUAD = QuadConfig(abs_tol=1e-12, rel_tol=1e-10, max_subdivisions=4000)
 
 
@@ -64,12 +66,11 @@ class FigureTable:
     columns: np.ndarray  # shape (len(abscissa), len(s_values))
 
     def to_csv(self) -> str:
-        header = [self.abscissa_name] + [f"s={s:g}" for s in self.s_values]
-        lines = [",".join(header)]
-        for i, a in enumerate(self.abscissa):
-            row = [f"{a:.15g}"] + [f"{v:.15g}" for v in self.columns[i]]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        """Header and one row per abscissa, every value as ``%.15g``."""
+        header = ",".join([self.abscissa_name] + [f"s={s:g}" for s in self.s_values])
+        fmt = ",".join(["%.15g"] * (1 + len(self.s_values)))
+        rows = np.column_stack([self.abscissa, self.columns]).tolist()
+        return "\n".join([header] + [fmt % tuple(row) for row in rows]) + "\n"
 
 
 def _h1_integrand(f, fprime):
@@ -84,21 +85,21 @@ def _h1_integrand(f, fprime):
     return integrand
 
 
-def _h1_total(integral: float, end_slope: float, end_exclusion: float) -> float:
+def _h1_total(integral: float, end_slope: float) -> float:
     """The norm from the integral up to the excluded sliver and f'(pi/2)."""
-    return float(np.sqrt(2.0 * (integral + end_slope ** 2 * end_exclusion)))
+    return float(np.sqrt(2.0 * (integral + end_slope ** 2 * _END_EXCLUSION)))
 
 
-def h1_norm(f, fprime, end_exclusion: float = _END_EXCLUSION) -> float:
+def h1_norm(f, fprime) -> float:
     """Full-line H^1 norm of an odd function given in compactified form.
 
     ``f(z)`` and ``fprime(z)`` (the z-derivative) must accept arrays on
     [0, pi/2].  The function must vanish at pi/2 for the norm to be
-    finite; the excluded endpoint sliver contributes the linearized
-    tail f'(pi/2)^2 * end_exclusion.
+    finite; the excluded endpoint sliver, of width _END_EXCLUSION,
+    contributes the linearized tail f'(pi/2)^2 * _END_EXCLUSION.
     """
-    res = gk15_adaptive(_h1_integrand(f, fprime), 0.0, HALF_PI - end_exclusion, _H1_QUAD)
-    return _h1_total(res.value, float(fprime(np.array([HALF_PI]))[0]), end_exclusion)
+    res = gk15_adaptive(_h1_integrand(f, fprime), 0.0, HALF_PI - _END_EXCLUSION, _H1_QUAD)
+    return _h1_total(res.value, float(fprime(np.array([HALF_PI]))[0]))
 
 
 def _reference_funcs(reference: str, s):
@@ -128,8 +129,7 @@ def _reference_funcs(reference: str, s):
     raise ValueError(f"unknown reference {reference!r}; expected one of {REFERENCES}")
 
 
-def h1_distances(profiles, reference: str = "kappa_arctan",
-                 mismatch_tol: float = 1e-6) -> list[H1Report]:
+def h1_distances(profiles, reference: str = "kappa_arctan") -> list[H1Report]:
     """H^1 and sup-norm distances between solved profiles and a reference.
 
     The profiles must share one grid.  Their H^1 integrals run in one
@@ -147,7 +147,7 @@ def h1_distances(profiles, reference: str = "kappa_arctan",
     linf = []
     for k, p in enumerate(profiles):
         end_gap = abs(float((p.eval(end) - ref(end, k))[0]))
-        if end_gap > mismatch_tol:
+        if end_gap > _MISMATCH_TOL:
             raise ValueError(
                 f"difference does not decay: |f(pi/2)| = {end_gap:.3e} "
                 f"(reference mismatch for s={p.s})"
@@ -164,16 +164,14 @@ def h1_distances(profiles, reference: str = "kappa_arctan",
     cut = HALF_PI - _END_EXCLUSION
     results = gk15_adaptive_many(_h1_integrand(f, fprime), np.zeros(len(profiles)),
                                  np.full(len(profiles), cut), _H1_QUAD)
-    return [H1Report(s=p.s, h1_distance=_h1_total(r.value, float(fprime(end, k)[0]),
-                                                  _END_EXCLUSION),
+    return [H1Report(s=p.s, h1_distance=_h1_total(r.value, float(fprime(end, k)[0])),
                      linf_distance=linf[k], reference=reference)
             for k, (p, r) in enumerate(zip(profiles, results))]
 
 
-def h1_distance(profile: Profile, reference: str = "kappa_arctan",
-                mismatch_tol: float = 1e-6) -> H1Report:
+def h1_distance(profile: Profile, reference: str = "kappa_arctan") -> H1Report:
     """``h1_distances`` of one profile."""
-    return h1_distances([profile], reference, mismatch_tol)[0]
+    return h1_distances([profile], reference)[0]
 
 
 def h1_profile_distance(p1: Profile, p2: Profile) -> float:

@@ -14,9 +14,9 @@ from muskatss.continuation import (
     save_branch,
     solve_profile,
 )
-from muskatss import continuation
+from muskatss import cli, continuation
 from muskatss.grid_spline import make_grid
-from muskatss.lm import _LAMBDA0, _LAMBDA_DOWN, _LAMBDA_UP, LMConfig, lm_solve
+from muskatss.lm import _LAMBDA0, _LAMBDA_DOWN, _LAMBDA_UP, LMConfig, SolverReport, lm_solve
 from muskatss.quadrature import QuadConfig, QuadratureError
 from muskatss.residual import ResidualConfig
 
@@ -212,3 +212,64 @@ class TestSerialization:
         save_branch(small_branch, path)
         clone = load_branch(path)
         assert branch_to_json(clone) == branch_to_json(small_branch)
+
+
+@pytest.fixture(scope="module")
+def truncated_branch():
+    """Two converged steps, then a step whose Jacobian is non-finite: the
+    solver error leaves residual_norm = inf in the failure record."""
+    real = continuation.residual_jacobian
+
+    def jacobian(values, cfg):
+        J = real(values, cfg)
+        return J if values[-1] < 0.22 else np.full_like(J, np.nan)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(continuation, "residual_jacobian", jacobian)
+        return continue_branch(0.4, 0.1, SMALL_N, SMALL_LM, SMALL_RES)
+
+
+class TestFailureRecord:
+    def test_round_trip_bit_exact(self, truncated_branch):
+        assert truncated_branch.s_values == pytest.approx([0.1, 0.2])
+        s_fail, report = truncated_branch.failure
+        assert s_fail == pytest.approx(0.3)
+        assert report.residual_norm == np.inf and not report.converged
+        text = branch_to_json(truncated_branch)
+        assert json.loads(text)["failure"] == {"s": s_fail, "residual_norm": np.inf,
+                                               "iterations": 0}
+        clone = branch_from_json(text)
+        assert branch_to_json(clone) == text
+        assert clone.failure[0] == s_fail
+        assert clone.failure[1].residual_norm == np.inf and not clone.failure[1].converged
+
+    def test_validate_and_export_read_it(self, truncated_branch, tmp_path, capsys):
+        path = str(tmp_path / "truncated.json")
+        save_branch(truncated_branch, path)
+        assert cli.main(["validate", path]) in (cli.EX_OK, cli.EX_SOFT)
+        rows = capsys.readouterr().out.splitlines()[1:3]
+        assert [float(row.split()[0]) for row in rows] == [0.1, 0.2]
+        csv = tmp_path / "n.csv"
+        assert cli.main(["export", path, "--figure", "normalized", "-o", str(csv)]) == cli.EX_OK
+        assert csv.read_text().splitlines()[0] == "y,s=0.1,s=0.2"
+
+    def test_failed_second_half_step(self, monkeypatch):
+        # the full step fails, its first half step converges, the second
+        # half fails: the record holds the full step's report
+        real, calls = continuation._solve_step, []
+
+        def solve_step(s, N, lm, res, guess):
+            calls.append(s)
+            if len(calls) == 2:
+                return real(s, N, lm, res, guess)
+            return None, SolverReport(solution=guess, residual_norm=0.5 / len(calls),
+                                      iterations=len(calls), converged=False)
+
+        monkeypatch.setattr(continuation, "_solve_step", solve_step)
+        branch = continue_branch(0.2, 0.1, SMALL_N, SMALL_LM, SMALL_RES)
+        assert calls == pytest.approx([0.1, 0.05, 0.1])
+        assert branch.steps == []
+        s_fail, report = branch.failure
+        assert s_fail == pytest.approx(0.1)
+        assert (report.residual_norm, report.iterations) == (0.5, 1)
+        assert '"failure":{"iterations":1,"residual_norm":0.5,' in branch_to_json(branch)

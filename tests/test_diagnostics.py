@@ -6,6 +6,7 @@ from muskatss.continuation import Branch, BranchStep
 from muskatss import diagnostics
 from muskatss.diagnostics import (
     REFERENCES,
+    FigureTable,
     ds_derivative_check,
     figure_data,
     fit_loglog_slope,
@@ -264,6 +265,21 @@ class TestFigureData:
         # 15 significant digits survive the round trip
         val = float(lines[2].split(",")[0])
         assert f"{val:.15g}" == lines[2].split(",")[0]
+
+    def test_csv_bytes_of_special_values(self):
+        # each row is one "%.15g" format string; its bytes are those of
+        # formatting every value alone
+        special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.2250738585072e-308,
+                   1e-300, -1e300, 1.7976931348623157e308, 1.0 / 3.0, -123456789.0]
+        rng = np.random.default_rng(3)
+        columns = rng.permutation(special * 2).reshape(-1, 2)
+        abscissa = np.array(special)
+        table = FigureTable("z", abscissa, (0.5, 2.0), columns)
+        want = "z,s=0.5,s=2\n" + "".join(
+            f"{a:.15g},{u:.15g},{v:.15g}\n" for a, (u, v) in zip(abscissa, columns))
+        assert table.to_csv() == want
+        tokens = set(want.replace("\n", ",").split(","))
+        assert {"nan", "inf", "-inf", "0", "-0", "4.94065645841247e-324", "1e-300"} <= tokens
 
 
 class TestOrderFit:

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from muskatss.lm import LMConfig, SolverError, fd_jacobian, lm_solve
+from muskatss.lm import (
+    _LAMBDA0,
+    _LAMBDA_DOWN,
+    _LAMBDA_UP,
+    LMConfig,
+    SolverError,
+    fd_jacobian,
+    lm_solve,
+)
 
 
 class TestFDJacobian:
@@ -144,3 +152,74 @@ class TestLMSolve:
                 LMConfig(tol_residual=bad)
             with pytest.raises(ValueError):
                 LMConfig(tol_step=bad)
+
+
+def failing_solve(monkeypatch, times, failure):
+    """Make the first ``times`` calls of ``np.linalg.solve`` in lm_solve
+    ``failure()`` (raise or return a value); later calls are the real one."""
+    real, calls = np.linalg.solve, []
+
+    def solve(a, b):
+        calls.append(1)
+        return failure(b) if len(calls) <= times else real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    return calls
+
+
+def singular(b):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+class TestLMExits:
+    """The exits of the damping loop that a well-posed solve never takes."""
+
+    @staticmethod
+    def linear():
+        A = np.array([[2.0, 1.0], [0.5, 3.0]])
+        r = lambda x: A @ x - np.array([1.0, 2.0])
+        r.jacobian = lambda x: A
+        return r
+
+    def test_singular_solves_raise_lambda_and_recover(self, monkeypatch):
+        calls = failing_solve(monkeypatch, 3, singular)
+        rep = lm_solve(self.linear(), np.zeros(2))
+        assert rep.converged
+        assert rep.lambda_history[1] == pytest.approx(_LAMBDA0 * _LAMBDA_UP ** 3 * _LAMBDA_DOWN)
+        assert len(calls) > 3
+
+    def test_stays_singular_raises(self, monkeypatch):
+        calls = failing_solve(monkeypatch, 10 ** 6, singular)
+        with pytest.raises(SolverError, match="stayed singular"):
+            lm_solve(self.linear(), np.zeros(2))
+        assert len(calls) == 11           # ten retries, then the error
+
+    def test_non_finite_step_is_damped(self, monkeypatch):
+        evals = []
+        r = self.linear()
+        counted = lambda x: evals.append(x) or r(x)
+        counted.jacobian = r.jacobian
+        failing_solve(monkeypatch, 2, lambda b: np.full_like(b, np.nan))
+        rep = lm_solve(counted, np.zeros(2))
+        assert rep.converged
+        assert rep.lambda_history[1] == pytest.approx(_LAMBDA0 * _LAMBDA_UP ** 2 * _LAMBDA_DOWN)
+        # a non-finite step is never evaluated
+        assert all(np.all(np.isfinite(x)) for x in evals)
+
+    def test_stall_at_a_nonzero_stationary_point(self):
+        # r = (x - 1, 1e-3): at x = 1 the gradient is 0, so every step is 0
+        # and no trial lowers the residual
+        r = lambda x: np.array([x[0] - 1.0, 1e-3])
+        rep = lm_solve(r, np.array([1.0]))
+        assert not rep.converged
+        assert rep.iterations == 0
+        assert rep.residual_norm == 1e-3
+        assert np.array_equal(rep.solution, [1.0])
+
+    def test_no_acceptable_step_raises(self):
+        # a Jacobian of the wrong sign: every trial raises the residual, and
+        # tol_step is too small for the damped steps to stall
+        r = lambda x: np.array([1.0 + abs(x[0])])
+        r.jacobian = lambda x: np.array([[-1.0]])
+        with pytest.raises(SolverError, match="no acceptable step"):
+            lm_solve(r, np.zeros(1), LMConfig(tol_step=1e-300))
