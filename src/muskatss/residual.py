@@ -425,7 +425,7 @@ class Discretization:
     ``maps[name] @ values`` gives the input ``name`` (spline maps E_nu at the
     rows, the outer nodes and pi/2, and value -> P maps).  P is a table at
     0, the interior nodes and the outer nodes, from one GK15 panel per gap,
-    plus one panel from the table point below a row that is not one.  The
+    plus panels up to a row that is not a table point (``_primitive``).  The
     expansion quotients at the near pairs are fixed weights ``band_weight``
     (per quotient, entry and coefficient) on the five coefficients
     ``band_gather`` whose B-splines can be nonzero at an entry's midpoint;
@@ -463,10 +463,11 @@ class Discretization:
         return d
 
     def _primitive(self, at: np.ndarray) -> np.ndarray:
-        """Value -> P maps at the points ``at``: the table's at the table point
-        a below, plus GK15 panels from a up to each point that is not one.
-        A panel is no wider than its distance from the pole of sec^2 at pi/2:
-        one panel before the last table point, and halvings after it."""
+        """Value -> P maps at the points ``at``: the table's row at the table
+        point a at or below each, plus GK15 panels from a up to a point that
+        is not a table point.  A panel is no wider than its distance from the
+        pole of sec^2 at pi/2: one panel below the last table point, halvings
+        of the distance past it."""
         i = self.pts.searchsorted(at, side="right") - 1
         A = self.P[i]
         for n in np.flatnonzero(self.pts[i] < at):

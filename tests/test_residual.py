@@ -313,7 +313,7 @@ class TestResidualOracle:
         assert np.max(np.abs(at - got[np.array(nodes) - 1])) <= 1e-13 * scale
         assert residual_at(p, HALF_PI, cfg) == got[-1] == 0.0
         # between the table points, P adds GK15 panels to the table's value;
-        # the last point lies past the last outer node, next to the pole of
+        # the last point lies past the last table point, next to the pole of
         # sec^2 at pi/2
         hy = discretization(N, cfg).hy
         off = np.append(np.random.default_rng(N).uniform(0.0, HALF_PI, 4), HALF_PI - 0.03 * hy)
