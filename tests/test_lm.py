@@ -155,8 +155,8 @@ class TestLMSolve:
 
 
 def failing_solve(monkeypatch, times, failure):
-    """Make the first ``times`` calls of ``np.linalg.solve`` in lm_solve
-    ``failure()`` (raise or return a value); later calls are the real one."""
+    """Make the first ``times`` calls of ``np.linalg.solve(a, b)`` return or
+    raise ``failure(b)``; later calls are the real one.  Returns the calls."""
     real, calls = np.linalg.solve, []
 
     def solve(a, b):
