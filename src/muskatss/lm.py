@@ -89,15 +89,23 @@ def lm_solve(r, x0: np.ndarray, cfg: LMConfig | None = None) -> SolverReport:
     A trial step solves (J^T J + lambda diag(J^T J)) dx = -J^T r and is
     accepted iff the 2-norm of the residual decreases; lambda starts at
     _LAMBDA0 and is multiplied by _LAMBDA_DOWN on acceptance and by
-    _LAMBDA_UP on rejection.  J is ``r.jacobian(x)`` when r has
-    that attribute (a non-finite one raises SolverError) and
-    ``fd_jacobian`` otherwise.  Stops when the residual max-norm falls
-    below tol_residual, the accepted step falls below tol_step, or
-    max_iters accepted steps have been taken (converged=False).
+    _LAMBDA_UP on rejection.  J is ``r.jacobian(x)`` when r has that
+    attribute and ``fd_jacobian`` otherwise; either raises SolverError if
+    not finite.  Stops when the residual max-norm falls below tol_residual,
+    the accepted step falls below tol_step (converged), a rejected step
+    does (stalled), or after max_iters accepted steps.
     """
-    if cfg is None:
-        cfg = LMConfig()
-    jacobian = getattr(r, "jacobian", None)
+    cfg = LMConfig() if cfg is None else cfg
+
+    def jacobian(x):    # finite differences about the current rx
+        return fd_jacobian(r, x, r0=rx)
+
+    def report(converged):
+        return SolverReport(solution=x, residual_norm=float(np.max(np.abs(rx))),
+                            iterations=iterations, converged=bool(converged),
+                            lambda_history=history)
+
+    jacobian = getattr(r, "jacobian", jacobian)
     x = np.asarray(x0, dtype=float).copy()
     rx = np.asarray(r(x), dtype=float)
     if not np.all(np.isfinite(rx)):
@@ -108,20 +116,14 @@ def lm_solve(r, x0: np.ndarray, cfg: LMConfig | None = None) -> SolverReport:
     converged = np.max(np.abs(rx)) <= cfg.tol_residual
 
     while not converged and iterations < cfg.max_iters:
-        if jacobian is None:
-            J = fd_jacobian(r, x, r0=rx)
-        else:
-            J = np.asarray(jacobian(x), dtype=float)
-            if not np.all(np.isfinite(J)):
-                raise SolverError("non-finite Jacobian")
+        J = np.asarray(jacobian(x), dtype=float)
+        if not np.all(np.isfinite(J)):
+            raise SolverError("non-finite Jacobian")
         JtJ = J.T @ J
         g = J.T @ rx
         damp = np.diag(JtJ).copy()
         # guard against exactly-zero columns (flat directions)
         damp[damp == 0.0] = np.max(damp) if np.max(damp) > 0 else 1.0
-        rnorm2 = np.linalg.norm(rx)
-        accepted = False
-        stalled = False
         singular_retries = 0
         for _ in range(60):
             try:
@@ -134,37 +136,23 @@ def lm_solve(r, x0: np.ndarray, cfg: LMConfig | None = None) -> SolverReport:
                     )
                 lam *= _LAMBDA_UP
                 continue
-            if not np.all(np.isfinite(dx)):
-                lam *= _LAMBDA_UP
-                continue
-            rn = np.asarray(r(x + dx), dtype=float)
-            if np.all(np.isfinite(rn)) and np.linalg.norm(rn) < rnorm2:
-                x = x + dx
-                rx = rn
-                lam = max(lam * _LAMBDA_DOWN, 1e-15)
-                accepted = True
-                break
-            if np.max(np.abs(dx)) <= cfg.tol_step:
-                stalled = True    # damping pushed the step below resolution
-                break
+            if np.all(np.isfinite(dx)):
+                rn = np.asarray(r(x + dx), dtype=float)
+                if np.all(np.isfinite(rn)) and np.linalg.norm(rn) < np.linalg.norm(rx):
+                    break
+                if np.max(np.abs(dx)) <= cfg.tol_step:
+                    return report(False)    # damped below resolution, residual nonzero
             lam *= _LAMBDA_UP
-        if not accepted:
-            if stalled:
-                break             # converged stays False: stuck at a nonzero residual
+        else:
             raise SolverError(
                 f"no acceptable step found after damping retries (lambda={lam:.3e})"
             )
+        x = x + dx
+        rx = rn
+        lam = max(lam * _LAMBDA_DOWN, 1e-15)
         iterations += 1
         history.append(lam)
-        if np.max(np.abs(rx)) <= cfg.tol_residual:
-            converged = True
-        elif np.max(np.abs(dx)) <= cfg.tol_step:
-            converged = True
+        converged = (np.max(np.abs(rx)) <= cfg.tol_residual
+                     or np.max(np.abs(dx)) <= cfg.tol_step)
 
-    return SolverReport(
-        solution=x,
-        residual_norm=float(np.max(np.abs(rx))),
-        iterations=iterations,
-        converged=bool(converged),
-        lambda_history=history,
-    )
+    return report(converged)

@@ -22,7 +22,7 @@ def cheap_residual_config():
 
 
 def cheap_lm_config():
-    return LMConfig(threads=2)
+    return LMConfig()
 
 
 @pytest.fixture(scope="session")

@@ -28,7 +28,7 @@ from muskatss.residual import ResidualConfig, delta_tilde, residual_at, residual
 from conftest import random_odd_values
 
 N = 129
-LM = LMConfig(threads=2)
+LM = LMConfig()
 RES = ResidualConfig()
 
 

@@ -23,7 +23,7 @@ from muskatss.residual import ResidualConfig
 # small collocation system: fast enough for unit tests, still a real solve
 SMALL_N = 17
 SMALL_RES = ResidualConfig(outer_nodes=170)
-SMALL_LM = LMConfig(threads=2)
+SMALL_LM = LMConfig()
 
 
 @pytest.fixture(scope="module")

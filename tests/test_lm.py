@@ -142,6 +142,39 @@ class TestLMSolve:
         with pytest.raises(SolverError, match="non-finite Jacobian"):
             lm_solve(r, np.zeros(2))
 
+    def test_finite_difference_step_search_is_pinned(self):
+        # Rosenbrock rejects trials on the way; every lambda and the solution
+        # are pinned bit for bit
+        r = lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+        rep = lm_solve(r, np.array([-1.2, 1.0]), LMConfig(max_iters=200))
+        assert rep.converged
+        assert rep.iterations == 24
+        assert rep.lambda_history == [
+            0.001, 0.001, 0.001, 0.010000000000000002, 0.010000000000000002,
+            0.010000000000000002, 0.010000000000000002, 0.010000000000000002,
+            0.010000000000000002, 0.10000000000000003, 0.10000000000000005,
+            0.10000000000000005, 0.010000000000000005, 0.010000000000000007,
+            0.010000000000000009, 0.010000000000000009, 0.0010000000000000009,
+            0.0010000000000000009, 0.0010000000000000009, 0.0010000000000000009,
+            0.0001000000000000001, 1.0000000000000011e-05, 1.0000000000000012e-06,
+            1.0000000000000013e-07, 1.0000000000000013e-08,
+        ]
+        assert rep.solution.tolist() == [0.9999999999969167, 0.9999999999938621]
+
+    def test_non_finite_finite_difference_jacobian_raises(self):
+        # the difference quotient of the first column overflows to inf
+        calls = []
+
+        def r(x):
+            calls.append(x)
+            return np.array([1e308 * x[0] ** 3, x[1] - 2.0])
+
+        with np.errstate(over="ignore"):
+            with pytest.raises(SolverError, match="non-finite Jacobian"):
+                lm_solve(r, np.ones(2))
+        # the start point and one column each: no damping trial
+        assert len(calls) == 3
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             LMConfig(tol_residual=-1e-8)
