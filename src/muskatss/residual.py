@@ -18,13 +18,15 @@ Three regions need non-generic handling:
 * y ~ z: the difference quotients are 0/0; within two grid spacings
   (``_BAND_HALFWIDTH``) they are replaced by local expansions about the
   midpoint m = (y+z)/2, to O(d^4) in d = (z-y)/2.
-* y ~ pi/2: the two first-derivative terms diverge like +-tan(y) and
-  only their sum is bounded; within two grid spacings of pi/2
-  (``_END_REGION_WIDTH``) they are combined over the common denominator
-  tan^2 z - tan^2 y before evaluation, and at the endpoint y = pi/2 the
-  integrand is replaced by its analytic limit.
-* elsewhere: direct evaluation, with every tan difference rewritten as
-  sin(+-z - y)/(cos z cos y) so no catastrophic cancellation occurs.
+* y = pi/2: the two first-derivative terms diverge like +-tan(y) and
+  only their sum is bounded, so at the endpoint the integrand is replaced
+  by its analytic limit.  At an outer node y < pi/2 each term is at most
+  about tan y <= 1/hy times their difference, and the trapezoid weight hy
+  multiplies them, so the direct difference costs about one rounding
+  error per row.
+* elsewhere, up to the outer node next to pi/2: direct evaluation, with
+  every tan difference rewritten as sin(+-z - y)/(cos z cos y) so no
+  catastrophic cancellation occurs.
 
 As k is odd and u = k' cos^2 and P are even, the "plus" quotients over
 tan z + tan y at (z, y) are the "minus" quotients at the reflected row
@@ -37,10 +39,8 @@ The integrand is one elementwise kernel, ``_integrand``, of the
 value-dependent inputs k and u = k' cos^2 at z and y, D = P(y) - P(z),
 k(pi/2) and the three expansion quotients at the near pairs of both
 halves.  The geometry (``_pair_geometry``) depends only on N and the
-outer nodes, and so do the products of it the kernel needs: the generic
-quotients' factors cos z cos y / sin(+-z - y) and the paired form's
-coefficients, which are stored only at the paired end-region pairs and
-evaluated only there.  Every input is linear in the nodal values, so a
+outer nodes, and so do the products of it the kernel needs: the
+quotients' factors cos z cos y / sin(+-z - y).  Every input is linear in the nodal values, so a
 cached ``Discretization`` builds fixed value -> input maps once per (N,
 ResidualConfig): P from a table with one GK15 panel per gap, and the
 expansion quotients as fixed weights on the spline coefficients
@@ -80,10 +80,6 @@ __all__ = [
 
 # half-width of the y ~ z band of the midpoint expansions, in grid spacings
 _BAND_HALFWIDTH = 2.0
-# width of the y ~ pi/2 region, in grid spacings: inside it the paired form
-# is mandatory; it is valid everywhere outside the diagonal band, so the
-# width only pins the region label
-_END_REGION_WIDTH = 2.0
 
 
 @dataclass(frozen=True)
@@ -167,21 +163,12 @@ class _Geometry:
     then its reflection -z): ``c[h]`` = cos z cos y / sin(+-z - y), zeroed
     on the ``near[h]`` pairs, whose midpoints ``m`` and squared
     half-distances ``d2`` (half 0's first, row-major) feed the expansions.
-    The paired end-region form is evaluated only at the flat indices
-    ``pidx`` of the ``paired`` pairs, from its coefficients there: ``pe`` =
-    cos^2 z / (sin(z-y) sin(z+y)), ``pk`` the factor of D^2 F0 F1 in the
-    bracket, and ``px`` = tan z.
     """
 
     x: np.ndarray
     sec2y: np.ndarray
     c: tuple
     near: tuple
-    paired: np.ndarray
-    pidx: np.ndarray
-    pe: np.ndarray
-    pk: np.ndarray
-    px: np.ndarray
     m: np.ndarray
     d2: np.ndarray
 
@@ -190,9 +177,8 @@ def _pair_geometry(z: np.ndarray, yi: np.ndarray, spacing: float) -> _Geometry:
     """Geometry of the pairs z x yi (all z < pi/2, yi the outer nodes but pi/2)."""
     band = _BAND_HALFWIDTH * spacing
     z = z[:, None]
-    cz, sz, x = np.cos(z), np.sin(z), np.tan(z)
-    cy, sy = np.cos(yi), np.sin(yi)
-    czcy, per_half = cz * cy, []
+    cy = np.cos(yi)
+    czcy, per_half = np.cos(z) * cy, []
     for zh in (z, -z):
         # band y ~ +-z (half 1's only near z = 0); the sec^2 d^2 guard turns
         # the expansion off where tan varies too fast across the band (only
@@ -207,17 +193,8 @@ def _pair_geometry(z: np.ndarray, yi: np.ndarray, spacing: float) -> _Geometry:
         ch[nh] = 0.0
         per_half.append((ch, nh, mh[nh], dd[nh]))
     c, near, m, d2 = zip(*per_half)
-    # the paired end-region form is valid everywhere outside the bands
-    paired = (yi > HALF_PI - _END_REGION_WIDTH * spacing) & ~(near[0] | near[1])
-    i, j = np.nonzero(paired)
-    czp, sm, sp = cz[i, 0], np.sin(z[i, 0] - yi[j]), np.sin(z[i, 0] + yi[j])
-    return _Geometry(
-        x=x, sec2y=1.0 / (cy * cy), c=c, near=near,
-        paired=paired, pidx=np.flatnonzero(paired),
-        pe=czp * czp / (sm * sp),
-        pk=-4.0 * sz[i, 0] * sy[j] ** 2 * czp ** 3 * cy[j] ** 2 / (sm * sm * sp * sp),
-        px=x[i, 0], m=np.concatenate(m), d2=np.concatenate(d2),
-    )
+    return _Geometry(x=np.tan(z), sec2y=1.0 / (cy * cy), c=c, near=near,
+                     m=np.concatenate(m), d2=np.concatenate(d2))
 
 
 # the expansions take the spline derivatives of orders 0.._SERIES_DERIVS-1
@@ -255,15 +232,13 @@ def _quotients(g: _Geometry, h: int, kz, du, ky, D, band):
     With x = +-z the row of half h (k odd, u = k' cos^2 and P even): the
     quotients of k(x) - k(y), u(x) - u(y) and -D over tan x - tan y.  On
     the ``near[h]`` pairs they are ``band``, the half's expansion
-    quotients; on the ``paired`` pairs dq_u is 0, as the paired
-    end-region form replaces its term.
+    quotients.
     """
     c, near = g.c[h], g.near[h]
     dq_k = ((kz if h == 0 else -kz) - ky) * c
     dq_u = du * c
     avg = -D * c
     dq_k[near], dq_u[near], avg[near] = band
-    dq_u.ravel()[g.pidx] = 0.0
     return dq_k, dq_u, avg, 1.0 / (1.0 + avg * avg)
 
 
@@ -274,10 +249,9 @@ def _halves(g: _Geometry, band):
 
 
 def _half_terms(g: _Geometry, h: int, kz, du, ky, D, band):
-    """Half h's terms t = dq_u F and v = dq_k^2 avg F^2 of the pair
-    integrand, and F at the paired pairs."""
+    """Half h's terms t = dq_u F and v = dq_k^2 avg F^2 of the pair integrand."""
     dq_k, dq_u, avg, F = _quotients(g, h, kz, du, ky, D, band)
-    return dq_u * F, dq_k * dq_k * avg * F * F, F.ravel()[g.pidx]
+    return dq_u * F, dq_k * dq_k * avg * F * F
 
 
 def _integrand(g: _Geometry, kz, uz, ky, uy, D, b, band):
@@ -294,20 +268,11 @@ def _integrand(g: _Geometry, kz, uz, ky, uy, D, b, band):
     its analytic limit at the endpoint y = pi/2.
     """
     du = uz - uy
-    (t0, v0, F0), (t1, v1, F1) = (
+    (t0, v0), (t1, v1) = (
         _half_terms(g, h, kz, du, ky, D, q) for h, q in _halves(g, band))
-
-    # first-derivative terms: separately the two quotients diverge like
-    # +-tan(y) toward pi/2, so on the paired pairs they are combined over
-    # the common denominator tan^2 z - tan^2 y instead (an algebraic
-    # identity; tan(y)*(F0 - F1) gets the stable product form
-    # pk D^2 F0 F1, which stays finite as y -> pi/2)
     pairs = (t0 - t1 - 2.0 * (v0 - v1)) * (g.sec2y / np.pi)
-    p, Dp = g.pidx, D.ravel()[g.pidx]
-    pairs.ravel()[p] += (du.ravel()[p] * g.pe / np.pi
-                         * (g.px * (F0 + F1) + g.pk * Dp * Dp * F0 * F1))
 
-    # endpoint y = pi/2: analytic limit of the paired integrand
+    # endpoint y = pi/2, where t0 and t1 diverge: the analytic limit
     Fb = 1.0 / (1.0 + b * b)
     end = (-2.0 * g.x * uz * (1.0 - b * b) + 8.0 * b * b * kz) * Fb * Fb / np.pi
     return pairs, end
@@ -329,20 +294,17 @@ class _Partials(NamedTuple):
 def _half_partials(g: _Geometry, h: int, kz, du, ky, D, band, sec2y):
     """Partials of half h's pair terms (t - 2 v) sec2y in its quotients
     (dq_k, dq_u, avg): times ``c[h]`` at every pair and as they are at the
-    ``near[h]`` pairs; with F and avg F^2 c[h] at the paired pairs."""
+    ``near[h]`` pairs."""
     dq_k, dq_u, avg, F = _quotients(g, h, kz, du, ky, D, band)
-    # dq_u is 0 on the paired pairs, so its term drops out of p_avg there
     p_dq_u = sec2y * F
     p_dq_k = -4.0 * dq_k * (avg * F * F) * sec2y
     p_avg = (-2.0 * avg * F * dq_u * p_dq_u
              - 2.0 * dq_k * dq_k * F * F * (4.0 * F - 3.0) * sec2y)
-    c, near, p = g.c[h], g.near[h], g.pidx
+    c, near = g.c[h], g.near[h]
     at_near = np.array([p_dq_k[near], p_dq_u[near], p_avg[near]])
-    Fp = F.ravel()[p]
-    Gp = avg.ravel()[p] * Fp * Fp * c.ravel()[p]
     for part in (p_dq_k, p_dq_u, p_avg):
         part *= c
-    return p_dq_k, p_dq_u, p_avg, at_near, Fp, Gp
+    return p_dq_k, p_dq_u, p_avg, at_near
 
 
 def _integrand_partials(g: _Geometry, kz, uz, ky, uy, D, b, band) -> _Partials:
@@ -361,20 +323,11 @@ def _integrand_partials(g: _Geometry, kz, uz, ky, uy, D, b, band) -> _Partials:
     """
     du = uz - uy
     sec2y = g.sec2y / np.pi
-    (k0, u0, a0, q0, F0, G0), (k1, u1, a1, q1, F1, G1) = (
+    (k0, u0, a0, q0), (k1, u1, a1, q1) = (
         _half_partials(g, h, kz, du, ky, D, q, sec2y) for h, q in _halves(g, band))
     # through the generic quotients, whose factors c[h] are 0 where the
     # band expansions replace them
     d_kz, d_ky, d_du, d_D = k0 + k1, k1 - k0, u0 - u1, a1 - a0
-
-    # the paired form, on the paired pairs: its du partial replaces the
-    # generic one; its D enters through F0, F1 and pk D^2 F0 F1, whose
-    # D-derivative is 2 pk D F0 F1 (F0 + F1 - 1)
-    p, Dp = g.pidx, D.ravel()[g.pidx]
-    e, f01 = g.pe / np.pi, F0 * F1
-    d_du.ravel()[p] = e * (g.px * (F0 + F1) + g.pk * Dp * Dp * f01)
-    d_D.ravel()[p] += du.ravel()[p] * e * (
-        2.0 * g.px * (G0 + G1) + 2.0 * g.pk * Dp * f01 * (F0 + F1 - 1.0))
 
     # endpoint y = pi/2, with (1 - b^2) Fb^2 = (2Fb - 1) Fb and b^2 Fb^2 = (1 - Fb) Fb
     x = g.x

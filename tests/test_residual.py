@@ -212,29 +212,25 @@ class TestResidualVector:
 
     @pytest.mark.parametrize("N", [17, 129])
     @pytest.mark.parametrize("s", [0.1, 2.0, 7.0])
-    def test_end_region_seam(self, N, s, monkeypatch):
-        # the paired end-region form is the direct form over a common
-        # denominator, so moving the region's edge must not move the rows
+    @pytest.mark.parametrize("per_N", [None, 40], ids=["default", "nodes40N"])
+    def test_rows_next_to_the_endpoint(self, per_N, s, N):
+        # toward pi/2 the two first-derivative terms diverge like +-tan y;
+        # the kernel takes their direct difference up to the outer node next
+        # to pi/2, and on the pairs within two grid spacings of pi/2 off the
+        # bands, summed with the trapezoid weight, that is the form over the
+        # common denominator tan^2 z - tan^2 y to about one rounding error
+        cfg = ResidualConfig(outer_nodes=per_N and per_N * N)
         g = make_grid(N)
-        p = fit_spline(g, perturbed_arctan(g, s), s)
-        base = residual_vector(p).interior
-
-        def n_paired():
-            return sum(np.count_nonzero(geo.paired)
-                       for _, geo, _ in discretization(N, ResidualConfig()).blocks)
-
-        paired = {n_paired()}
-        try:
-            for width in (0.5, 6.0, 20.0):
-                monkeypatch.setattr(residual, "_END_REGION_WIDTH", width)
-                discretization.cache_clear()
-                other = residual_vector(p).interior
-                paired.add(n_paired())
-                assert np.max(np.abs(other - base)) <= 1e-12 * np.max(np.abs(base))
-        finally:
-            monkeypatch.undo()
-            discretization.cache_clear()
-        assert len(paired) == 4        # each width moved the edge
+        values = perturbed_arctan(g, s)
+        scale = np.max(np.abs(residual_vector(fit_spline(g, values, s), cfg).interior))
+        d = discretization(N, cfg)
+        for r, _, geo, inp in d._passes(values):
+            pairs, _ = _integrand(geo, **inp)
+            region = (d.yi > HALF_PI - 2.0 * g.spacing) & ~(geo.near[0] | geo.near[1])
+            assert np.count_nonzero(region, axis=1).min() > 0
+            want = common_denominator_pairs(geo, d.z[r], d.yi, inp)
+            diff = d.hy * np.where(region, pairs - want, 0.0).sum(axis=1)
+            assert np.max(np.abs(diff)) <= 1e-13 * scale
 
     def test_outer_refinement_stability(self, linear_profile_01):
         r1 = residual_vector(linear_profile_01, ResidualConfig(outer_nodes=1290))
@@ -252,6 +248,26 @@ def perturbed_arctan(grid, s):
     values += 0.01 * s * np.sin(2.0 * z) + 0.003 * s * np.sin(5.0 * z)
     values[0], values[-1] = 0.0, s
     return values
+
+
+def common_denominator_pairs(geo, z, yi, inp):
+    """The pair integrand with its first-derivative terms over the common
+    denominator tan^2 z - tan^2 y: du pe (px (F0 + F1) + pk D^2 F0 F1) / pi,
+    with pe = cos^2 z / (sin(z - y) sin(z + y)) and px = tan z, where pk
+    D^2 F0 F1 is tan y (F0 - F1) in a form that stays finite as y -> pi/2.
+    The second-derivative terms are the kernel's, from its quotients."""
+    n0 = np.count_nonzero(geo.near[0])
+    kz, ky, D, du = inp["kz"], inp["ky"], inp["D"], inp["uz"] - inp["uy"]
+    (k0, _, a0, F0), (k1, _, a1, F1) = (
+        _quotients(geo, h, kz, du, ky, D, q)
+        for h, q in enumerate((inp["band"][:, :n0], inp["band"][:, n0:])))
+    z = z[:, None]
+    cz, cy, sin_zy = np.cos(z), np.cos(yi), np.sin(z - yi) * np.sin(z + yi)
+    pe = cz * cz / sin_zy
+    pk = -4.0 * np.sin(z) * np.sin(yi) ** 2 * cz ** 3 * cy ** 2 / sin_zy ** 2
+    first = du * pe * (np.tan(z) * (F0 + F1) + pk * D * D * F0 * F1)
+    second = -2.0 * (k0 * k0 * a0 * F0 * F0 - k1 * k1 * a1 * F1 * F1) / (cy * cy)
+    return (first + second) / np.pi
 
 
 def scipy_evaluator(profile):
@@ -409,7 +425,7 @@ class TestQuotients:
     @BAND_CASES
     @pytest.mark.parametrize("h", [0, 1])
     def test_generic_pairs_match_tan(self, h, cfg, band, band_halfwidth):
-        # away from the bands and the paired region each half's quotients
+        # away from the bands each half's quotients
         # are the difference quotients written with np.tan: half 0's over
         # tan z - tan y, half 1's the plus quotients over tan z + tan y
         band_halfwidth(band)
@@ -425,7 +441,7 @@ class TestQuotients:
         n0 = np.count_nonzero(g.near[0])
         band_h = inp["band"][:, n0:] if h else inp["band"][:, :n0]
         got = _quotients(g, h, kz, uz - uy, ky, D, band_h)
-        generic = ~(g.near[0] | g.near[1] | g.paired)
+        generic = ~(g.near[0] | g.near[1])
         assert np.count_nonzero(generic) > 0.5 * generic.size
         for mine, oracle in zip(got, want):
             oracle = oracle[generic]
@@ -455,7 +471,7 @@ class TestIntegrandPartials:
             assert want.size > 0
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-        kinds = {"generic": ~(g.near[0] | g.near[1] | g.paired), "paired": g.paired,
+        kinds = {"generic": ~(g.near[0] | g.near[1]),
                  "half 0 band": g.near[0], "half 1 band": g.near[1]}
         for name, want in (("kz", p.kz), ("ky", p.ky), ("uz", p.du), ("uy", -p.du),
                            ("D", p.D)):
