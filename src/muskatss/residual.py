@@ -459,22 +459,16 @@ class Discretization:
         self.band_column = self.hy * self.w[j]
         self.band_index = (i[:, None] * len(self.coef) + self.band_gather).ravel()
 
-    def _inputs(self, values: np.ndarray) -> dict:
-        """The integrand inputs at nodal values ``values``, for every row."""
-        inp = {name: E @ values for name, E in self.maps.items()}
-        return {"kz": inp["kz"][:, None], "uz": inp["uz"][:, None],
-                "ky": inp["ky"], "uy": inp["uy"], "b": inp["b"],
-                "D": inp["Py"][None, :] - inp["Pz"][:, None],
-                "band": np.einsum("qek,ek->qe", self.band_weight,
-                                  (self.coef @ values)[self.band_gather])}
-
     def _passes(self, values):
-        """Per row block: (rows, entry slice, geometry, kernel inputs)."""
-        inp = self._inputs(np.asarray(values, dtype=float))
+        """Per row block: (rows, entry slice, geometry, kernel inputs), from
+        one product of each input map with the values."""
+        values = np.asarray(values, dtype=float)
+        inp = {name: E @ values for name, E in self.maps.items()}
+        band = np.einsum("qek,ek->qe", self.band_weight, (self.coef @ values)[self.band_gather])
+        kz, uz, Pz = (inp[name][:, None] for name in ("kz", "uz", "Pz"))
         for r, geo, b in self.blocks:
-            yield r, b, geo, {
-                "kz": inp["kz"][r], "uz": inp["uz"][r], "ky": inp["ky"], "uy": inp["uy"],
-                "D": inp["D"][r], "b": inp["b"], "band": inp["band"][:, b]}
+            yield r, b, geo, {"kz": kz[r], "uz": uz[r], "ky": inp["ky"], "uy": inp["uy"],
+                              "D": inp["Py"] - Pz[r], "b": inp["b"], "band": band[:, b]}
 
     def residual(self, values) -> np.ndarray:
         """The residual at the rows z at nodal values ``values``: the transport

@@ -361,15 +361,14 @@ class TestBandQuotients:
         values = perturbed_arctan(g, 2.0)
         d = discretization(N, cfg)
         ev = scipy_evaluator(fit_spline(g, values, 2.0))
-        got = d._inputs(values)["band"]
         # each block's entries are half 0's (the band y ~ z) then half 1's
         # (the band y ~ -z of the reflected row)
         parts = [([], []), ([], [])]        # per half: (fixed weights, oracle)
-        for _, geo, b in d.blocks:
+        for _, _, geo, inp in d._passes(values):
             n0 = np.count_nonzero(geo.near[0])
             want = oracle_quotients(ev, geo)
             for h, cut in enumerate((slice(None, n0), slice(n0, None))):
-                parts[h][0].append(got[:, b][:, cut])
+                parts[h][0].append(inp["band"][:, cut])
                 parts[h][1].append(want[:, cut])
         for h, (mine, oracle) in enumerate(parts):
             mine, oracle = np.concatenate(mine, axis=1), np.concatenate(oracle, axis=1)
@@ -416,9 +415,8 @@ class TestResidualJacobian:
 def kernel_inputs(N, cfg, s):
     """The interior-row geometry of (N, cfg), one block, and the kernel's
     inputs there."""
-    d = discretization(N, cfg)
-    (_, geo, _), = d.blocks
-    return geo, d._inputs(perturbed_arctan(make_grid(N), s))
+    (_, _, geo, inp), = discretization(N, cfg)._passes(perturbed_arctan(make_grid(N), s))
+    return geo, inp
 
 
 class TestQuotients:
