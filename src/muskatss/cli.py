@@ -330,7 +330,7 @@ def make_parser() -> _Parser:
     p = sub.add_parser("export", help="figure data as CSV")
     p.add_argument("branch", help="branch JSON file")
     p.add_argument("--figure", required=True,
-                   choices=("discrepancy", "normalized", "integrated"))
+                   choices=tuple(FIGURE_S_DEFAULTS))
     p.add_argument("--s-list", dest="s_list", type=float, nargs="+",
                    help="slope values (default: the reference figure set)")
     p.add_argument("--y-range", dest="y_range", type=float, nargs=2,

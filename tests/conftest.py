@@ -6,23 +6,12 @@ import pytest
 from muskatss import (
     Branch,
     BranchStep,
-    LMConfig,
-    ResidualConfig,
     SolverReport,
     branch_to_json,
     fit_spline,
     kappa,
     make_grid,
 )
-
-
-def cheap_residual_config():
-    """Small outer grid for unit tests that only need qualitative behavior."""
-    return ResidualConfig(outer_nodes=120)
-
-
-def cheap_lm_config():
-    return LMConfig()
 
 
 @pytest.fixture(scope="session")
