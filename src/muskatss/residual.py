@@ -40,12 +40,13 @@ value-dependent inputs k and u = k' cos^2 at z and y, D = P(y) - P(z),
 k(pi/2) and the three expansion quotients at the near pairs of both
 halves.  The geometry (``_pair_geometry``) depends only on N and the
 outer nodes, and so do the products of it the kernel needs: the
-quotients' factors cos z cos y / sin(+-z - y).  Every input is linear in the nodal values, so a
-cached ``Discretization`` builds fixed value -> input maps once per (N,
-ResidualConfig): P from a table with one GK15 panel per gap, and the
-expansion quotients as fixed weights on the spline coefficients
-(``_series`` applied to the B-spline rows at the midpoints).
-``residual_vector`` is those maps and one kernel pass per block of rows;
+quotients' factors cos z cos y / sin(+-z - y).  Every input is linear in
+the nodal values, so a cached ``Discretization`` builds fixed value ->
+input maps once per (N, ResidualConfig): P from a table with one GK15
+panel per gap, and the expansion quotients as fixed weights on the spline
+coefficients (``_series`` applied to the B-spline rows at the midpoints).
+``residual_vector`` is those maps, each applied once to the values, and
+one kernel pass per block of rows;
 the Jacobian (``residual_jacobian``) is the kernel's elementwise partials,
 from the hand-derived gradient ``_integrand_partials`` in one real pass per
 block, contracted with the same maps.  A complex step through
