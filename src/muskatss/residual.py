@@ -46,10 +46,13 @@ input maps once per (N, ResidualConfig): P from a table with one GK15
 panel per gap, and the expansion quotients as fixed weights on the spline
 coefficients (``_series`` applied to the B-spline rows at the midpoints).
 ``residual_vector`` is those maps, each applied once to the values, and
-one kernel pass per block of rows;
-the Jacobian (``residual_jacobian``) is the kernel's elementwise partials,
-from the hand-derived gradient ``_integrand_partials`` in one real pass per
-block, contracted with the same maps.  A complex step through
+one kernel pass (``_kernel``) per block of rows.  The pass builds each
+half's quotients once and forms from them both the integrand's values, in
+the operations of ``_integrand``, and its elementwise partials, from a
+hand-derived gradient; the partials contracted with the same maps are the
+Jacobian (``residual_jacobian``).  So one pass per trial point gives the
+residual and the Jacobian there, and the ``Discretization`` keeps the last
+one for a Jacobian asked at the same values.  A complex step through
 ``_integrand`` is the tests' check of that gradient.  ``residual_at`` is
 the one-row discretization of its z, sharing the outer-node maps and the
 P table.  ``delta_tilde`` is the sliding average itself, by adaptive GK15.
@@ -228,7 +231,7 @@ def _series(m, d2, k) -> np.ndarray:
 
 def _quotients(g: _Geometry, h: int, kz, du, ky, D, band):
     """Half h's quotients (dq_k, dq_u, avg) at the pairs of ``g``, and
-    F = 1/(1 + avg^2).
+    F = 1/(1 + avg^2), each a new array.
 
     With x = +-z the row of half h (k odd, u = k' cos^2 and P even): the
     quotients of k(x) - k(y), u(x) - u(y) and -D over tan x - tan y.  On
@@ -236,11 +239,15 @@ def _quotients(g: _Geometry, h: int, kz, du, ky, D, band):
     quotients.
     """
     c, near = g.c[h], g.near[h]
-    dq_k = ((kz if h == 0 else -kz) - ky) * c
+    dq_k = (kz if h == 0 else -kz) - ky
+    dq_k *= c
     dq_u = du * c
-    avg = -D * c
+    avg = -D
+    avg *= c
     dq_k[near], dq_u[near], avg[near] = band
-    return dq_k, dq_u, avg, 1.0 / (1.0 + avg * avg)
+    F = avg * avg
+    F += 1.0
+    return dq_k, dq_u, avg, np.divide(1.0, F, out=F)
 
 
 def _halves(g: _Geometry, band):
@@ -249,10 +256,32 @@ def _halves(g: _Geometry, band):
     return enumerate((band[:, :n0], band[:, n0:]))
 
 
-def _half_terms(g: _Geometry, h: int, kz, du, ky, D, band):
+def _half_terms(dq_k, dq_u, avg, F):
     """Half h's terms t = dq_u F and v = dq_k^2 avg F^2 of the pair integrand."""
-    dq_k, dq_u, avg, F = _quotients(g, h, kz, du, ky, D, band)
-    return dq_u * F, dq_k * dq_k * avg * F * F
+    v = dq_k * dq_k
+    v *= avg
+    v *= F
+    v *= F
+    return dq_u * F, v
+
+
+def _pair_values(g: _Geometry, half0, half1):
+    """The pair integrand (t0 - t1 - 2 (v0 - v1)) sec^2 y / pi from the
+    halves' terms (t, v), formed in half 0's arrays."""
+    (t0, v0), (t1, v1) = half0, half1
+    t0 -= t1
+    v0 -= v1
+    v0 *= 2.0
+    t0 -= v0
+    t0 *= g.sec2y / np.pi
+    return t0
+
+
+def _end_values(g: _Geometry, kz, uz, b):
+    """The integrand's analytic limit at the endpoint y = pi/2, where t0 and
+    t1 diverge, at each z."""
+    Fb = 1.0 / (1.0 + b * b)
+    return (-2.0 * g.x * uz * (1.0 - b * b) + 8.0 * b * b * kz) * Fb * Fb / np.pi
 
 
 def _integrand(g: _Geometry, kz, uz, ky, uy, D, b, band):
@@ -264,23 +293,18 @@ def _integrand(g: _Geometry, kz, uz, ky, uy, D, b, band):
     Every output is an elementwise function of them, so complex inputs
     give complex-step derivatives (the tests' check of
     ``_integrand_partials``).  Returns (pairs, end): the integrand at each
-    pair, (t0 - t1 - 2 (v0 - v1)) sec^2 y / pi in the halves' terms
-    (``_half_terms``, formed one half after the other), and, at each z,
-    its analytic limit at the endpoint y = pi/2.
+    pair (``_pair_values`` of the halves' ``_half_terms``, formed one half
+    after the other) and, at each z, its endpoint limit (``_end_values``).
+    ``_kernel`` forms the same values with the partials.
     """
     du = uz - uy
-    (t0, v0), (t1, v1) = (
-        _half_terms(g, h, kz, du, ky, D, q) for h, q in _halves(g, band))
-    pairs = (t0 - t1 - 2.0 * (v0 - v1)) * (g.sec2y / np.pi)
-
-    # endpoint y = pi/2, where t0 and t1 diverge: the analytic limit
-    Fb = 1.0 / (1.0 + b * b)
-    end = (-2.0 * g.x * uz * (1.0 - b * b) + 8.0 * b * b * kz) * Fb * Fb / np.pi
-    return pairs, end
+    halves = [_half_terms(*_quotients(g, h, kz, du, ky, D, q)) for h, q in _halves(g, band)]
+    return _pair_values(g, *halves), _end_values(g, kz, uz, b)
 
 
 class _Partials(NamedTuple):
-    """Partials of ``_integrand`` (see ``_integrand_partials``)."""
+    """Partials of ``_integrand``, with or without the column factor
+    sec^2 y / pi (see ``_kernel`` and ``_integrand_partials``)."""
 
     kz: np.ndarray
     ky: np.ndarray
@@ -292,15 +316,33 @@ class _Partials(NamedTuple):
     band: np.ndarray
 
 
-def _half_partials(g: _Geometry, h: int, kz, du, ky, D, band, sec2y):
-    """Partials of half h's pair terms (t - 2 v) sec2y in its quotients
-    (dq_k, dq_u, avg): times ``c[h]`` at every pair and as they are at the
-    ``near[h]`` pairs."""
-    dq_k, dq_u, avg, F = _quotients(g, h, kz, du, ky, D, band)
-    p_dq_u = sec2y * F
-    p_dq_k = -4.0 * dq_k * (avg * F * F) * sec2y
-    p_avg = (-2.0 * avg * F * dq_u * p_dq_u
-             - 2.0 * dq_k * dq_k * F * F * (4.0 * F - 3.0) * sec2y)
+def _half_partials(g: _Geometry, h: int, dq_k, dq_u, avg, F):
+    """Partials of half h's pair terms t - 2 v in its quotients (dq_k,
+    dq_u, avg), without the column factor sec^2 y / pi: times ``c[h]`` at
+    every pair and as they are at the ``near[h]`` pairs.  Overwrites the
+    quotients.
+
+    With G = avg F (|G| <= 1/2): in dq_u F, in dq_k -4 dq_k G F, and in
+    avg -2 F (G dq_u + dq_k^2 F (4F - 3)), from F' = -2 G F and
+    (avg F^2)' = F^2 (4F - 3) (as avg^2 F = 1 - F).  They stay finite
+    wherever the terms do.
+    """
+    G = avg
+    G *= F
+    dq_u *= G
+    p_avg = 4.0 * F
+    p_avg -= 3.0
+    p_avg *= F
+    p_avg *= dq_k
+    p_avg *= dq_k
+    p_avg += dq_u
+    p_avg *= F
+    p_avg *= -2.0
+    p_dq_k = dq_k
+    p_dq_k *= G
+    p_dq_k *= F
+    p_dq_k *= -4.0
+    p_dq_u = F
     c, near = g.c[h], g.near[h]
     at_near = np.array([p_dq_k[near], p_dq_u[near], p_avg[near]])
     for part in (p_dq_k, p_dq_u, p_avg):
@@ -308,27 +350,38 @@ def _half_partials(g: _Geometry, h: int, kz, du, ky, D, band, sec2y):
     return p_dq_k, p_dq_u, p_avg, at_near
 
 
-def _integrand_partials(g: _Geometry, kz, uz, ky, uy, D, b, band) -> _Partials:
-    """The partials of ``_integrand`` at real inputs, in one pass.
+def _half_pass(g: _Geometry, h: int, kz, du, ky, D, band):
+    """Half h's terms (``_half_terms``) and partials (``_half_partials``)
+    from one set of its quotients."""
+    quotients = _quotients(g, h, kz, du, ky, D, band)
+    return _half_terms(*quotients), _half_partials(g, h, *quotients)
 
-    At the pairs: in kz, ky, du = uz - uy (u enters only as that
-    difference, so the uy partial is minus the du one) and D.  At the
-    endpoint column, one per z: in kz, uz and b.  At the near pairs of
-    both halves, in the order of ``band``: in the three expansion
-    quotients (dq_k, dq_u, avg).  The pair value is half 0's terms minus
-    half 1's, and half h's quotients are c[h] times +-kz - ky, du and -D:
-    the halves' partials (``_half_partials``) combine with those signs.
-    With F = 1/(1+a^2) and G = a F^2 the derivatives are written
-    F' = -2aF.F and G' = F^2 (4F - 3) (as a^2 F = 1 - F), which stay
-    finite wherever F and G do.
+
+def _kernel(g: _Geometry, kz, uz, ky, uy, D, b, band):
+    """The values of ``_integrand`` and their partials at real inputs, in
+    one pass over each half's quotients.
+
+    Returns (pairs, end, partials).  The values are ``_integrand``'s, with
+    the same operations in the same order.  The partials, at the pairs:
+    in kz, ky, du = uz - uy (u enters only as that difference, so the uy
+    partial is minus the du one) and D, all without the column factor
+    sec^2 y / pi.  At the endpoint column, one per z: in kz, uz and b.  At
+    the near pairs of both halves, in the order of ``band`` and without
+    the column factor: in the three expansion quotients (dq_k, dq_u,
+    avg).  The pair value is half 0's terms minus half 1's, and half h's
+    quotients are c[h] times +-kz - ky, du and -D: the halves' partials
+    combine with those signs.  ``_integrand_partials`` applies the factor.
     """
     du = uz - uy
-    sec2y = g.sec2y / np.pi
-    (k0, u0, a0, q0), (k1, u1, a1, q1) = (
-        _half_partials(g, h, kz, du, ky, D, q, sec2y) for h, q in _halves(g, band))
+    (terms0, (k0, u0, a0, q0)), (terms1, (k1, u1, a1, q1)) = (
+        _half_pass(g, h, kz, du, ky, D, q) for h, q in _halves(g, band))
+    pairs = _pair_values(g, terms0, terms1)
     # through the generic quotients, whose factors c[h] are 0 where the
     # band expansions replace them
-    d_kz, d_ky, d_du, d_D = k0 + k1, k1 - k0, u0 - u1, a1 - a0
+    d_kz = k0 + k1
+    d_ky = np.subtract(k1, k0, out=k1)
+    d_du = np.subtract(u0, u1, out=u0)
+    d_D = np.subtract(a1, a0, out=a1)
 
     # endpoint y = pi/2, with (1 - b^2) Fb^2 = (2Fb - 1) Fb and b^2 Fb^2 = (1 - Fb) Fb
     x = g.x
@@ -337,8 +390,20 @@ def _integrand_partials(g: _Geometry, kz, uz, ky, uy, D, b, band) -> _Partials:
     end_uz = -2.0 * x * (2.0 * Fb - 1.0) * Fb / np.pi
     end_b = ((-2.0 * x * uz * (4.0 * Fb - 1.0) + 8.0 * kz * (1.0 - 2.0 * Fb))
              * (-2.0 * b * Fb * Fb) / np.pi)
-    return _Partials(d_kz, d_ky, d_du, d_D, end_kz, end_uz[:, 0], end_b[:, 0],
-                     band=np.concatenate([q0, -q1], axis=1))
+    return pairs, _end_values(g, kz, uz, b), _Partials(
+        d_kz, d_ky, d_du, d_D, end_kz, end_uz[:, 0], end_b[:, 0],
+        band=np.concatenate([q0, -q1], axis=1))
+
+
+def _integrand_partials(g: _Geometry, kz, uz, ky, uy, D, b, band) -> _Partials:
+    """The partials of ``_integrand`` at real inputs: ``_kernel``'s, with
+    the column factor sec^2 y / pi applied (the tests check them against a
+    complex step through ``_integrand``)."""
+    _, _, p = _kernel(g, kz, uz, ky, uy, D, b, band)
+    col = g.sec2y / np.pi
+    near_col = col[np.concatenate([np.nonzero(near)[1] for near in g.near])]
+    return p._replace(kz=p.kz * col, ky=p.ky * col, du=p.du * col, D=p.D * col,
+                      band=p.band * near_col)
 
 
 def _outer_nodes(N: int, cfg: ResidualConfig) -> tuple[np.ndarray, float]:
@@ -347,15 +412,12 @@ def _outer_nodes(N: int, cfg: ResidualConfig) -> tuple[np.ndarray, float]:
     return y[:-1], y[1] - y[0]
 
 
-def _outer_integral(g: _Geometry, hy: float, z, yi, inputs: dict) -> np.ndarray:
-    """Trapezoid in y of the outer integrand at the rows z of ``g``.
-
-    ``inputs`` are the kernel's (see ``_integrand``); ``yi`` are the outer
-    nodes but pi/2.  A non-finite integrand raises QuadratureError naming
+def _outer_integral(hy: float, z, yi, pairs, end) -> np.ndarray:
+    """Trapezoid in y of the outer integrand at the rows z: its values
+    ``pairs`` at the outer nodes ``yi`` but pi/2 and ``end`` at pi/2 (see
+    ``_integrand``).  A non-finite integrand raises QuadratureError naming
     its (z, y), so numpy's overflow warnings on the way are not shown.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        pairs, end = _integrand(g, **inputs)
     if not (np.all(np.isfinite(pairs)) and np.all(np.isfinite(end))):
         bad = ~np.isfinite(np.column_stack([pairs, end]))
         i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
@@ -384,9 +446,16 @@ class Discretization:
     (per quotient, entry and coefficient) on the five coefficients
     ``band_gather`` whose B-splines can be nonzero at an entry's midpoint;
     each block's entries, half 0's then half 1's, are one slice.  A
-    Jacobian's band term, the partials in the quotients times the trapezoid
+    Jacobian's band term, the partials in the quotients times the column
     weight ``band_column`` and the same weights, is summed into coefficient
     space by ``band_index`` with one ``np.bincount``.
+
+    One pass (``_pass``) gives the residual and the Jacobian at the same
+    values: at N=129 with one BLAS thread it takes about 14 ms, where a
+    residual alone took 6 ms and a Jacobian 19 ms.  ``residual`` keeps the
+    values and Jacobian of its last pass, and ``jacobian`` at those values
+    returns a copy of it, so a Levenberg-Marquardt step, whose Jacobian is
+    taken at the trial point it has just evaluated, costs one pass.
     """
 
     def __init__(self, N: int, cfg: ResidualConfig):
@@ -404,14 +473,15 @@ class Discretization:
         self.P = np.cumsum(A, axis=0, out=A)
         self.maps = {"ky": sm.dense(yi, 0), "uy": np.cos(yi)[:, None] ** 2 * sm.dense(yi, 1),
                      "Py": self._primitive(yi), "b": sm.dense([HALF_PI], 0)[0]}
-        # trapezoid weights of the pair columns; the y = pi/2 column has 1/2
-        self.w = np.ones(len(yi))
-        self.w[0] = 0.5
+        # the Jacobian's weights of the pair columns: the trapezoid weight
+        # (1/2 at y = 0) times the factor sec^2 y / pi the partials leave out
+        self.col = 1.0 / (np.pi * np.cos(yi) ** 2)
+        self.col[0] *= 0.5
         self._set_rows(z)
 
     def row(self, z: float) -> Discretization:
         """The discretization of the one row z (0 <= z < pi/2), sharing the
-        outer-node maps and the P table."""
+        outer-node maps and the P table but not the kept pass."""
         d = copy.copy(self)
         d._set_rows(np.array([z], dtype=float))
         return d
@@ -431,9 +501,10 @@ class Discretization:
         return A
 
     def _set_rows(self, z: np.ndarray) -> None:
-        """The row maps, transport term, blocks and band weights of rows z."""
+        """The row maps, transport term, blocks and band weights of rows z;
+        no pass is kept for them yet."""
         sm, yi = self.sm, self.yi
-        self.z = z
+        self.z, self._last = z, None
         dk_z = sm.dense(z, 1)
         self.maps = {**self.maps, "kz": sm.dense(z, 0), "uz": np.cos(z)[:, None] ** 2 * dk_z,
                      "Pz": self._primitive(z)}
@@ -457,7 +528,7 @@ class Discretization:
         first = local[0][1]                     # the same for every order
         self.band_weight = _series(m[:, None], d2[:, None], [rows for rows, _ in local])
         self.band_gather = first[:, None] + np.arange(local[0][0].shape[1])
-        self.band_column = self.hy * self.w[j]
+        self.band_column = self.hy * self.col[j]
         self.band_index = (i[:, None] * len(self.coef) + self.band_gather).ravel()
 
     def _passes(self, values):
@@ -471,25 +542,21 @@ class Discretization:
             yield r, b, geo, {"kz": kz[r], "uz": uz[r], "ky": inp["ky"], "uy": inp["uy"],
                               "D": inp["Py"] - Pz[r], "b": inp["b"], "band": band[:, b]}
 
-    def residual(self, values) -> np.ndarray:
-        """The residual at the rows z at nodal values ``values``: the transport
-        term, one map of the values, plus one kernel pass per row block."""
-        out = self.transport @ values
-        for r, _, geo, inputs in self._passes(values):
-            out[r] += _outer_integral(geo, self.hy, self.z[r], self.yi, inputs)
-        return out
+    def _pass(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The residual at the rows z and its Jacobian, one ``_kernel`` pass
+        per row block.
 
-    def jacobian(self, values) -> np.ndarray:
-        """Derivative of ``residual_vector(...).stacked()`` in the nodal values.
-
-        Shape (N+1, N).  One real pass of ``_integrand_partials`` per row
-        block gives the integrand's partials, contracted with the input
-        maps: row scalings for the z inputs and products with the y and P
-        maps.  The band term is the partials in the expansion quotients
-        times the trapezoid weights and the fixed quotient weights, summed
-        into coefficient space with one ``np.bincount``.
+        The residual is the transport term, one map of the values, plus the
+        trapezoid of the pair values.  The Jacobian, shape (N+1, N), is the
+        derivative of ``residual_vector(...).stacked()``: the pair partials
+        contracted with the input maps (row scalings for the z inputs,
+        products with the y and P maps) under the column weights ``col``,
+        and the band term, the partials in the expansion quotients times
+        ``band_column`` and the fixed quotient weights, summed into
+        coefficient space with one ``np.bincount``.
         """
-        N, w, hy, maps, nz = self.N, self.w, self.hy, self.maps, len(self.z)
+        N, col, hy, maps, nz = self.N, self.col, self.hy, self.maps, len(self.z)
+        out = self.transport @ values
         J = np.zeros((N + 1, N))
         J[:nz] = self.transport
         J[N - 1, 0] = 1.0             # bc0 = values[0]
@@ -498,12 +565,14 @@ class Discretization:
         quot = np.empty(self.band_weight.shape[:2])
         for r, b, geo, inputs in self._passes(values):
             with np.errstate(over="ignore", invalid="ignore"):   # lm_solve checks J
-                p = _integrand_partials(geo, **inputs)
+                pairs, end, p = _kernel(geo, **inputs)
+            out[r] += _outer_integral(hy, self.z[r], self.yi, pairs, end)
+            del pairs                 # its memory serves the contraction below
             J[r] += hy * (
-                (p.kz @ w + 0.5 * p.end_kz)[:, None] * maps["kz"][r]
-                + (p.du @ w + 0.5 * p.end_uz)[:, None] * maps["uz"][r]
-                + (p.ky * w) @ maps["ky"] - (p.du * w) @ maps["uy"]
-                + (p.D * w) @ maps["Py"] - (p.D @ w)[:, None] * maps["Pz"][r]
+                (p.kz @ col + 0.5 * p.end_kz)[:, None] * maps["kz"][r]
+                + (p.du @ col + 0.5 * p.end_uz)[:, None] * maps["uz"][r]
+                + (p.ky * col) @ maps["ky"] - (p.du * col) @ maps["uy"]
+                + (p.D * col) @ maps["Py"] - (p.D @ col)[:, None] * maps["Pz"][r]
                 + 0.5 * p.end_b[:, None] * maps["b"])
             quot[:, b] = p.band
 
@@ -512,7 +581,27 @@ class Discretization:
                                   self.band_weight).ravel(),
                         minlength=nz * len(self.coef))
         J[:nz] += G.reshape(nz, -1) @ self.coef
-        return J
+        return out, J
+
+    def residual(self, values) -> np.ndarray:
+        """The residual at the rows z at nodal values ``values``.  The pass
+        also gives the Jacobian there, which is kept for ``jacobian``."""
+        values = np.array(values, dtype=float)
+        self._last = None             # a pass that raises keeps no Jacobian
+        out, J = self._pass(values)
+        self._last = (values, J)
+        return out
+
+    def jacobian(self, values) -> np.ndarray:
+        """Derivative of ``residual_vector(...).stacked()`` in the nodal values,
+        shape (N+1, N): a copy of the kept one when ``values`` are those of
+        the last ``residual``, else from a new pass (which raises
+        QuadratureError where ``residual`` does)."""
+        last = self._last
+        if last is None or not np.array_equal(last[0], values):
+            self.residual(values)
+            last = self._last
+        return last[1].copy()
 
 
 def _panels(sm: SplineMaps, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -4,12 +4,14 @@ import pytest
 from muskatss.grid_spline import HALF_PI, fit_spline, make_grid
 from muskatss.lm import fd_jacobian
 from muskatss import residual
-from muskatss.quadrature import cumulative_gk15
+from muskatss.quadrature import QuadratureError, cumulative_gk15
 from muskatss.residual import (
     _SERIES_DERIVS,
+    Discretization,
     ResidualConfig,
     _integrand,
     _integrand_partials,
+    _outer_integral,
     _pair_geometry,
     _quotients,
     _series,
@@ -410,6 +412,95 @@ class TestResidualJacobian:
         assert np.all(J[N - 2] == 0.0)                   # the z = pi/2 row
         assert np.array_equal(J[N - 1], np.eye(N)[0])    # bc0 = values[0]
         assert np.array_equal(J[N], np.eye(N)[-1])       # bc_end = values[-1] - s
+
+
+def random_odd_profile(N, seed):
+    g = make_grid(N)
+    values = random_odd_values(g, np.random.default_rng(seed))
+    return fit_spline(g, values, float(values[-1]) + 0.01)
+
+
+class TestOnePass:
+    """One kernel pass gives the residual and the Jacobian; the
+    ``Discretization`` keeps the last pass's Jacobian for its values."""
+
+    @pytest.mark.parametrize("N", [17, 33, 129])
+    @BAND_CASES
+    def test_residual_is_the_value_only_evaluation(self, cfg, band, N, band_halfwidth):
+        # block by block, the trapezoid of _integrand's values, bit for bit
+        band_halfwidth(band)
+        for seed in range(3):
+            p = random_odd_profile(N, seed)
+            d = discretization(N, cfg)
+            rows = d.transport @ p.values
+            for r, _, geo, inp in d._passes(p.values):
+                rows[r] += _outer_integral(d.hy, d.z[r], d.yi, *_integrand(geo, **inp))
+            want = np.concatenate([rows, [0.0, p.values[0], p.values[-1] - p.s]])
+            assert np.array_equal(residual_vector(p, cfg).stacked(), want)
+
+    @staticmethod
+    def counting(d):
+        """``d`` with its passes counted in the returned list."""
+        calls, run = [], d._pass
+        d._pass = lambda values: calls.append(1) or run(values)
+        return calls
+
+    @pytest.mark.parametrize("N", [17, 129])
+    def test_kept_jacobian_is_a_fresh_one(self, N):
+        cfg = ResidualConfig()
+        v = random_odd_profile(N, 1).values
+        d = Discretization(N, cfg)
+        passes = self.counting(d)
+        d.residual(v)
+        J = d.jacobian(v)
+        assert len(passes) == 1
+        assert np.array_equal(J, Discretization(N, cfg).jacobian(v))
+        # the caller's copy: changing it leaves the kept one as it was
+        J[:] = 0.0
+        assert np.array_equal(d.jacobian(v), Discretization(N, cfg).jacobian(v))
+
+    def test_other_values_take_a_new_pass(self):
+        N, cfg = 33, ResidualConfig(outer_nodes=77)
+        v = random_odd_profile(N, 2).values
+        v2 = random_odd_profile(N, 3).values
+        fresh = Discretization(N, cfg)
+        Jv, Jv2 = fresh.jacobian(v), fresh.jacobian(v2)
+        assert not np.array_equal(Jv, Jv2)
+        d = Discretization(N, cfg)
+        passes = self.counting(d)
+        d.residual(v)
+        d.residual(v2)
+        assert np.array_equal(d.jacobian(v), Jv)      # not the kept one at v2
+        assert len(passes) == 3
+        v[5] += 1e-3                # the pass at v is kept now, with a copy of v
+        assert not np.array_equal(d.jacobian(v), Jv)
+
+    def test_row_keeps_its_parent_pass(self):
+        N, cfg = 33, ResidualConfig()
+        p = random_odd_profile(N, 4)
+        d = discretization(N, cfg)
+        d.residual(p.values)
+        kept = d._last
+        row = d.row(0.7)
+        assert row._last is None
+        row.residual(p.values)
+        assert row._last is not kept and row.jacobian(p.values).shape == (N + 1, N)
+        residual_at(p, 0.3, cfg)
+        assert d._last is kept
+        assert np.array_equal(d.jacobian(p.values), Discretization(N, cfg).jacobian(p.values))
+
+    def test_failed_pass_keeps_no_jacobian(self):
+        N, cfg = 17, ResidualConfig(outer_nodes=77)
+        v = random_odd_profile(N, 5).values
+        d = Discretization(N, cfg)
+        d.residual(v)
+        bad = 1e200 * v                 # the pair values overflow to inf and NaN
+        with pytest.raises(QuadratureError):
+            d.residual(bad)
+        assert d._last is None
+        with pytest.raises(QuadratureError):
+            d.jacobian(bad)
+        assert np.array_equal(d.jacobian(v), Discretization(N, cfg).jacobian(v))
 
 
 def kernel_inputs(N, cfg, s):
