@@ -257,7 +257,8 @@ def _halves(g: _Geometry, band):
 
 
 def _half_terms(dq_k, dq_u, avg, F):
-    """Half h's terms t = dq_u F and v = dq_k^2 avg F^2 of the pair integrand."""
+    """A half's terms t = dq_u F and v = dq_k^2 avg F^2 of the pair integrand,
+    from its quotients."""
     v = dq_k * dq_k
     v *= avg
     v *= F
