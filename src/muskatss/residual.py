@@ -46,13 +46,16 @@ input maps once per (N, ResidualConfig): P from a table with one GK15
 panel per gap, and the expansion quotients as fixed weights on the spline
 coefficients (``_series`` applied to the B-spline rows at the midpoints).
 ``residual_vector`` is those maps, each applied once to the values, and
-one kernel pass (``_kernel``) per block of rows.  The pass builds each
-half's quotients once and forms from them both the integrand's values, in
-the operations of ``_integrand``, and its elementwise partials, from a
-hand-derived gradient; the partials contracted with the same maps are the
-Jacobian (``residual_jacobian``).  So one pass per trial point gives the
-residual and the Jacobian there, and the ``Discretization`` keeps the last
-one for a Jacobian asked at the same values.  A complex step through
+one kernel pass (``_kernel``) per block of rows, in a reused aligned
+workspace.  The pass builds each half's quotients once and forms from them
+both the integrand's values, in the operations of ``_integrand``, and its
+elementwise partials, from a hand-derived gradient.  The partials summed
+in B-spline coefficient space, where each outer node touches only the K+1
+B-splines nonzero there (local support), and taken to the nodal values by
+one product with the cardinal map, are the Jacobian
+(``residual_jacobian``).  So one pass per trial point gives the residual
+and the Jacobian there, and the ``Discretization`` keeps the last one for
+a Jacobian asked at the same values.  A complex step through
 ``_integrand`` is the tests' check of that gradient.  ``residual_at`` is
 the one-row discretization of its z, sharing the outer-node maps and the
 P table.  ``delta_tilde`` is the sliding average itself, by adaptive GK15.
@@ -165,14 +168,16 @@ class _Geometry:
     z arrays have shape (nz, 1), y arrays (ny,) and pair arrays (nz, ny),
     so the elementwise kernel broadcasts them.  Per half h (the row z,
     then its reflection -z): ``c[h]`` = cos z cos y / sin(+-z - y), zeroed
-    on the ``near[h]`` pairs, whose midpoints ``m`` and squared
-    half-distances ``d2`` (half 0's first, row-major) feed the expansions.
+    on the ``near[h]`` pairs, whose flat row-major indices are ``flat[h]``
+    and whose midpoints ``m`` and squared half-distances ``d2`` (half 0's
+    first) feed the expansions.
     """
 
     x: np.ndarray
     sec2y: np.ndarray
     c: tuple
     near: tuple
+    flat: tuple
     m: np.ndarray
     d2: np.ndarray
 
@@ -195,9 +200,9 @@ def _pair_geometry(z: np.ndarray, yi: np.ndarray, spacing: float) -> _Geometry:
         with np.errstate(divide="ignore"):
             ch = czcy / np.sin(zh - yi)
         ch[nh] = 0.0
-        per_half.append((ch, nh, mh[nh], dd[nh]))
-    c, near, m, d2 = zip(*per_half)
-    return _Geometry(x=np.tan(z), sec2y=1.0 / (cy * cy), c=c, near=near,
+        per_half.append((ch, nh, np.flatnonzero(nh), mh[nh], dd[nh]))
+    c, near, flat, m, d2 = zip(*per_half)
+    return _Geometry(x=np.tan(z), sec2y=1.0 / (cy * cy), c=c, near=near, flat=flat,
                      m=np.concatenate(m), d2=np.concatenate(d2))
 
 
@@ -229,53 +234,37 @@ def _series(m, d2, k) -> np.ndarray:
     return np.array([c2 * num_k / den, c2 * num_u / den, num_p / den])
 
 
-def _quotients(g: _Geometry, h: int, kz, du, ky, D, band):
+def _quotients(g: _Geometry, h: int, kz, du, ky, D, band, out=(None,) * 4):
     """Half h's quotients (dq_k, dq_u, avg) at the pairs of ``g``, and
-    F = 1/(1 + avg^2), each a new array.
+    F = 1/(1 + avg^2), written to the arrays ``out`` (None: new ones).
 
     With x = +-z the row of half h (k odd, u = k' cos^2 and P even): the
     quotients of k(x) - k(y), u(x) - u(y) and -D over tan x - tan y.  On
     the ``near[h]`` pairs they are ``band``, the half's expansion
     quotients.
     """
-    c, near = g.c[h], g.near[h]
-    dq_k = (kz if h == 0 else -kz) - ky
+    c, flat = g.c[h], g.flat[h]
+    dq_k, dq_u, avg, F = out
+    dq_k = np.subtract(kz if h == 0 else -kz, ky, out=dq_k)
     dq_k *= c
-    dq_u = du * c
-    avg = -D
+    dq_u = np.multiply(du, c, out=dq_u)
+    avg = np.negative(D, out=avg)
     avg *= c
-    dq_k[near], dq_u[near], avg[near] = band
-    F = avg * avg
+    for q, v in zip((dq_k, dq_u, avg), band):
+        np.put(q, flat, v)
+    F = np.multiply(avg, avg, out=F)
     F += 1.0
     return dq_k, dq_u, avg, np.divide(1.0, F, out=F)
 
 
-def _halves(g: _Geometry, band):
-    """``band`` (quotient, near entry) cut into half 0's and half 1's entries."""
-    n0 = np.count_nonzero(g.near[0])
-    return enumerate((band[:, :n0], band[:, n0:]))
-
-
-def _half_terms(dq_k, dq_u, avg, F):
-    """A half's terms t = dq_u F and v = dq_k^2 avg F^2 of the pair integrand,
-    from its quotients."""
-    v = dq_k * dq_k
+def _v_term(dq_k, avg, F, out):
+    """A half's term v = dq_k^2 avg F^2 of the pair integrand (its other
+    term is t = dq_u F)."""
+    v = np.multiply(dq_k, dq_k, out=out)
     v *= avg
     v *= F
     v *= F
-    return dq_u * F, v
-
-
-def _pair_values(g: _Geometry, half0, half1):
-    """The pair integrand (t0 - t1 - 2 (v0 - v1)) sec^2 y / pi from the
-    halves' terms (t, v), formed in half 0's arrays."""
-    (t0, v0), (t1, v1) = half0, half1
-    t0 -= t1
-    v0 -= v1
-    v0 *= 2.0
-    t0 -= v0
-    t0 *= g.sec2y / np.pi
-    return t0
+    return v
 
 
 def _end_values(g: _Geometry, kz, uz, b):
@@ -294,13 +283,13 @@ def _integrand(g: _Geometry, kz, uz, ky, uy, D, b, band):
     Every output is an elementwise function of them, so complex inputs
     give complex-step derivatives (the tests' check of
     ``_integrand_partials``).  Returns (pairs, end): the integrand at each
-    pair (``_pair_values`` of the halves' ``_half_terms``, formed one half
-    after the other) and, at each z, its endpoint limit (``_end_values``).
-    ``_kernel`` forms the same values with the partials.
+    pair, (t0 - t1 - 2 (v0 - v1)) sec^2 y / pi from the halves' terms
+    t = dq_u F and v = dq_k^2 avg F^2, and at each z its endpoint limit
+    (``_end_values``).  It is ``_kernel`` without the partials, in new
+    arrays of the inputs' dtype.
     """
-    du = uz - uy
-    halves = [_half_terms(*_quotients(g, h, kz, du, ky, D, q)) for h, q in _halves(g, band)]
-    return _pair_values(g, *halves), _end_values(g, kz, uz, b)
+    pairs, end, _ = _kernel(g, [None] * _SLOTS, kz, uz, ky, uy, D, b, band, partials=False)
+    return pairs, end
 
 
 class _Partials(NamedTuple):
@@ -317,11 +306,11 @@ class _Partials(NamedTuple):
     band: np.ndarray
 
 
-def _half_partials(g: _Geometry, h: int, dq_k, dq_u, avg, F):
+def _half_partials(g: _Geometry, h: int, dq_k, dq_u, avg, F, out):
     """Partials of half h's pair terms t - 2 v in its quotients (dq_k,
     dq_u, avg), without the column factor sec^2 y / pi: times ``c[h]`` at
     every pair and as they are at the ``near[h]`` pairs.  Overwrites the
-    quotients.
+    quotients; the partial in avg goes to ``out``.
 
     With G = avg F (|G| <= 1/2): in dq_u F, in dq_k -4 dq_k G F, and in
     avg -2 F (G dq_u + dq_k^2 F (4F - 3)), from F' = -2 G F and
@@ -331,7 +320,7 @@ def _half_partials(g: _Geometry, h: int, dq_k, dq_u, avg, F):
     G = avg
     G *= F
     dq_u *= G
-    p_avg = 4.0 * F
+    p_avg = np.multiply(4.0, F, out=out)
     p_avg -= 3.0
     p_avg *= F
     p_avg *= dq_k
@@ -344,42 +333,67 @@ def _half_partials(g: _Geometry, h: int, dq_k, dq_u, avg, F):
     p_dq_k *= F
     p_dq_k *= -4.0
     p_dq_u = F
-    c, near = g.c[h], g.near[h]
-    at_near = np.array([p_dq_k[near], p_dq_u[near], p_avg[near]])
+    flat = g.flat[h]
+    at_near = np.array([p_dq_k.take(flat), p_dq_u.take(flat), p_avg.take(flat)])
     for part in (p_dq_k, p_dq_u, p_avg):
-        part *= c
+        part *= g.c[h]
     return p_dq_k, p_dq_u, p_avg, at_near
 
 
-def _half_pass(g: _Geometry, h: int, kz, du, ky, D, band):
-    """Half h's terms (``_half_terms``) and partials (``_half_partials``)
-    from one set of its quotients."""
-    quotients = _quotients(g, h, kz, du, ky, D, band)
-    return _half_terms(*quotients), _half_partials(g, h, *quotients)
+# arrays of one row block that a kernel pass holds at once
+_SLOTS = 10
 
 
-def _kernel(g: _Geometry, kz, uz, ky, uy, D, b, band):
-    """The values of ``_integrand`` and their partials at real inputs, in
-    one pass over each half's quotients.
+def _kernel(g: _Geometry, slots, kz, uz, ky, uy, D, b, band, partials=True):
+    """The values of ``_integrand`` and, at real inputs, their partials, in
+    one pass over each half's quotients, in the arrays ``slots``.
 
-    Returns (pairs, end, partials).  The values are ``_integrand``'s, with
-    the same operations in the same order.  The partials, at the pairs:
-    in kz, ky, du = uz - uy (u enters only as that difference, so the uy
-    partial is minus the du one) and D, all without the column factor
-    sec^2 y / pi.  At the endpoint column, one per z: in kz, uz and b.  At
-    the near pairs of both halves, in the order of ``band`` and without
-    the column factor: in the three expansion quotients (dq_k, dq_u,
-    avg).  The pair value is half 0's terms minus half 1's, and half h's
-    quotients are c[h] times +-kz - ky, du and -D: the halves' partials
-    combine with those signs.  ``_integrand_partials`` applies the factor.
+    ``slots`` holds ``_SLOTS`` arrays of the pair shape (None: new ones).
+    du = uz - uy goes to slot 9, half 0's quotients to 3, 4, 5 and 1 and
+    its terms v, t to 2 and 6; its partials overwrite them, the one in avg
+    going to 7.  Half 1's quotients reuse 0, 4, 5 and 8, and its terms take
+    turns in 9.  The pair values end in slot 6 and half 1's partial in avg
+    in 2.  The values are ``_integrand``'s, with each array's operations in
+    the same order.
+
+    Returns (pairs, end, partials), partials None unless ``partials``.  At
+    the pairs: in kz (slot 9), ky (0), du = uz - uy (1; u enters only as
+    that difference, so the uy partial is minus the du one) and D (2),
+    without the column factor sec^2 y / pi.  At the endpoint column, one
+    per z: in kz, uz and b.  At the near pairs of both halves, in the
+    order of ``band`` and without the column factor: in the three
+    expansion quotients (dq_k, dq_u, avg).  The pair value is half 0's
+    terms minus half 1's, and half h's quotients are c[h] times +-kz - ky,
+    du and -D: the halves' partials combine with those signs.
+    ``_integrand_partials`` applies the factor.
     """
-    du = uz - uy
-    (terms0, (k0, u0, a0, q0)), (terms1, (k1, u1, a1, q1)) = (
-        _half_pass(g, h, kz, du, ky, D, q) for h, q in _halves(g, band))
-    pairs = _pair_values(g, terms0, terms1)
+    s = slots
+    n0 = len(g.flat[0])
+    du = np.subtract(uz, uy, out=s[9])
+
+    def quotients(h, k, u, a, f):
+        q = band[:, :n0] if h == 0 else band[:, n0:]
+        return _quotients(g, h, kz, du, ky, D, q, out=(s[k], s[u], s[a], s[f]))
+
+    q0 = k0, u0, a0, F0 = quotients(0, 3, 4, 5, 1)
+    v0 = _v_term(k0, a0, F0, out=s[2])
+    t0 = np.multiply(u0, F0, out=s[6])
+    if partials:
+        k0, u0, a0, near0 = _half_partials(g, 0, *q0, out=s[7])
+    q1 = k1, u1, a1, F1 = quotients(1, 0, 4, 5, 8)
+    v0 -= _v_term(k1, a1, F1, out=s[9])
+    t0 -= np.multiply(u1, F1, out=s[9])
+    v0 *= 2.0
+    t0 -= v0
+    t0 *= g.sec2y / np.pi
+    pairs, end = t0, _end_values(g, kz, uz, b)
+    if not partials:
+        return pairs, end, None
+
+    k1, u1, a1, near1 = _half_partials(g, 1, *q1, out=s[2])
     # through the generic quotients, whose factors c[h] are 0 where the
     # band expansions replace them
-    d_kz = k0 + k1
+    d_kz = np.add(k0, k1, out=s[9])
     d_ky = np.subtract(k1, k0, out=k1)
     d_du = np.subtract(u0, u1, out=u0)
     d_D = np.subtract(a1, a0, out=a1)
@@ -391,16 +405,16 @@ def _kernel(g: _Geometry, kz, uz, ky, uy, D, b, band):
     end_uz = -2.0 * x * (2.0 * Fb - 1.0) * Fb / np.pi
     end_b = ((-2.0 * x * uz * (4.0 * Fb - 1.0) + 8.0 * kz * (1.0 - 2.0 * Fb))
              * (-2.0 * b * Fb * Fb) / np.pi)
-    return pairs, _end_values(g, kz, uz, b), _Partials(
+    return pairs, end, _Partials(
         d_kz, d_ky, d_du, d_D, end_kz, end_uz[:, 0], end_b[:, 0],
-        band=np.concatenate([q0, -q1], axis=1))
+        band=np.concatenate([near0, -near1], axis=1))
 
 
 def _integrand_partials(g: _Geometry, kz, uz, ky, uy, D, b, band) -> _Partials:
     """The partials of ``_integrand`` at real inputs: ``_kernel``'s, with
     the column factor sec^2 y / pi applied (the tests check them against a
     complex step through ``_integrand``)."""
-    _, _, p = _kernel(g, kz, uz, ky, uy, D, b, band)
+    _, _, p = _kernel(g, [None] * _SLOTS, kz, uz, ky, uy, D, b, band)
     col = g.sec2y / np.pi
     near_col = col[np.concatenate([np.nonzero(near)[1] for near in g.near])]
     return p._replace(kz=p.kz * col, ky=p.ky * col, du=p.du * col, D=p.D * col,
@@ -428,9 +442,21 @@ def _outer_integral(hy: float, z, yi, pairs, end) -> np.ndarray:
     return hy * (pairs.sum(axis=1) - 0.5 * pairs[:, 0] + 0.5 * end[:, 0])
 
 
-# pairs per row block of a kernel pass: the block bounds the memory, and
-# with it the working set of the kernel's temporaries
+# pairs per row block of a kernel pass, about: the rows are spread evenly
+# over as many blocks as this needs.  The block bounds the memory, and with
+# it the working set of the kernel's arrays
 _BLOCK_PAIRS = 1 << 15
+# outer nodes per chunk of the Jacobian's sums in coefficient space
+_CHUNK = 48
+
+
+def _aligned(rows: int, cols: int) -> np.ndarray:
+    """An uninitialised float array of ``rows`` rows of at least ``cols``
+    entries, each row starting on a 64-byte boundary."""
+    cols = -(-cols // 8) * 8
+    raw = np.empty(rows * cols * 8 + 64, np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start:start + rows * cols * 8].view(np.float64).reshape(rows, cols)
 
 
 class Discretization:
@@ -446,17 +472,33 @@ class Discretization:
     expansion quotients at the near pairs are fixed weights ``band_weight``
     (per quotient, entry and coefficient) on the five coefficients
     ``band_gather`` whose B-splines can be nonzero at an entry's midpoint;
-    each block's entries, half 0's then half 1's, are one slice.  A
-    Jacobian's band term, the partials in the quotients times the column
-    weight ``band_column`` and the same weights, is summed into coefficient
-    space by ``band_index`` with one ``np.bincount``.
+    each block's entries, half 0's then half 1's, are one slice.
 
     One pass (``_pass``) gives the residual and the Jacobian at the same
-    values: at N=129 with one BLAS thread it takes about 14 ms, where a
-    residual alone took 6 ms and a Jacobian 19 ms.  ``residual`` keeps the
-    values and Jacobian of its last pass, and ``jacobian`` at those values
-    returns a copy of it, so a Levenberg-Marquardt step, whose Jacobian is
-    taken at the trial point it has just evaluated, costs one pass.
+    values, its kernel running in the workspace ``work``: ``_SLOTS``
+    64-byte aligned arrays of the largest block's shape, which every block
+    and every pass reuses.  The Jacobian's y-terms are summed in B-spline
+    coefficient space, where each outer node touches the K+1 B-splines
+    nonzero there (local support): per chunk of ``_CHUNK`` consecutive
+    outer nodes, one batched product of the partials in ky, du and D with
+    the fixed ``chunk_weight`` onto the chunk's window of coefficients.
+    Their weights hold the trapezoid and column factors and the B-spline
+    rows of k and u = k' cos^2 at the node; for P, the integrals of
+    sec^2 B_c up to the node of the K+1 B-splines that are nonzero there.
+    Every B-spline c whose support ends at or below a node has all of its
+    integral ``support_integral[c]`` in P there, so a second part of each
+    window sums the partials in D by first coefficient, and a cumulative
+    sum over the coefficients gives those weights.  The band term, the
+    partials in the expansion quotients times the column weight
+    ``band_column`` and the quotient weights, is summed into coefficient
+    space by ``band_index`` with one ``np.bincount``; then one product with
+    the cardinal map ``coef`` gives all of them in the nodal values.  At
+    N=129 with one BLAS thread a pass takes about 12 ms, 60 % of the 20 ms
+    it took with the y-terms contracted by dense value maps.  ``residual``
+    keeps the values and Jacobian of its last pass, and ``jacobian`` at
+    those values returns a copy of it, so a Levenberg-Marquardt step, whose
+    Jacobian is taken at the trial point it has just evaluated, costs one
+    pass.
     """
 
     def __init__(self, N: int, cfg: ResidualConfig):
@@ -466,7 +508,9 @@ class Discretization:
         yi, z = self.yi, grid.nodes[1:-1]
         self.sm = sm = spline_maps(N)
         self.coef = sm.coef
-        self.pts = pts = np.unique(np.concatenate([[0.0], z, yi]))
+        # the table points 0, z and yi, sorted, each once
+        pts = np.sort(np.concatenate([[0.0], z, yi]))
+        self.pts = pts = pts[np.append(True, pts[1:] > pts[:-1])]
         A = np.zeros((len(pts), N))
         for lo in range(0, len(pts) - 1, 256):      # 256 gaps at a time bound the memory
             hi = min(lo + 256, len(pts) - 1)
@@ -478,11 +522,57 @@ class Discretization:
         # (1/2 at y = 0) times the factor sec^2 y / pi the partials leave out
         self.col = 1.0 / (np.pi * np.cos(yi) ** 2)
         self.col[0] *= 0.5
+        self._chunk_weights()
         self._set_rows(z)
+
+    def _chunk_weights(self) -> None:
+        """The fixed weights of the Jacobian's y-terms in coefficient space.
+
+        ``chunk_weight[q, c, l]`` takes the partial in ky, du or D (q = 0,
+        1, 2) at the l-th outer node of chunk c to a window of coefficients
+        from the chunk's first node's first nonzero B-spline: the window's
+        first part holds the coefficients' own weights, and its second,
+        for D only, sums the partials by their node's first nonzero
+        B-spline.  ``chunk_index`` places each window entry in a row of
+        both parts, each N + window long (see ``_chunk_sums``).
+        """
+        yi, n = self.yi, len(self.yi)
+        B0, first = self.sm.local(yi, 0)
+        B1, _ = self.sm.local(yi, 1)
+        self.support_integral, partial = self._coefficient_primitive()
+        L = self.chunk = min(_CHUNK, n)
+        chunk, pos = np.divmod(np.arange(n), L)
+        rel = first - first[::L][chunk]                 # within the chunk's window
+        band = rel.max() + B0.shape[1]
+        w = self.hy * self.col
+        W = self.chunk_weight = np.zeros((3, chunk[-1] + 1, L, band + rel.max() + 1))
+        at = chunk[:, None], pos[:, None], rel[:, None] + np.arange(B0.shape[1])
+        W[(0, *at)] = w[:, None] * B0
+        W[(1, *at)] = -(w * np.cos(yi) ** 2)[:, None] * B1
+        W[(2, *at)] = w[:, None] * partial
+        W[2, chunk, pos, band + rel] = w
+        k = np.arange(W.shape[3])
+        self.chunk_index = first[::L, None] + np.where(k < band, k, self.N + len(k) + k - band)
+
+    def _coefficient_primitive(self) -> tuple[np.ndarray, np.ndarray]:
+        """P at the outer nodes in B-spline coefficient space: the whole
+        integral of sec^2 B_c for every c, and at each node the integrals up
+        to it of the K+1 B-splines that can be nonzero there (from its first
+        one, ``sm.local``).  B-splines past those contribute nothing and
+        those before them their whole integral: the table of the integrals
+        up to each table point adds only zeros to a column past its
+        B-spline's support."""
+        table = np.zeros((len(self.pts), self.N))
+        table[1:] = _coef_panels(self.sm, self.pts[:-1], self.pts[1:])
+        np.cumsum(table, axis=0, out=table)
+        rows, first = self.sm.local(self.yi, 0)
+        support = first[:, None] + np.arange(rows.shape[1])
+        return table[-1].copy(), table[self.pts.searchsorted(self.yi)[:, None], support]
 
     def row(self, z: float) -> Discretization:
         """The discretization of the one row z (0 <= z < pi/2), sharing the
-        outer-node maps and the P table but not the kept pass."""
+        outer-node maps and the P table but not the kept pass or the
+        workspace."""
         d = copy.copy(self)
         d._set_rows(np.array([z], dtype=float))
         return d
@@ -502,8 +592,8 @@ class Discretization:
         return A
 
     def _set_rows(self, z: np.ndarray) -> None:
-        """The row maps, transport term, blocks and band weights of rows z;
-        no pass is kept for them yet."""
+        """The row maps, transport term, blocks, band weights and workspace
+        of rows z; no pass is kept for them yet."""
         sm, yi = self.sm, self.yi
         self.z, self._last = z, None
         dk_z = sm.dense(z, 1)
@@ -512,15 +602,17 @@ class Discretization:
         self.transport = (np.sin(z) * np.cos(z))[:, None] * dk_z
 
         # per block: its rows, geometry and slice of the expansion entries
-        size = max(1, _BLOCK_PAIRS // len(yi))
+        nblocks = -(-len(z) * len(yi) // _BLOCK_PAIRS)
+        cuts = [len(z) * k // nblocks for k in range(nblocks + 1)]
         self.blocks, entries, n = [], [], 0
-        for r0 in range(0, len(z), size):
-            r = slice(r0, min(r0 + size, len(z)))
+        for r0, r1 in zip(cuts[:-1], cuts[1:]):
+            r = slice(r0, r1)
             g = _pair_geometry(z[r], yi, self.spacing)
             _, i, j = np.nonzero(g.near)
             self.blocks.append((r, g, slice(n, n + len(i))))
             entries.append((r0 + i, j, g.m, g.d2))
             n += len(i)
+        self.work = _aligned(_SLOTS, -(-len(z) // nblocks) * len(yi))
         # _series is linear in the spline derivatives, so on the B-spline
         # rows of each order at an entry's midpoint it gives each quotient's
         # weights on the coefficients first..first+4 of that entry
@@ -543,18 +635,35 @@ class Discretization:
             yield r, b, geo, {"kz": kz[r], "uz": uz[r], "ky": inp["ky"], "uy": inp["uy"],
                               "D": inp["Py"] - Pz[r], "b": inp["b"], "band": band[:, b]}
 
+    def _chunk_sums(self, X: np.ndarray) -> np.ndarray:
+        """The partials ``X`` in ky, du and D (3, rows, ny) of a block summed
+        into coefficient space with ``chunk_weight``: per row, the
+        coefficients, and then the partials in D summed by the first
+        nonzero B-spline of their node, each of N + window entries."""
+        W, L = self.chunk_weight, self.chunk
+        _, nr, ny = X.shape
+        full = ny - ny % L
+        out = np.empty((3, W.shape[1], nr, W.shape[3]))
+        np.matmul(X[:, :, :full].reshape(3, nr, -1, L).transpose(0, 2, 1, 3),
+                  W[:, :full // L], out=out[:, :full // L])
+        if full < ny:
+            np.matmul(X[:, :, full:], W[:, -1, :ny - full], out=out[:, -1])
+        width = self.N + W.shape[3]
+        out = out.sum(axis=0)
+        at = self.chunk_index[:, None, :] + (2 * width * np.arange(nr))[:, None]
+        return np.bincount(at.ravel(), out.ravel(), minlength=2 * width * nr).reshape(nr, 2, -1)
+
     def _pass(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The residual at the rows z and its Jacobian, one ``_kernel`` pass
         per row block.
 
         The residual is the transport term, one map of the values, plus the
         trapezoid of the pair values.  The Jacobian, shape (N+1, N), is the
-        derivative of ``residual_vector(...).stacked()``: the pair partials
-        contracted with the input maps (row scalings for the z inputs,
-        products with the y and P maps) under the column weights ``col``,
-        and the band term, the partials in the expansion quotients times
-        ``band_column`` and the fixed quotient weights, summed into
-        coefficient space with one ``np.bincount``.
+        derivative of ``residual_vector(...).stacked()``.  Its z-terms are
+        the pair partials' row sums under the column weights ``col`` times
+        the row maps.  Its y-terms (``_chunk_sums``) and the band term are
+        sums in coefficient space, taken to the nodal values by one product
+        with ``coef``.
         """
         N, col, hy, maps, nz = self.N, self.col, self.hy, self.maps, len(self.z)
         out = self.transport @ values
@@ -563,25 +672,31 @@ class Discretization:
         J[N - 1, 0] = 1.0             # bc0 = values[0]
         J[N, N - 1] = 1.0             # bc_end = values[-1] - s
 
+        sums = np.zeros((nz, 2, N + self.chunk_weight.shape[3]))
         quot = np.empty(self.band_weight.shape[:2])
+        ny = len(self.yi)
         for r, b, geo, inputs in self._passes(values):
+            nr = geo.x.shape[0]
+            slots = self.work[:, :nr * ny].reshape(_SLOTS, nr, ny)
             with np.errstate(over="ignore", invalid="ignore"):   # lm_solve checks J
-                pairs, end, p = _kernel(geo, **inputs)
+                pairs, end, p = _kernel(geo, slots, **inputs)
             out[r] += _outer_integral(hy, self.z[r], self.yi, pairs, end)
-            del pairs                 # its memory serves the contraction below
-            J[r] += hy * (
-                (p.kz @ col + 0.5 * p.end_kz)[:, None] * maps["kz"][r]
-                + (p.du @ col + 0.5 * p.end_uz)[:, None] * maps["uz"][r]
-                + (p.ky * col) @ maps["ky"] - (p.du * col) @ maps["uy"]
-                + (p.D * col) @ maps["Py"] - (p.D @ col)[:, None] * maps["Pz"][r]
-                + 0.5 * p.end_b[:, None] * maps["b"])
+            J[r] += hy * ((p.kz @ col + 0.5 * p.end_kz)[:, None] * maps["kz"][r]
+                          + (p.du @ col + 0.5 * p.end_uz)[:, None] * maps["uz"][r]
+                          - (p.D @ col)[:, None] * maps["Pz"][r]
+                          + 0.5 * p.end_b[:, None] * maps["b"])
+            sums[r] += self._chunk_sums(slots[:3])
             quot[:, b] = p.band
 
-        G = np.bincount(self.band_index,
-                        np.einsum("qe,qek->ek", quot * self.band_column,
-                                  self.band_weight).ravel(),
-                        minlength=nz * len(self.coef))
-        J[:nz] += G.reshape(nz, -1) @ self.coef
+        C = sums[:, 0, :N] + np.bincount(
+            self.band_index, np.einsum("qe,qek->ek", quot * self.band_column,
+                                       self.band_weight).ravel(),
+            minlength=nz * N).reshape(nz, N)
+        # P holds all of B-spline c's integral at the nodes whose first
+        # nonzero B-spline comes after c
+        past = np.cumsum(sums[:, 1, N - 1:0:-1], axis=1)[:, ::-1]
+        C[:, :-1] += past * self.support_integral[:-1]
+        J[:nz] += C @ self.coef
         return out, J
 
     def residual(self, values) -> np.ndarray:
@@ -611,6 +726,18 @@ def _panels(sm: SplineMaps, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     nodes, wts = gk15_rule(lo, hi)
     E = sm.dense(nodes.ravel(), 0).reshape(*nodes.shape, sm.coef.shape[1])
     return np.einsum("gq,gqn->gn", wts / np.cos(nodes) ** 2, E)
+
+
+def _coef_panels(sm: SplineMaps, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The integrals of sec^2(t) B_c(t) over [lo_i, hi_i] for every
+    B-spline c, one GK15 panel each (0 <= lo_i)."""
+    nodes, wts = gk15_rule(lo, hi)
+    rows, first = sm.basis(nodes.ravel(), 0)
+    N = sm.coef.shape[1]
+    first += np.arange(len(lo)).repeat(nodes.shape[1]) * N
+    at = first[:, None] + np.arange(rows.shape[1])
+    w = (wts / np.cos(nodes) ** 2).reshape(-1, 1) * rows
+    return np.bincount(at.ravel(), w.ravel(), minlength=len(lo) * N).reshape(len(lo), N)
 
 
 @functools.lru_cache(maxsize=4)

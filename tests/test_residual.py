@@ -6,11 +6,15 @@ from muskatss.lm import fd_jacobian
 from muskatss import residual
 from muskatss.quadrature import QuadratureError, cumulative_gk15
 from muskatss.residual import (
+    _CHUNK,
     _SERIES_DERIVS,
+    _SLOTS,
     Discretization,
     ResidualConfig,
+    _coef_panels,
     _integrand,
     _integrand_partials,
+    _kernel,
     _outer_integral,
     _pair_geometry,
     _quotients,
@@ -501,6 +505,129 @@ class TestOnePass:
         with pytest.raises(QuadratureError):
             d.jacobian(bad)
         assert np.array_equal(d.jacobian(v), Discretization(N, cfg).jacobian(v))
+
+
+def dense_jacobian(d, values):
+    """The Jacobian with its y-terms contracted in value space: the pair
+    partials times the dense input maps, as the pass once summed them."""
+    N, col, hy, maps, nz = d.N, d.col, d.hy, d.maps, len(d.z)
+    J = np.zeros((N + 1, N))
+    J[:nz] = d.transport
+    J[N - 1, 0] = J[N, N - 1] = 1.0
+    quot = np.empty(d.band_weight.shape[:2])
+    for r, b, geo, inputs in d._passes(values):
+        _, _, p = _kernel(geo, [None] * _SLOTS, **inputs)
+        J[r] += hy * (
+            (p.kz @ col + 0.5 * p.end_kz)[:, None] * maps["kz"][r]
+            + (p.du @ col + 0.5 * p.end_uz)[:, None] * maps["uz"][r]
+            + (p.ky * col) @ maps["ky"] - (p.du * col) @ maps["uy"]
+            + (p.D * col) @ maps["Py"] - (p.D @ col)[:, None] * maps["Pz"][r]
+            + 0.5 * p.end_b[:, None] * maps["b"])
+        quot[:, b] = p.band
+    G = np.bincount(d.band_index, np.einsum("qe,qek->ek", quot * d.band_column,
+                                            d.band_weight).ravel(), minlength=nz * N)
+    J[:nz] += G.reshape(nz, -1) @ d.coef
+    return J
+
+
+class TestCoefficientSpace:
+    """The Jacobian's y-terms are summed in B-spline coefficient space."""
+
+    @pytest.mark.parametrize("N", [17, 33, 129])
+    @BAND_CASES
+    def test_matches_the_dense_contraction(self, cfg, band, N, band_halfwidth):
+        band_halfwidth(band)
+        d = discretization(N, cfg)
+        for seed in range(2):
+            v = random_odd_profile(N, seed).values
+            want = dense_jacobian(d, v)
+            got = d.jacobian(v)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("outer_nodes", [2 + _CHUNK // 2, 1 + 2 * _CHUNK],
+                             ids=["one-short-chunk", "whole-chunks"])
+    def test_chunk_edges(self, outer_nodes):
+        # fewer outer nodes than a chunk holds, and a whole number of chunks
+        N, cfg = 17, ResidualConfig(outer_nodes=outer_nodes)
+        d = Discretization(N, cfg)
+        v = random_odd_profile(N, 3).values
+        want = dense_jacobian(d, v)
+        assert np.max(np.abs(d.jacobian(v) - want)) <= 1e-14 * np.max(np.abs(want))
+        row = d.row(0.4)
+        want = dense_jacobian(row, v)
+        assert np.max(np.abs(row.jacobian(v) - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("N", [33, 129])
+    @pytest.mark.parametrize("cfg", [ResidualConfig(), ResidualConfig(outer_nodes=77)],
+                             ids=["default", "nodes77"])
+    def test_primitive_full_partial_zero(self, cfg, N):
+        # the integrals of sec^2 B_c up to each table point: a column is 0
+        # before its B-spline's support and the whole integral past it, bit
+        # for bit; with the partial integrals of the B-splines nonzero at an
+        # outer node, that is the P table's row there
+        d = discretization(N, cfg)
+        table = np.zeros((len(d.pts), N))
+        table[1:] = _coef_panels(d.sm, d.pts[:-1], d.pts[1:])
+        table = np.cumsum(table, axis=0)
+        rows, first = d.sm.local(d.yi, 0)
+        at = d.pts.searchsorted(d.yi)
+        assert np.array_equal(d.pts[at], d.yi)
+        c = np.arange(N)
+        before, after = c < first[:, None], c > first[:, None] + rows.shape[1] - 1
+        full, partial = d._coefficient_primitive()
+        assert np.array_equal(full, table[-1])
+        assert np.all(np.where(before, table[at] == full, True))
+        assert np.all(np.where(after, table[at] == 0.0, True))
+        assert np.array_equal(partial, np.take_along_axis(
+            table[at], first[:, None] + np.arange(rows.shape[1]), axis=1))
+        rebuilt = np.where(before, full, 0.0)
+        np.put_along_axis(rebuilt, first[:, None] + np.arange(rows.shape[1]), partial, axis=1)
+        Py = d.maps["Py"]
+        assert np.max(np.abs(rebuilt @ d.coef - Py)) <= 1e-14 * np.max(np.abs(Py))
+
+
+class TestWorkspace:
+    """The kernel's buffers are reused; nothing of one pass shows in the next."""
+
+    N, cfg = 33, ResidualConfig(outer_nodes=77)
+
+    def fresh(self, values, z=None):
+        d = Discretization(self.N, self.cfg)
+        if z is not None:
+            d = d.row(z)
+        return d.residual(values), d.jacobian(values)
+
+    def same(self, d, values, z=None):
+        got, want = (d.residual(values), d.jacobian(values)), self.fresh(values, z)
+        return all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_aligned(self):
+        d = Discretization(self.N, self.cfg)
+        assert d.work.ctypes.data % 64 == 0 and d.work.strides[0] % 64 == 0
+
+    def test_two_values(self):
+        v, v2 = (random_odd_profile(self.N, seed).values for seed in (6, 7))
+        d = Discretization(self.N, self.cfg)
+        d.residual(v)
+        assert self.same(d, v2)
+        assert self.same(d, v)
+
+    def test_row_copy(self):
+        v, v2 = (random_odd_profile(self.N, seed).values for seed in (6, 7))
+        d = Discretization(self.N, self.cfg)
+        d.residual(v)
+        row = d.row(0.7)
+        assert not np.shares_memory(row.work, d.work)
+        assert self.same(row, v, 0.7)
+        assert self.same(d, v2)
+        assert self.same(row, v2, 0.7)
+
+    def test_pass_that_raises(self):
+        v = random_odd_profile(self.N, 8).values
+        d = Discretization(self.N, self.cfg)
+        with pytest.raises(QuadratureError):
+            d.residual(1e200 * v)        # the pair values overflow to inf and NaN
+        assert self.same(d, v)
 
 
 def kernel_inputs(N, cfg, s):
