@@ -42,9 +42,11 @@ halves.  The geometry (``_pair_geometry``) depends only on N and the
 outer nodes, and so do the products of it the kernel needs: the
 quotients' factors cos z cos y / sin(+-z - y).  Every input is linear in
 the nodal values, so a cached ``Discretization`` builds fixed value ->
-input maps once per (N, ResidualConfig): P from a table with one GK15
-panel per gap, and the expansion quotients as fixed weights on the spline
-coefficients (``_series`` applied to the B-spline rows at the midpoints).
+input maps once per (N, ResidualConfig): P from one table in B-spline
+coefficient space, the integrals of sec^2 B_c with one GK15 panel per
+gap, taken to the nodal values by the cardinal map, and the expansion
+quotients as fixed weights on the spline coefficients (``_series``
+applied to the B-spline rows at the midpoints).
 ``residual_vector`` is those maps, each applied once to the values, and
 one kernel pass (``_kernel``) per block of rows, in a reused aligned
 workspace.  The pass builds each half's quotients once and forms from them
@@ -168,7 +170,7 @@ class _Geometry:
     z arrays have shape (nz, 1), y arrays (ny,) and pair arrays (nz, ny),
     so the elementwise kernel broadcasts them.  Per half h (the row z,
     then its reflection -z): ``c[h]`` = cos z cos y / sin(+-z - y), zeroed
-    on the ``near[h]`` pairs, whose flat row-major indices are ``flat[h]``
+    on the half's near pairs, whose flat row-major indices are ``flat[h]``
     and whose midpoints ``m`` and squared half-distances ``d2`` (half 0's
     first) feed the expansions.
     """
@@ -176,7 +178,6 @@ class _Geometry:
     x: np.ndarray
     sec2y: np.ndarray
     c: tuple
-    near: tuple
     flat: tuple
     m: np.ndarray
     d2: np.ndarray
@@ -194,15 +195,15 @@ def _pair_geometry(z: np.ndarray, yi: np.ndarray, spacing: float) -> _Geometry:
         # next to pi/2, where direct evaluation is accurate anyway)
         mh, dh = 0.5 * (yi + zh), 0.5 * (zh - yi)
         dd = dh * dh
-        nh = (np.abs(dh) < 0.5 * band) & (dd / np.cos(mh) ** 2 < 0.01)
+        fh = np.flatnonzero((np.abs(dh) < 0.5 * band) & (dd / np.cos(mh) ** 2 < 0.01))
         # tan(+-z) - tan y as sin(+-z - y)/(cos z cos y); the sine vanishes
         # only on the band, whose factors the expansions replace
         with np.errstate(divide="ignore"):
             ch = czcy / np.sin(zh - yi)
-        ch[nh] = 0.0
-        per_half.append((ch, nh, np.flatnonzero(nh), mh[nh], dd[nh]))
-    c, near, flat, m, d2 = zip(*per_half)
-    return _Geometry(x=np.tan(z), sec2y=1.0 / (cy * cy), c=c, near=near, flat=flat,
+        np.put(ch, fh, 0.0)
+        per_half.append((ch, fh, mh.take(fh), dd.take(fh)))
+    c, flat, m, d2 = zip(*per_half)
+    return _Geometry(x=np.tan(z), sec2y=1.0 / (cy * cy), c=c, flat=flat,
                      m=np.concatenate(m), d2=np.concatenate(d2))
 
 
@@ -240,8 +241,8 @@ def _quotients(g: _Geometry, h: int, kz, du, ky, D, band, out=(None,) * 4):
 
     With x = +-z the row of half h (k odd, u = k' cos^2 and P even): the
     quotients of k(x) - k(y), u(x) - u(y) and -D over tan x - tan y.  On
-    the ``near[h]`` pairs they are ``band``, the half's expansion
-    quotients.
+    the half's near pairs (``flat[h]``) they are ``band``, the half's
+    expansion quotients.
     """
     c, flat = g.c[h], g.flat[h]
     dq_k, dq_u, avg, F = out
@@ -309,7 +310,7 @@ class _Partials(NamedTuple):
 def _half_partials(g: _Geometry, h: int, dq_k, dq_u, avg, F, out):
     """Partials of half h's pair terms t - 2 v in its quotients (dq_k,
     dq_u, avg), without the column factor sec^2 y / pi: times ``c[h]`` at
-    every pair and as they are at the ``near[h]`` pairs.  Overwrites the
+    every pair and as they are at the half's near pairs.  Overwrites the
     quotients; the partial in avg goes to ``out``.
 
     With G = avg F (|G| <= 1/2): in dq_u F, in dq_k -4 dq_k G F, and in
@@ -416,7 +417,7 @@ def _integrand_partials(g: _Geometry, kz, uz, ky, uy, D, b, band) -> _Partials:
     complex step through ``_integrand``)."""
     _, _, p = _kernel(g, [None] * _SLOTS, kz, uz, ky, uy, D, b, band)
     col = g.sec2y / np.pi
-    near_col = col[np.concatenate([np.nonzero(near)[1] for near in g.near])]
+    near_col = col[np.concatenate(g.flat) % col.size]
     return p._replace(kz=p.kz * col, ky=p.ky * col, du=p.du * col, D=p.D * col,
                       band=p.band * near_col)
 
@@ -466,13 +467,16 @@ class Discretization:
     ``row``) in row ``blocks``, each with its pair geometry, and the linear
     maps from the nodal values to every input of the outer integrand:
     ``maps[name] @ values`` gives the input ``name`` (spline maps E_nu at the
-    rows, the outer nodes and pi/2, and value -> P maps).  P is a table at
-    0, the interior nodes and the outer nodes, from one GK15 panel per gap,
-    plus panels up to a row that is not a table point (``_primitive``).  The
-    expansion quotients at the near pairs are fixed weights ``band_weight``
-    (per quotient, entry and coefficient) on the five coefficients
-    ``band_gather`` whose B-splines can be nonzero at an entry's midpoint;
-    each block's entries, half 0's then half 1's, are one slice.
+    rows, the outer nodes and pi/2, and value -> P maps).  ``P`` is a table
+    in B-spline coefficient space at ``pts`` (0, the interior nodes and the
+    outer nodes): the integrals of sec^2 B_c up to each point for every
+    B-spline c, from one GK15 panel per gap.  The value -> P maps are its
+    rows, plus panels up to a row that is not a table point, times the
+    cardinal map ``coef`` (``_primitive``).  The expansion quotients at the
+    near pairs are fixed weights ``band_weight`` (per quotient, entry and
+    coefficient) on the five coefficients ``band_gather`` whose B-splines
+    can be nonzero at an entry's midpoint; each block's entries, half 0's
+    then half 1's, are one slice.
 
     One pass (``_pass``) gives the residual and the Jacobian at the same
     values, its kernel running in the workspace ``work``: ``_SLOTS``
@@ -483,22 +487,20 @@ class Discretization:
     outer nodes, one batched product of the partials in ky, du and D with
     the fixed ``chunk_weight`` onto the chunk's window of coefficients.
     Their weights hold the trapezoid and column factors and the B-spline
-    rows of k and u = k' cos^2 at the node; for P, the integrals of
-    sec^2 B_c up to the node of the K+1 B-splines that are nonzero there.
+    rows of k and u = k' cos^2 at the node; for P, the ``P`` table's
+    entries at the node of the K+1 B-splines that are nonzero there.
     Every B-spline c whose support ends at or below a node has all of its
-    integral ``support_integral[c]`` in P there, so a second part of each
-    window sums the partials in D by first coefficient, and a cumulative
-    sum over the coefficients gives those weights.  The band term, the
-    partials in the expansion quotients times the column weight
-    ``band_column`` and the quotient weights, is summed into coefficient
-    space by ``band_index`` with one ``np.bincount``; then one product with
-    the cardinal map ``coef`` gives all of them in the nodal values.  At
-    N=129 with one BLAS thread a pass takes about 12 ms, 60 % of the 20 ms
-    it took with the y-terms contracted by dense value maps.  ``residual``
-    keeps the values and Jacobian of its last pass, and ``jacobian`` at
-    those values returns a copy of it, so a Levenberg-Marquardt step, whose
-    Jacobian is taken at the trial point it has just evaluated, costs one
-    pass.
+    integral ``support_integral[c]`` (the table's last row) in P there, so
+    a second part of each window sums the partials in D by first
+    coefficient, and a cumulative sum over the coefficients gives those
+    weights.  The band term, the partials in the expansion quotients times
+    the column weight ``band_column`` and the quotient weights, is summed
+    into coefficient space by ``band_index`` with one ``np.bincount``; then
+    one product with the cardinal map ``coef`` gives all of them in the
+    nodal values.  ``residual`` keeps the values and Jacobian of its last
+    pass, and ``jacobian`` at those values returns a copy of it, so a
+    Levenberg-Marquardt step, whose Jacobian is taken at the trial point it
+    has just evaluated, costs one pass.
     """
 
     def __init__(self, N: int, cfg: ResidualConfig):
@@ -511,11 +513,10 @@ class Discretization:
         # the table points 0, z and yi, sorted, each once
         pts = np.sort(np.concatenate([[0.0], z, yi]))
         self.pts = pts = pts[np.append(True, pts[1:] > pts[:-1])]
-        A = np.zeros((len(pts), N))
-        for lo in range(0, len(pts) - 1, 256):      # 256 gaps at a time bound the memory
-            hi = min(lo + 256, len(pts) - 1)
-            A[lo + 1:hi + 1] = _panels(sm, pts[lo:hi], pts[lo + 1:hi + 1])
-        self.P = np.cumsum(A, axis=0, out=A)
+        # the integrals of sec^2 B_c up to each table point, for every B-spline c
+        P = np.zeros((len(pts), N))
+        P[1:] = _coef_panels(sm, pts[:-1], pts[1:])
+        self.P = np.cumsum(P, axis=0, out=P)
         self.maps = {"ky": sm.dense(yi, 0), "uy": np.cos(yi)[:, None] ** 2 * sm.dense(yi, 1),
                      "Py": self._primitive(yi), "b": sm.dense([HALF_PI], 0)[0]}
         # the Jacobian's weights of the pair columns: the trapezoid weight
@@ -539,7 +540,11 @@ class Discretization:
         yi, n = self.yi, len(self.yi)
         B0, first = self.sm.local(yi, 0)
         B1, _ = self.sm.local(yi, 1)
-        self.support_integral, partial = self._coefficient_primitive()
+        # P there: the whole integral of every B-spline c (the table's last
+        # row) and the integrals up to the node of the K+1 nonzero there
+        self.support_integral = self.P[-1]
+        support = first[:, None] + np.arange(B0.shape[1])
+        partial = self.P[self.pts.searchsorted(yi)[:, None], support]
         L = self.chunk = min(_CHUNK, n)
         chunk, pos = np.divmod(np.arange(n), L)
         rel = first - first[::L][chunk]                 # within the chunk's window
@@ -554,21 +559,6 @@ class Discretization:
         k = np.arange(W.shape[3])
         self.chunk_index = first[::L, None] + np.where(k < band, k, self.N + len(k) + k - band)
 
-    def _coefficient_primitive(self) -> tuple[np.ndarray, np.ndarray]:
-        """P at the outer nodes in B-spline coefficient space: the whole
-        integral of sec^2 B_c for every c, and at each node the integrals up
-        to it of the K+1 B-splines that can be nonzero there (from its first
-        one, ``sm.local``).  B-splines past those contribute nothing and
-        those before them their whole integral: the table of the integrals
-        up to each table point adds only zeros to a column past its
-        B-spline's support."""
-        table = np.zeros((len(self.pts), self.N))
-        table[1:] = _coef_panels(self.sm, self.pts[:-1], self.pts[1:])
-        np.cumsum(table, axis=0, out=table)
-        rows, first = self.sm.local(self.yi, 0)
-        support = first[:, None] + np.arange(rows.shape[1])
-        return table[-1].copy(), table[self.pts.searchsorted(self.yi)[:, None], support]
-
     def row(self, z: float) -> Discretization:
         """The discretization of the one row z (0 <= z < pi/2), sharing the
         outer-node maps and the P table but not the kept pass or the
@@ -580,16 +570,16 @@ class Discretization:
     def _primitive(self, at: np.ndarray) -> np.ndarray:
         """Value -> P maps at the points ``at``: the table's row at the table
         point a at or below each, plus GK15 panels from a up to a point that
-        is not a table point.  A panel is no wider than its distance from the
-        pole of sec^2 at pi/2: one panel below the last table point, halvings
-        of the distance past it."""
+        is not a table point, taken to the nodal values by ``coef``.  A panel
+        is no wider than its distance from the pole of sec^2 at pi/2: one
+        panel below the last table point, halvings of the distance past it."""
         i = self.pts.searchsorted(at, side="right") - 1
         A = self.P[i]
         for n in np.flatnonzero(self.pts[i] < at):
             gap, rest = HALF_PI - self.pts[i[n]], HALF_PI - at[n]
             cuts = HALF_PI - gap * 0.5 ** np.arange(1 + int(np.log2(gap / rest)))
-            A[n] += _panels(self.sm, cuts, np.append(cuts[1:], at[n])).sum(axis=0)
-        return A
+            A[n] += _coef_panels(self.sm, cuts, np.append(cuts[1:], at[n])).sum(axis=0)
+        return A @ self.coef
 
     def _set_rows(self, z: np.ndarray) -> None:
         """The row maps, transport term, blocks, band weights and workspace
@@ -608,7 +598,7 @@ class Discretization:
         for r0, r1 in zip(cuts[:-1], cuts[1:]):
             r = slice(r0, r1)
             g = _pair_geometry(z[r], yi, self.spacing)
-            _, i, j = np.nonzero(g.near)
+            i, j = np.divmod(np.concatenate(g.flat), len(yi))
             self.blocks.append((r, g, slice(n, n + len(i))))
             entries.append((r0 + i, j, g.m, g.d2))
             n += len(i)
@@ -718,14 +708,6 @@ class Discretization:
             self.residual(values)
             last = self._last
         return last[1].copy()
-
-
-def _panels(sm: SplineMaps, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Value -> maps of the integrals of sec^2(t) k(t) over [lo_i, hi_i],
-    one GK15 panel each."""
-    nodes, wts = gk15_rule(lo, hi)
-    E = sm.dense(nodes.ravel(), 0).reshape(*nodes.shape, sm.coef.shape[1])
-    return np.einsum("gq,gqn->gn", wts / np.cos(nodes) ** 2, E)
 
 
 def _coef_panels(sm: SplineMaps, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

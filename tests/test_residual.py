@@ -4,7 +4,7 @@ import pytest
 from muskatss.grid_spline import HALF_PI, fit_spline, make_grid
 from muskatss.lm import fd_jacobian
 from muskatss import residual
-from muskatss.quadrature import QuadratureError, cumulative_gk15
+from muskatss.quadrature import QuadratureError, cumulative_gk15, gk15_rule
 from muskatss.residual import (
     _CHUNK,
     _SERIES_DERIVS,
@@ -52,6 +52,17 @@ def band_halfwidth(monkeypatch):
     if changed:
         monkeypatch.undo()
         discretization.cache_clear()
+
+
+def near_masks(geo):
+    """The near pairs of each half of ``geo`` as boolean masks of the pair
+    shape, from their flat indices."""
+    masks = []
+    for c, flat in zip(geo.c, geo.flat):
+        mask = np.zeros(c.shape, dtype=bool)
+        mask.flat[flat] = True
+        masks.append(mask)
+    return masks
 
 
 def sincos_profile(N=129):
@@ -232,7 +243,8 @@ class TestResidualVector:
         d = discretization(N, cfg)
         for r, _, geo, inp in d._passes(values):
             pairs, _ = _integrand(geo, **inp)
-            region = (d.yi > HALF_PI - 2.0 * g.spacing) & ~(geo.near[0] | geo.near[1])
+            near0, near1 = near_masks(geo)
+            region = (d.yi > HALF_PI - 2.0 * g.spacing) & ~(near0 | near1)
             assert np.count_nonzero(region, axis=1).min() > 0
             want = common_denominator_pairs(geo, d.z[r], d.yi, inp)
             diff = d.hy * np.where(region, pairs - want, 0.0).sum(axis=1)
@@ -262,7 +274,7 @@ def common_denominator_pairs(geo, z, yi, inp):
     with pe = cos^2 z / (sin(z - y) sin(z + y)) and px = tan z, where pk
     D^2 F0 F1 is tan y (F0 - F1) in a form that stays finite as y -> pi/2.
     The second-derivative terms are the kernel's, from its quotients."""
-    n0 = np.count_nonzero(geo.near[0])
+    n0 = len(geo.flat[0])
     kz, ky, D, du = inp["kz"], inp["ky"], inp["D"], inp["uz"] - inp["uy"]
     (k0, _, a0, F0), (k1, _, a1, F1) = (
         _quotients(geo, h, kz, du, ky, D, q)
@@ -335,10 +347,11 @@ class TestResidualOracle:
         assert np.max(np.abs(at - got[np.array(nodes) - 1])) <= 1e-13 * scale
         assert residual_at(p, HALF_PI, cfg) == got[-1] == 0.0
         # between the table points, P adds GK15 panels to the table's value;
-        # the last point lies past the last table point, next to the pole of
-        # sec^2 at pi/2
+        # the last points lie past the last table point, next to the pole of
+        # sec^2 at pi/2, where the panels halve the distance to it
         hy = discretization(N, cfg).hy
-        off = np.append(np.random.default_rng(N).uniform(0.0, HALF_PI, 4), HALF_PI - 0.03 * hy)
+        off = np.append(np.random.default_rng(N).uniform(0.0, HALF_PI, 4),
+                        HALF_PI - np.array([0.5, 0.03, 1e-3]) * hy)
         want, _ = reference_rows(p, cfg, off)
         at = np.array([residual_at(p, z, cfg) for z in off])
         assert np.max(np.abs(at - want)) <= 1e-12 * scale
@@ -371,7 +384,7 @@ class TestBandQuotients:
         # (the band y ~ -z of the reflected row)
         parts = [([], []), ([], [])]        # per half: (fixed weights, oracle)
         for _, _, geo, inp in d._passes(values):
-            n0 = np.count_nonzero(geo.near[0])
+            n0 = len(geo.flat[0])
             want = oracle_quotients(ev, geo)
             for h, cut in enumerate((slice(None, n0), slice(n0, None))):
                 parts[h][0].append(inp["band"][:, cut])
@@ -561,29 +574,40 @@ class TestCoefficientSpace:
     @pytest.mark.parametrize("cfg", [ResidualConfig(), ResidualConfig(outer_nodes=77)],
                              ids=["default", "nodes77"])
     def test_primitive_full_partial_zero(self, cfg, N):
-        # the integrals of sec^2 B_c up to each table point: a column is 0
-        # before its B-spline's support and the whole integral past it, bit
-        # for bit; with the partial integrals of the B-splines nonzero at an
-        # outer node, that is the P table's row there
+        # the P table holds the integrals of sec^2 B_c up to each table
+        # point: a column is 0 before its B-spline's support and the whole
+        # integral past it, bit for bit; with the partial integrals of the
+        # B-splines nonzero at an outer node, that is P's row there
         d = discretization(N, cfg)
         table = np.zeros((len(d.pts), N))
         table[1:] = _coef_panels(d.sm, d.pts[:-1], d.pts[1:])
         table = np.cumsum(table, axis=0)
+        assert np.array_equal(d.P, table)
         rows, first = d.sm.local(d.yi, 0)
         at = d.pts.searchsorted(d.yi)
         assert np.array_equal(d.pts[at], d.yi)
         c = np.arange(N)
         before, after = c < first[:, None], c > first[:, None] + rows.shape[1] - 1
-        full, partial = d._coefficient_primitive()
+        full = d.support_integral
+        partial = np.take_along_axis(d.P[at], first[:, None] + np.arange(rows.shape[1]), axis=1)
         assert np.array_equal(full, table[-1])
         assert np.all(np.where(before, table[at] == full, True))
         assert np.all(np.where(after, table[at] == 0.0, True))
-        assert np.array_equal(partial, np.take_along_axis(
-            table[at], first[:, None] + np.arange(rows.shape[1]), axis=1))
         rebuilt = np.where(before, full, 0.0)
         np.put_along_axis(rebuilt, first[:, None] + np.arange(rows.shape[1]), partial, axis=1)
         Py = d.maps["Py"]
         assert np.max(np.abs(rebuilt @ d.coef - Py)) <= 1e-14 * np.max(np.abs(Py))
+        # in value space: the dense spline map at the GK15 nodes of each gap,
+        # weighted by sec^2 and summed, then summed over the gaps
+        nodes, wts = gk15_rule(d.pts[:-1], d.pts[1:])
+        E = d.sm.dense(nodes.ravel(), 0).reshape(*nodes.shape, N)
+        value = np.zeros((len(d.pts), N))
+        value[1:] = np.einsum("gq,gqn->gn", wts / np.cos(nodes) ** 2, E)
+        value = np.cumsum(value, axis=0)
+        for name, pts in (("Py", d.yi), ("Pz", d.z)):
+            got = d.maps[name]
+            want = value[d.pts.searchsorted(pts)]
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(got)), name
 
 
 class TestWorkspace:
@@ -654,10 +678,11 @@ class TestQuotients:
                 want = ((kz - ky) / (tz - ty), (uz - uy) / (tz - ty), -D / (tz - ty))
             else:
                 want = ((kz + ky) / (tz + ty), -(uz - uy) / (tz + ty), D / (tz + ty))
-        n0 = np.count_nonzero(g.near[0])
+        n0 = len(g.flat[0])
         band_h = inp["band"][:, n0:] if h else inp["band"][:, :n0]
         got = _quotients(g, h, kz, uz - uy, ky, D, band_h)
-        generic = ~(g.near[0] | g.near[1])
+        near0, near1 = near_masks(g)
+        generic = ~(near0 | near1)
         assert np.count_nonzero(generic) > 0.5 * generic.size
         for mine, oracle in zip(got, want):
             oracle = oracle[generic]
@@ -687,8 +712,9 @@ class TestIntegrandPartials:
             assert want.size > 0
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-        kinds = {"generic": ~(g.near[0] | g.near[1]),
-                 "half 0 band": g.near[0], "half 1 band": g.near[1]}
+        near = near_masks(g)
+        kinds = {"generic": ~(near[0] | near[1]),
+                 "half 0 band": near[0], "half 1 band": near[1]}
         for name, want in (("kz", p.kz), ("ky", p.ky), ("uz", p.du), ("uy", -p.du),
                            ("D", p.D)):
             pairs, _ = cstep(name)
@@ -702,10 +728,10 @@ class TestIntegrandPartials:
 
         # the three expansion quotients at the near pairs of each half (a
         # pair near z = y = 0 can be in both, so each half has its own step)
-        n0 = np.count_nonzero(g.near[0])
+        n0 = len(g.flat[0])
         for h, cut in enumerate((slice(None, n0), slice(n0, None))):
             for q in range(3):
-                close(p.band[q, cut], cstep("band", (q, cut))[0][g.near[h]])
+                close(p.band[q, cut], cstep("band", (q, cut))[0][near[h]])
 
     def test_finite_where_the_value_is_finite(self):
         # |avg| ~ 1e200 on the near pairs of both halves: F and G underflow
