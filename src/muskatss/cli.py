@@ -39,6 +39,7 @@ from .continuation import (
 )
 # h1_distance is unused here but stays importable: bench/tracer.py wraps it
 from .diagnostics import (  # noqa: F401
+    _h1_values,
     ds_derivative_check,
     figure_data,
     fit_loglog_slope,
@@ -241,10 +242,11 @@ def cmd_validate(args) -> int:
         print(f"{'s':>8} {'H1(kappa_arctan)':>18} {'H1(theorem_arctan)':>19} {'max|k-ref|':>12}")
         profiles = [st.profile for st in branch.steps]
         distances = []
+        # the theorem column is the H^1 distances alone, without sup norms
         for st, rk, rt in zip(branch.steps, h1_distances(profiles, "kappa_arctan"),
-                              h1_distances(profiles, "theorem_arctan")):
+                              _h1_values(profiles, "theorem_arctan")[0]):
             distances.append((st.s, rk.h1_distance))
-            print(f"{st.s:8.3f} {rk.h1_distance:18.6e} {rt.h1_distance:19.6e} "
+            print(f"{st.s:8.3f} {rk.h1_distance:18.6e} {rt:19.6e} "
                   f"{rk.linf_distance:12.4e}")
         small = [(s, d) for s, d in distances if s <= args.s_window + 1e-12]
         if len(small) < 2:
@@ -270,8 +272,9 @@ def cmd_export(args) -> int:
     if args.samples < 0:
         raise UsageError(f"--samples must be >= 0, got {args.samples}")
     y_range = tuple(args.y_range) if args.y_range else None
-    if y_range and not all(map(math.isfinite, y_range)):
-        raise UsageError(f"--y-range must be finite, got {args.y_range}")
+    # a finite range can still be too wide: hi - lo overflows to inf
+    if y_range and not all(map(math.isfinite, (*y_range, y_range[1] - y_range[0]))):
+        raise UsageError(f"--y-range must be finite, with a finite width, got {args.y_range}")
     _check_output(args.output)
     branch = _load_branch(args.branch)
 

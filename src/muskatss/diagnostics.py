@@ -129,22 +129,19 @@ def _reference_funcs(reference: str, s):
     raise ValueError(f"unknown reference {reference!r}; expected one of {REFERENCES}")
 
 
-def h1_distances(profiles, reference: str = "kappa_arctan") -> list[H1Report]:
-    """H^1 and sup-norm distances between solved profiles and a reference.
+def _h1_values(profiles: list, reference: str):
+    """The H^1 distances of ``h1_distances`` without the sup norms, and the
+    reference ref(z, k) they were taken from.
 
-    The profiles must share one grid.  Their H^1 integrals run in one
-    ``gk15_adaptive_many`` loop, each to its own tolerance and budget;
-    the 2001-point sup norms run one profile at a time.  Raises for the
-    first profile whose difference does not vanish at pi/2 (wrong
-    reference or unconverged profile), since its H^1 integral diverges.
+    The H^1 integrals run in one ``gk15_adaptive_many`` loop, each to its
+    own tolerance and budget.  Raises for the first profile whose
+    difference does not vanish at pi/2 (wrong reference or unconverged
+    profile), since its H^1 integral diverges.
     """
-    profiles = list(profiles)
     ref, ref_deriv = _reference_funcs(reference, [p.s for p in profiles])
     if not profiles:
-        return []
+        return [], ref
     end = np.array([HALF_PI])
-    zs = np.linspace(0.0, HALF_PI, 2001)
-    linf = []
     for k, p in enumerate(profiles):
         end_gap = abs(float((p.eval(end) - ref(end, k))[0]))
         if end_gap > _MISMATCH_TOL:
@@ -152,7 +149,6 @@ def h1_distances(profiles, reference: str = "kappa_arctan") -> list[H1Report]:
                 f"difference does not decay: |f(pi/2)| = {end_gap:.3e} "
                 f"(reference mismatch for s={p.s})"
             )
-        linf.append(float(np.max(np.abs(p.eval(zs) - ref(zs, k)))))
     spline = QuarticSpline.stack([p.spline for p in profiles])
 
     def f(z, k):
@@ -164,9 +160,22 @@ def h1_distances(profiles, reference: str = "kappa_arctan") -> list[H1Report]:
     cut = HALF_PI - _END_EXCLUSION
     results = gk15_adaptive_many(_h1_integrand(f, fprime), np.zeros(len(profiles)),
                                  np.full(len(profiles), cut), _H1_QUAD)
-    return [H1Report(s=p.s, h1_distance=_h1_total(r.value, float(fprime(end, k)[0])),
-                     linf_distance=linf[k], reference=reference)
-            for k, (p, r) in enumerate(zip(profiles, results))]
+    return [_h1_total(r.value, float(fprime(end, k)[0])) for k, r in enumerate(results)], ref
+
+
+def h1_distances(profiles, reference: str = "kappa_arctan") -> list[H1Report]:
+    """H^1 and sup-norm distances between solved profiles and a reference.
+
+    The profiles must share one grid.  The H^1 distances are
+    ``_h1_values``' (which raises for a profile whose difference does not
+    vanish at pi/2); the 2001-point sup norms run one profile at a time.
+    """
+    profiles = list(profiles)
+    h1, ref = _h1_values(profiles, reference)
+    zs = np.linspace(0.0, HALF_PI, 2001)
+    return [H1Report(s=p.s, h1_distance=d, reference=reference,
+                     linf_distance=float(np.max(np.abs(p.eval(zs) - ref(zs, k)))))
+            for k, (p, d) in enumerate(zip(profiles, h1))]
 
 
 def h1_distance(profile: Profile, reference: str = "kappa_arctan") -> H1Report:

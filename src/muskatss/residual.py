@@ -31,9 +31,10 @@ Three regions need non-generic handling:
 As k is odd and u = k' cos^2 and P are even, the "plus" quotients over
 tan z + tan y at (z, y) are the "minus" quotients at the reflected row
 (-z, y).  So each row has two halves, z and -z, with one formula, band
-rule and expansion set, and the integrand is half 0's terms minus half
-1's.  Half 1's band y ~ -z is met only near z = y = 0; expanding there
-makes the oddness cancellation at z = 0 exact in floating point.
+rule and expansion set, stacked on a leading axis of length 2, and the
+integrand is half 0's terms minus half 1's.  Half 1's band y ~ -z is met
+only near z = y = 0; expanding there makes the oddness cancellation at
+z = 0 exact in floating point.
 
 The integrand is one elementwise kernel, ``_integrand``, of the
 value-dependent inputs k and u = k' cos^2 at z and y, D = P(y) - P(z),
@@ -49,9 +50,10 @@ quotients as fixed weights on the spline coefficients (``_series``
 applied to the B-spline rows at the midpoints).
 ``residual_vector`` is those maps, each applied once to the values, and
 one kernel pass (``_kernel``) per block of rows, in a reused aligned
-workspace.  The pass builds each half's quotients once and forms from them
-both the integrand's values, in the operations of ``_integrand``, and its
-elementwise partials, from a hand-derived gradient.  The partials summed
+workspace.  The pass builds the quotients of both halves once, in one
+sweep, and forms from them both the integrand's values, in the operations
+of ``_integrand``, and its elementwise partials, from a hand-derived
+gradient.  The partials summed
 in B-spline coefficient space, where each outer node touches only the K+1
 B-splines nonzero there (local support), and taken to the nodal values by
 one product with the cardinal map, are the Jacobian
@@ -89,6 +91,8 @@ __all__ = [
 
 # half-width of the y ~ z band of the midpoint expansions, in grid spacings
 _BAND_HALFWIDTH = 2.0
+# the signs of the rows z and -z of the two halves, on the leading axis
+_SIGNS = np.array([1.0, -1.0])[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -167,18 +171,19 @@ def delta_tilde(profile: Profile, z: float, y: float, sign: int) -> float:
 class _Geometry:
     """Value-independent arrays of the outer integrand on a grid of pairs (z, y).
 
-    z arrays have shape (nz, 1), y arrays (ny,) and pair arrays (nz, ny),
-    so the elementwise kernel broadcasts them.  Per half h (the row z,
-    then its reflection -z): ``c[h]`` = cos z cos y / sin(+-z - y), zeroed
-    on the half's near pairs, whose flat row-major indices are ``flat[h]``
-    and whose midpoints ``m`` and squared half-distances ``d2`` (half 0's
-    first) feed the expansions.
+    z arrays have shape (nz, 1) and y arrays (ny,); the pairs of both
+    halves (the row z, then its reflection -z) are stacked on a leading
+    axis, shape (2, nz, ny), so the elementwise kernel broadcasts them.
+    ``c`` = cos z cos y / sin(+-z - y), zeroed on the near pairs, whose
+    flat row-major indices in the stacked shape are ``flat`` (half 0's
+    first) and whose midpoints ``m`` and squared half-distances ``d2``
+    feed the expansions.
     """
 
     x: np.ndarray
     sec2y: np.ndarray
-    c: tuple
-    flat: tuple
+    c: np.ndarray
+    flat: np.ndarray
     m: np.ndarray
     d2: np.ndarray
 
@@ -188,23 +193,20 @@ def _pair_geometry(z: np.ndarray, yi: np.ndarray, spacing: float) -> _Geometry:
     band = _BAND_HALFWIDTH * spacing
     z = z[:, None]
     cy = np.cos(yi)
-    czcy, per_half = np.cos(z) * cy, []
-    for zh in (z, -z):
-        # band y ~ +-z (half 1's only near z = 0); the sec^2 d^2 guard turns
-        # the expansion off where tan varies too fast across the band (only
-        # next to pi/2, where direct evaluation is accurate anyway)
-        mh, dh = 0.5 * (yi + zh), 0.5 * (zh - yi)
-        dd = dh * dh
-        fh = np.flatnonzero((np.abs(dh) < 0.5 * band) & (dd / np.cos(mh) ** 2 < 0.01))
-        # tan(+-z) - tan y as sin(+-z - y)/(cos z cos y); the sine vanishes
-        # only on the band, whose factors the expansions replace
-        with np.errstate(divide="ignore"):
-            ch = czcy / np.sin(zh - yi)
-        np.put(ch, fh, 0.0)
-        per_half.append((ch, fh, mh.take(fh), dd.take(fh)))
-    c, flat, m, d2 = zip(*per_half)
+    x = z * _SIGNS                          # the rows of the two halves
+    # band y ~ +-z (half 1's only near z = 0); the sec^2 d^2 guard turns
+    # the expansion off where tan varies too fast across the band (only
+    # next to pi/2, where direct evaluation is accurate anyway)
+    m, d = 0.5 * (yi + x), 0.5 * (x - yi)
+    dd = d * d
+    flat = np.flatnonzero((np.abs(d) < 0.5 * band) & (dd / np.cos(m) ** 2 < 0.01))
+    # tan(+-z) - tan y as sin(+-z - y)/(cos z cos y); the sine vanishes
+    # only on the bands, whose factors the expansions replace
+    with np.errstate(divide="ignore"):
+        c = np.cos(z) * cy / np.sin(x - yi)
+    np.put(c, flat, 0.0)
     return _Geometry(x=np.tan(z), sec2y=1.0 / (cy * cy), c=c, flat=flat,
-                     m=np.concatenate(m), d2=np.concatenate(d2))
+                     m=m.take(flat), d2=dd.take(flat))
 
 
 # the expansions take the spline derivatives of orders 0.._SERIES_DERIVS-1
@@ -235,37 +237,26 @@ def _series(m, d2, k) -> np.ndarray:
     return np.array([c2 * num_k / den, c2 * num_u / den, num_p / den])
 
 
-def _quotients(g: _Geometry, h: int, kz, du, ky, D, band, out=(None,) * 4):
-    """Half h's quotients (dq_k, dq_u, avg) at the pairs of ``g``, and
-    F = 1/(1 + avg^2), written to the arrays ``out`` (None: new ones).
+def _quotients(g: _Geometry, kz, du, ky, D, band, out):
+    """The quotients (dq_k, dq_u, avg) of both halves at the pairs of ``g``,
+    and F = 1/(1 + avg^2), written to the four stacked arrays ``out``.
 
-    With x = +-z the row of half h (k odd, u = k' cos^2 and P even): the
+    With x = +-z the row of a half (k odd, u = k' cos^2 and P even): the
     quotients of k(x) - k(y), u(x) - u(y) and -D over tan x - tan y.  On
-    the half's near pairs (``flat[h]``) they are ``band``, the half's
-    expansion quotients.
+    the near pairs (``flat``) they are ``band``, the expansion quotients.
     """
-    c, flat = g.c[h], g.flat[h]
     dq_k, dq_u, avg, F = out
-    dq_k = np.subtract(kz if h == 0 else -kz, ky, out=dq_k)
-    dq_k *= c
-    dq_u = np.multiply(du, c, out=dq_u)
-    avg = np.negative(D, out=avg)
-    avg *= c
+    np.subtract(kz * _SIGNS, ky, out=dq_k)
+    dq_k *= g.c
+    np.multiply(du, g.c, out=dq_u)
+    np.negative(D, out=avg)
+    avg *= g.c
     for q, v in zip((dq_k, dq_u, avg), band):
-        np.put(q, flat, v)
-    F = np.multiply(avg, avg, out=F)
+        np.put(q, g.flat, v)
+    np.multiply(avg, avg, out=F)
     F += 1.0
-    return dq_k, dq_u, avg, np.divide(1.0, F, out=F)
-
-
-def _v_term(dq_k, avg, F, out):
-    """A half's term v = dq_k^2 avg F^2 of the pair integrand (its other
-    term is t = dq_u F)."""
-    v = np.multiply(dq_k, dq_k, out=out)
-    v *= avg
-    v *= F
-    v *= F
-    return v
+    np.divide(1.0, F, out=F)
+    return out
 
 
 def _end_values(g: _Geometry, kz, uz, b):
@@ -289,7 +280,8 @@ def _integrand(g: _Geometry, kz, uz, ky, uy, D, b, band):
     (``_end_values``).  It is ``_kernel`` without the partials, in new
     arrays of the inputs' dtype.
     """
-    pairs, end, _ = _kernel(g, [None] * _SLOTS, kz, uz, ky, uy, D, b, band, partials=False)
+    pairs, end, _ = _kernel(g, _fresh_work(g, kz, uz, ky, uy, D, b, band),
+                            kz, uz, ky, uy, D, b, band, partials=False)
     return pairs, end
 
 
@@ -307,21 +299,62 @@ class _Partials(NamedTuple):
     band: np.ndarray
 
 
-def _half_partials(g: _Geometry, h: int, dq_k, dq_u, avg, F, out):
-    """Partials of half h's pair terms t - 2 v in its quotients (dq_k,
-    dq_u, avg), without the column factor sec^2 y / pi: times ``c[h]`` at
-    every pair and as they are at the half's near pairs.  Overwrites the
-    quotients; the partial in avg goes to ``out``.
+# stacked arrays (2, rows, ny) of one row block that a kernel pass holds at once
+_SLOTS = 6
 
-    With G = avg F (|G| <= 1/2): in dq_u F, in dq_k -4 dq_k G F, and in
-    avg -2 F (G dq_u + dq_k^2 F (4F - 3)), from F' = -2 G F and
-    (avg F^2)' = F^2 (4F - 3) (as avg^2 F = 1 - F).  They stay finite
-    wherever the terms do.
+
+def _fresh_work(g: _Geometry, *inputs) -> np.ndarray:
+    """A new kernel workspace for ``g``, of the inputs' dtype."""
+    return np.empty((_SLOTS, *g.c.shape), np.result_type(*inputs))
+
+
+def _kernel(g: _Geometry, work, kz, uz, ky, uy, D, b, band, partials=True):
+    """The values of ``_integrand`` and, at real inputs, their partials, in
+    one sweep over the quotients of both halves, in the workspace ``work``.
+
+    ``work`` holds ``_SLOTS`` stacked arrays of the pair shape (2, rows,
+    ny).  du = uz - uy goes to slot 2's half 0, the quotients (dq_k, dq_u,
+    avg, F) to slots 3, 0, 1 and 4, and the terms v and t to 2 and 5; the
+    pair values end in slot 5's half 0.  The values are ``_integrand``'s,
+    with each array's operations in the same order.
+
+    Returns (pairs, end, partials), partials None unless ``partials``.  At
+    the pairs: in kz, ky, du = uz - uy (u enters only as that difference,
+    so the uy partial is minus the du one) and D, without the column
+    factor sec^2 y / pi; the last three are ``work[:3, 0]``.  At the
+    endpoint column, one per z: in kz, uz and b.  At the near pairs, in
+    the order of ``band`` and without the column factor: in the three
+    expansion quotients (dq_k, dq_u, avg).  The pair value is half 0's
+    terms minus half 1's, and the quotients are c times +-kz - ky, du and
+    -D: the halves' partials combine with those signs.
+    ``_integrand_partials`` applies the factor.
     """
+    du = np.subtract(uz, uy, out=work[2, 0])
+    dq_k, dq_u, avg, F = _quotients(g, kz, du, ky, D, band,
+                                    out=(work[3], work[0], work[1], work[4]))
+    v = np.multiply(dq_k, dq_k, out=work[2])
+    v *= avg
+    v *= F
+    v *= F
+    t = np.multiply(dq_u, F, out=work[5])
+    v[0] -= v[1]
+    t[0] -= t[1]
+    v[0] *= 2.0
+    t[0] -= v[0]
+    t[0] *= g.sec2y / np.pi
+    pairs, end = t[0], _end_values(g, kz, uz, b)
+    if not partials:
+        return pairs, end, None
+
+    # each half's terms t - 2 v in its quotients, in place: with G = avg F
+    # (|G| <= 1/2), in dq_u F, in dq_k -4 dq_k G F, and in avg
+    # -2 F (G dq_u + dq_k^2 F (4F - 3)), from F' = -2 G F and
+    # (avg F^2)' = F^2 (4F - 3) (as avg^2 F = 1 - F); they stay finite
+    # wherever the terms do
     G = avg
     G *= F
     dq_u *= G
-    p_avg = np.multiply(4.0, F, out=out)
+    p_avg = np.multiply(4.0, F, out=work[2])
     p_avg -= 3.0
     p_avg *= F
     p_avg *= dq_k
@@ -334,70 +367,17 @@ def _half_partials(g: _Geometry, h: int, dq_k, dq_u, avg, F, out):
     p_dq_k *= F
     p_dq_k *= -4.0
     p_dq_u = F
-    flat = g.flat[h]
-    at_near = np.array([p_dq_k.take(flat), p_dq_u.take(flat), p_avg.take(flat)])
+    near = np.array([p_dq_k.take(g.flat), p_dq_u.take(g.flat), p_avg.take(g.flat)])
+    half1 = near[:, g.flat.searchsorted(g.c[0].size):]
+    np.negative(half1, out=half1)
     for part in (p_dq_k, p_dq_u, p_avg):
-        part *= g.c[h]
-    return p_dq_k, p_dq_u, p_avg, at_near
-
-
-# arrays of one row block that a kernel pass holds at once
-_SLOTS = 10
-
-
-def _kernel(g: _Geometry, slots, kz, uz, ky, uy, D, b, band, partials=True):
-    """The values of ``_integrand`` and, at real inputs, their partials, in
-    one pass over each half's quotients, in the arrays ``slots``.
-
-    ``slots`` holds ``_SLOTS`` arrays of the pair shape (None: new ones).
-    du = uz - uy goes to slot 9, half 0's quotients to 3, 4, 5 and 1 and
-    its terms v, t to 2 and 6; its partials overwrite them, the one in avg
-    going to 7.  Half 1's quotients reuse 0, 4, 5 and 8, and its terms take
-    turns in 9.  The pair values end in slot 6 and half 1's partial in avg
-    in 2.  The values are ``_integrand``'s, with each array's operations in
-    the same order.
-
-    Returns (pairs, end, partials), partials None unless ``partials``.  At
-    the pairs: in kz (slot 9), ky (0), du = uz - uy (1; u enters only as
-    that difference, so the uy partial is minus the du one) and D (2),
-    without the column factor sec^2 y / pi.  At the endpoint column, one
-    per z: in kz, uz and b.  At the near pairs of both halves, in the
-    order of ``band`` and without the column factor: in the three
-    expansion quotients (dq_k, dq_u, avg).  The pair value is half 0's
-    terms minus half 1's, and half h's quotients are c[h] times +-kz - ky,
-    du and -D: the halves' partials combine with those signs.
-    ``_integrand_partials`` applies the factor.
-    """
-    s = slots
-    n0 = len(g.flat[0])
-    du = np.subtract(uz, uy, out=s[9])
-
-    def quotients(h, k, u, a, f):
-        q = band[:, :n0] if h == 0 else band[:, n0:]
-        return _quotients(g, h, kz, du, ky, D, q, out=(s[k], s[u], s[a], s[f]))
-
-    q0 = k0, u0, a0, F0 = quotients(0, 3, 4, 5, 1)
-    v0 = _v_term(k0, a0, F0, out=s[2])
-    t0 = np.multiply(u0, F0, out=s[6])
-    if partials:
-        k0, u0, a0, near0 = _half_partials(g, 0, *q0, out=s[7])
-    q1 = k1, u1, a1, F1 = quotients(1, 0, 4, 5, 8)
-    v0 -= _v_term(k1, a1, F1, out=s[9])
-    t0 -= np.multiply(u1, F1, out=s[9])
-    v0 *= 2.0
-    t0 -= v0
-    t0 *= g.sec2y / np.pi
-    pairs, end = t0, _end_values(g, kz, uz, b)
-    if not partials:
-        return pairs, end, None
-
-    k1, u1, a1, near1 = _half_partials(g, 1, *q1, out=s[2])
-    # through the generic quotients, whose factors c[h] are 0 where the
-    # band expansions replace them
-    d_kz = np.add(k0, k1, out=s[9])
-    d_ky = np.subtract(k1, k0, out=k1)
-    d_du = np.subtract(u0, u1, out=u0)
-    d_D = np.subtract(a1, a0, out=a1)
+        part *= g.c
+    # through the generic quotients, whose factors c are 0 where the band
+    # expansions replace them
+    d_ky = np.subtract(p_dq_k[1], p_dq_k[0], out=work[0, 0])
+    d_du = np.subtract(p_dq_u[0], p_dq_u[1], out=work[1, 0])
+    d_D = np.subtract(p_avg[1], p_avg[0], out=work[2, 0])
+    d_kz = np.add(p_dq_k[0], p_dq_k[1], out=p_dq_k[0])
 
     # endpoint y = pi/2, with (1 - b^2) Fb^2 = (2Fb - 1) Fb and b^2 Fb^2 = (1 - Fb) Fb
     x = g.x
@@ -406,18 +386,18 @@ def _kernel(g: _Geometry, slots, kz, uz, ky, uy, D, b, band, partials=True):
     end_uz = -2.0 * x * (2.0 * Fb - 1.0) * Fb / np.pi
     end_b = ((-2.0 * x * uz * (4.0 * Fb - 1.0) + 8.0 * kz * (1.0 - 2.0 * Fb))
              * (-2.0 * b * Fb * Fb) / np.pi)
-    return pairs, end, _Partials(
-        d_kz, d_ky, d_du, d_D, end_kz, end_uz[:, 0], end_b[:, 0],
-        band=np.concatenate([near0, -near1], axis=1))
+    return pairs, end, _Partials(d_kz, d_ky, d_du, d_D, end_kz, end_uz[:, 0], end_b[:, 0],
+                                 band=near)
 
 
 def _integrand_partials(g: _Geometry, kz, uz, ky, uy, D, b, band) -> _Partials:
     """The partials of ``_integrand`` at real inputs: ``_kernel``'s, with
     the column factor sec^2 y / pi applied (the tests check them against a
     complex step through ``_integrand``)."""
-    _, _, p = _kernel(g, [None] * _SLOTS, kz, uz, ky, uy, D, b, band)
+    _, _, p = _kernel(g, _fresh_work(g, kz, uz, ky, uy, D, b, band),
+                      kz, uz, ky, uy, D, b, band)
     col = g.sec2y / np.pi
-    near_col = col[np.concatenate(g.flat) % col.size]
+    near_col = col[g.flat % col.size]
     return p._replace(kz=p.kz * col, ky=p.ky * col, du=p.du * col, D=p.D * col,
                       band=p.band * near_col)
 
@@ -443,9 +423,9 @@ def _outer_integral(hy: float, z, yi, pairs, end) -> np.ndarray:
     return hy * (pairs.sum(axis=1) - 0.5 * pairs[:, 0] + 0.5 * end[:, 0])
 
 
-# pairs per row block of a kernel pass, about: the rows are spread evenly
-# over as many blocks as this needs.  The block bounds the memory, and with
-# it the working set of the kernel's arrays
+# pairs of both halves per row block of a kernel pass, about: the rows are
+# spread evenly over as many blocks as this needs.  The block bounds the
+# memory, and with it the working set of the kernel's arrays
 _BLOCK_PAIRS = 1 << 15
 # outer nodes per chunk of the Jacobian's sums in coefficient space
 _CHUNK = 48
@@ -480,12 +460,13 @@ class Discretization:
 
     One pass (``_pass``) gives the residual and the Jacobian at the same
     values, its kernel running in the workspace ``work``: ``_SLOTS``
-    64-byte aligned arrays of the largest block's shape, which every block
-    and every pass reuses.  The Jacobian's y-terms are summed in B-spline
-    coefficient space, where each outer node touches the K+1 B-splines
-    nonzero there (local support): per chunk of ``_CHUNK`` consecutive
-    outer nodes, one batched product of the partials in ky, du and D with
-    the fixed ``chunk_weight`` onto the chunk's window of coefficients.
+    64-byte aligned stacked arrays (2, rows, ny) of the largest block,
+    which every block and every pass reuses.  The Jacobian's y-terms are
+    summed in B-spline coefficient space, where each outer node touches the
+    K+1 B-splines nonzero there (local support): per chunk of ``_CHUNK``
+    consecutive outer nodes, one batched product of the partials in ky, du
+    and D with the fixed ``chunk_weight`` onto the chunk's window of
+    coefficients.
     Their weights hold the trapezoid and column factors and the B-spline
     rows of k and u = k' cos^2 at the node; for P, the ``P`` table's
     entries at the node of the K+1 B-splines that are nonzero there.
@@ -592,17 +573,17 @@ class Discretization:
         self.transport = (np.sin(z) * np.cos(z))[:, None] * dk_z
 
         # per block: its rows, geometry and slice of the expansion entries
-        nblocks = -(-len(z) * len(yi) // _BLOCK_PAIRS)
+        nblocks = -(-2 * len(z) * len(yi) // _BLOCK_PAIRS)
         cuts = [len(z) * k // nblocks for k in range(nblocks + 1)]
         self.blocks, entries, n = [], [], 0
         for r0, r1 in zip(cuts[:-1], cuts[1:]):
             r = slice(r0, r1)
             g = _pair_geometry(z[r], yi, self.spacing)
-            i, j = np.divmod(np.concatenate(g.flat), len(yi))
+            i, j = np.divmod(g.flat % g.c[0].size, len(yi))
             self.blocks.append((r, g, slice(n, n + len(i))))
             entries.append((r0 + i, j, g.m, g.d2))
             n += len(i)
-        self.work = _aligned(_SLOTS, -(-len(z) // nblocks) * len(yi))
+        self.work = _aligned(_SLOTS, 2 * -(-len(z) // nblocks) * len(yi))
         # _series is linear in the spline derivatives, so on the B-spline
         # rows of each order at an entry's midpoint it gives each quotient's
         # weights on the coefficients first..first+4 of that entry
@@ -650,10 +631,10 @@ class Discretization:
         The residual is the transport term, one map of the values, plus the
         trapezoid of the pair values.  The Jacobian, shape (N+1, N), is the
         derivative of ``residual_vector(...).stacked()``.  Its z-terms are
-        the pair partials' row sums under the column weights ``col`` times
-        the row maps.  Its y-terms (``_chunk_sums``) and the band term are
-        sums in coefficient space, taken to the nodal values by one product
-        with ``coef``.
+        the pair partials' row sums under the column weights ``col``, taken
+        per block, times the row maps, after the last block.  Its y-terms
+        (``_chunk_sums``) and the band term are sums in coefficient space,
+        taken to the nodal values by one product with ``coef``.
         """
         N, col, hy, maps, nz = self.N, self.col, self.hy, self.maps, len(self.z)
         out = self.transport @ values
@@ -664,19 +645,22 @@ class Discretization:
 
         sums = np.zeros((nz, 2, N + self.chunk_weight.shape[3]))
         quot = np.empty(self.band_weight.shape[:2])
+        zsums = np.empty((4, nz))         # the z-terms' row sums, in kz, uz, Pz and b
         ny = len(self.yi)
         for r, b, geo, inputs in self._passes(values):
             nr = geo.x.shape[0]
-            slots = self.work[:, :nr * ny].reshape(_SLOTS, nr, ny)
+            work = self.work[:, :2 * nr * ny].reshape(_SLOTS, 2, nr, ny)
             with np.errstate(over="ignore", invalid="ignore"):   # lm_solve checks J
-                pairs, end, p = _kernel(geo, slots, **inputs)
+                pairs, end, p = _kernel(geo, work, **inputs)
             out[r] += _outer_integral(hy, self.z[r], self.yi, pairs, end)
-            J[r] += hy * ((p.kz @ col + 0.5 * p.end_kz)[:, None] * maps["kz"][r]
-                          + (p.du @ col + 0.5 * p.end_uz)[:, None] * maps["uz"][r]
-                          - (p.D @ col)[:, None] * maps["Pz"][r]
-                          + 0.5 * p.end_b[:, None] * maps["b"])
-            sums[r] += self._chunk_sums(slots[:3])
+            zsums[:, r] = (p.kz @ col + 0.5 * p.end_kz, p.du @ col + 0.5 * p.end_uz,
+                           p.D @ col, p.end_b)
+            sums[r] += self._chunk_sums(work[:3, 0])
             quot[:, b] = p.band
+
+        kz, uz, Pz, b = zsums[:, :, None]
+        J[:nz] += hy * (kz * maps["kz"] + uz * maps["uz"] - Pz * maps["Pz"]
+                        + 0.5 * b * maps["b"])
 
         C = sums[:, 0, :N] + np.bincount(
             self.band_index, np.einsum("qe,qek->ek", quot * self.band_column,

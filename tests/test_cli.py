@@ -111,7 +111,8 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and out in err
 
-    @pytest.mark.parametrize("flags", [["--samples", "-3"], ["--y-range", "nan", "1"]])
+    @pytest.mark.parametrize("flags", [["--samples", "-3"], ["--y-range", "nan", "1"],
+                                       ["--y-range", "-1e308", "1e308"]])
     def test_bad_flag_checked_before_branch_file(self, tmp_path, flags):
         assert main(["export", str(tmp_path / "absent.json"), "--figure", "integrated"]
                     + flags) == EX_USAGE

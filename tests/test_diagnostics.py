@@ -122,6 +122,13 @@ class TestH1Distances:
                                                                   one.linf_distance)
             assert abs(rep.h1_distance - one.h1_distance) <= 1e-15 * one.h1_distance
 
+    @pytest.mark.parametrize("reference", REFERENCES)
+    def test_values_without_sup_norms(self, reference):
+        # validate's theorem column: the H^1 distances alone, bit for bit
+        profiles = deviating_profiles(BRANCH_S)
+        h1, _ = diagnostics._h1_values(profiles, reference)
+        assert h1 == [rep.h1_distance for rep in h1_distances(profiles, reference)]
+
     def test_budget_counted_per_integral(self, monkeypatch):
         profiles = deviating_profiles(BRANCH_S)
         full = h1_distances(profiles)

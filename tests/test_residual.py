@@ -57,12 +57,14 @@ def band_halfwidth(monkeypatch):
 def near_masks(geo):
     """The near pairs of each half of ``geo`` as boolean masks of the pair
     shape, from their flat indices."""
-    masks = []
-    for c, flat in zip(geo.c, geo.flat):
-        mask = np.zeros(c.shape, dtype=bool)
-        mask.flat[flat] = True
-        masks.append(mask)
-    return masks
+    mask = np.zeros(geo.c.shape, dtype=bool)
+    mask.flat[geo.flat] = True
+    return list(mask)
+
+
+def half0_entries(geo):
+    """The number of near pairs of half 0 of ``geo``: they come first."""
+    return geo.flat.searchsorted(geo.c[0].size)
 
 
 def sincos_profile(N=129):
@@ -274,11 +276,9 @@ def common_denominator_pairs(geo, z, yi, inp):
     with pe = cos^2 z / (sin(z - y) sin(z + y)) and px = tan z, where pk
     D^2 F0 F1 is tan y (F0 - F1) in a form that stays finite as y -> pi/2.
     The second-derivative terms are the kernel's, from its quotients."""
-    n0 = len(geo.flat[0])
     kz, ky, D, du = inp["kz"], inp["ky"], inp["D"], inp["uz"] - inp["uy"]
-    (k0, _, a0, F0), (k1, _, a1, F1) = (
-        _quotients(geo, h, kz, du, ky, D, q)
-        for h, q in enumerate((inp["band"][:, :n0], inp["band"][:, n0:])))
+    (k0, k1), _, (a0, a1), (F0, F1) = _quotients(geo, kz, du, ky, D, inp["band"],
+                                                 np.empty((4, *geo.c.shape)))
     z = z[:, None]
     cz, cy, sin_zy = np.cos(z), np.cos(yi), np.sin(z - yi) * np.sin(z + yi)
     pe = cz * cz / sin_zy
@@ -384,7 +384,7 @@ class TestBandQuotients:
         # (the band y ~ -z of the reflected row)
         parts = [([], []), ([], [])]        # per half: (fixed weights, oracle)
         for _, _, geo, inp in d._passes(values):
-            n0 = len(geo.flat[0])
+            n0 = half0_entries(geo)
             want = oracle_quotients(ev, geo)
             for h, cut in enumerate((slice(None, n0), slice(n0, None))):
                 parts[h][0].append(inp["band"][:, cut])
@@ -529,7 +529,7 @@ def dense_jacobian(d, values):
     J[N - 1, 0] = J[N, N - 1] = 1.0
     quot = np.empty(d.band_weight.shape[:2])
     for r, b, geo, inputs in d._passes(values):
-        _, _, p = _kernel(geo, [None] * _SLOTS, **inputs)
+        _, _, p = _kernel(geo, np.empty((_SLOTS, *geo.c.shape)), **inputs)
         J[r] += hy * (
             (p.kz @ col + 0.5 * p.end_kz)[:, None] * maps["kz"][r]
             + (p.du @ col + 0.5 * p.end_uz)[:, None] * maps["uz"][r]
@@ -654,6 +654,31 @@ class TestWorkspace:
         assert self.same(d, v)
 
 
+class TestWorkspaceBlocks(TestWorkspace):
+    """The workspace checks on three row blocks of unequal rows, and the
+    partition against one block."""
+
+    @pytest.fixture(autouse=True)
+    def three_blocks(self, monkeypatch):
+        # 2 * 31 * 76 = 4712 pairs of both halves at N=33 with 77 outer
+        # nodes: 3 blocks of 2048 at most, of 10, 10 and 11 rows
+        monkeypatch.setattr(residual, "_BLOCK_PAIRS", 1 << 11)
+
+    def test_rows_per_block(self):
+        d = Discretization(self.N, self.cfg)
+        assert [r.stop - r.start for r, _, _ in d.blocks] == [10, 10, 11]
+
+    def test_matches_one_block(self, monkeypatch):
+        v = random_odd_profile(self.N, 9).values
+        d = Discretization(self.N, self.cfg)
+        monkeypatch.setattr(residual, "_BLOCK_PAIRS", 1 << 30)
+        one = Discretization(self.N, self.cfg)
+        assert len(one.blocks) == 1
+        assert d.residual(v).tobytes() == one.residual(v).tobytes()
+        J = one.jacobian(v)
+        assert np.max(np.abs(d.jacobian(v) - J)) <= 1e-15 * np.max(np.abs(J))
+
+
 def kernel_inputs(N, cfg, s):
     """The interior-row geometry of (N, cfg), one block, and the kernel's
     inputs there."""
@@ -678,9 +703,8 @@ class TestQuotients:
                 want = ((kz - ky) / (tz - ty), (uz - uy) / (tz - ty), -D / (tz - ty))
             else:
                 want = ((kz + ky) / (tz + ty), -(uz - uy) / (tz + ty), D / (tz + ty))
-        n0 = len(g.flat[0])
-        band_h = inp["band"][:, n0:] if h else inp["band"][:, :n0]
-        got = _quotients(g, h, kz, uz - uy, ky, D, band_h)
+        got = [q[h] for q in _quotients(g, kz, uz - uy, ky, D, inp["band"],
+                                        np.empty((4, *g.c.shape)))]
         near0, near1 = near_masks(g)
         generic = ~(near0 | near1)
         assert np.count_nonzero(generic) > 0.5 * generic.size
@@ -728,7 +752,7 @@ class TestIntegrandPartials:
 
         # the three expansion quotients at the near pairs of each half (a
         # pair near z = y = 0 can be in both, so each half has its own step)
-        n0 = len(g.flat[0])
+        n0 = half0_entries(g)
         for h, cut in enumerate((slice(None, n0), slice(n0, None))):
             for q in range(3):
                 close(p.band[q, cut], cstep("band", (q, cut))[0][near[h]])
