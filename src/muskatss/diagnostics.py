@@ -225,6 +225,7 @@ def figure_data(branch: Branch, which: str, s_values=None,
 
     discrepancy: k(z) - (2/pi) s z against z on [0, pi/2].
     normalized:  k(y)/s against y (default range [0, 10]); tends to 1.
+                 A step at s = 0 raises ValueError.
     integrated:  int_0^y k against y (default range [-50, 50]); even in y.
     """
     if not branch.steps:
@@ -241,6 +242,8 @@ def figure_data(branch: Branch, which: str, s_values=None,
         return FigureTable("z", z, tuple(s_values), cols)
 
     if which == "normalized":
+        if any(st.s == 0 for st in steps):
+            raise ValueError("the normalized figure k(y)/s is undefined at s = 0")
         lo, hi = y_range if y_range is not None else (0.0, 10.0)
         y = np.linspace(lo, hi, samples)
         z = np.arctan(y)

@@ -42,26 +42,30 @@ k(pi/2) and the three expansion quotients at the near pairs of both
 halves.  The geometry (``_pair_geometry``) depends only on N and the
 outer nodes, and so do the products of it the kernel needs: the
 quotients' factors cos z cos y / sin(+-z - y).  Every input is linear in
-the nodal values, so a cached ``Discretization`` builds fixed value ->
-input maps once per (N, ResidualConfig): P from one table in B-spline
-coefficient space, the integrals of sec^2 B_c with one GK15 panel per
-gap, taken to the nodal values by the cardinal map, and the expansion
-quotients as fixed weights on the spline coefficients (``_series``
-applied to the B-spline rows at the midpoints).
-``residual_vector`` is those maps, each applied once to the values, and
-one kernel pass (``_kernel``) per block of rows, in a reused aligned
+the nodal values, so a cached ``Discretization`` builds fixed weights
+once per (N, ResidualConfig).  At the outer nodes they are the K+1 local
+B-spline rows of k, u and P there (local support), applied to the spline
+coefficients: P from one table in B-spline coefficient space, the
+integrals of sec^2 B_c with one GK15 panel per gap.  At the rows they
+are dense value maps, P from the same table taken to the nodal values by
+the cardinal map.  The expansion quotients are fixed weights on the
+spline coefficients (``_series`` applied to the B-spline rows at the
+midpoints).  The outer rule is one weight vector: the trapezoid weights
+times the column factor sec^2 y / pi at the outer nodes but pi/2, and
+hy/2 at pi/2, whose analytic limit holds the factor.
+``residual_vector`` is those weights, each applied once to the values,
+and one kernel pass (``_kernel``) per block of rows, in a reused aligned
 workspace.  The pass builds the quotients of both halves once, in one
 sweep, and forms from them both the integrand's values, in the operations
 of ``_integrand``, and its elementwise partials, from a hand-derived
-gradient.  The partials summed
-in B-spline coefficient space, where each outer node touches only the K+1
-B-splines nonzero there (local support), and taken to the nodal values by
-one product with the cardinal map, are the Jacobian
+gradient.  The partials under the same outer weights, summed in B-spline
+coefficient space through the same local rows and taken to the nodal
+values by one product with the cardinal map, are the Jacobian
 (``residual_jacobian``).  So one pass per trial point gives the residual
 and the Jacobian there, and the ``Discretization`` keeps the last one for
 a Jacobian asked at the same values.  A complex step through
 ``_integrand`` is the tests' check of that gradient.  ``residual_at`` is
-the one-row discretization of its z, sharing the outer-node maps and the
+the one-row discretization of its z, sharing the outer-node rows and the
 P table.  ``delta_tilde`` is the sliding average itself, by adaptive GK15.
 """
 
@@ -181,7 +185,6 @@ class _Geometry:
     """
 
     x: np.ndarray
-    sec2y: np.ndarray
     c: np.ndarray
     flat: np.ndarray
     m: np.ndarray
@@ -205,8 +208,7 @@ def _pair_geometry(z: np.ndarray, yi: np.ndarray, spacing: float) -> _Geometry:
     with np.errstate(divide="ignore"):
         c = np.cos(z) * cy / np.sin(x - yi)
     np.put(c, flat, 0.0)
-    return _Geometry(x=np.tan(z), sec2y=1.0 / (cy * cy), c=c, flat=flat,
-                     m=m.take(flat), d2=dd.take(flat))
+    return _Geometry(x=np.tan(z), c=c, flat=flat, m=m.take(flat), d2=dd.take(flat))
 
 
 # the expansions take the spline derivatives of orders 0.._SERIES_DERIVS-1
@@ -273,12 +275,12 @@ def _integrand(g: _Geometry, kz, uz, ky, uy, D, b, band):
     z and at y, D = P(y) - P(z), b = k(pi/2), and the expansion quotients
     (dq_k, dq_u, avg) at the near pairs of both halves, half 0's first.
     Every output is an elementwise function of them, so complex inputs
-    give complex-step derivatives (the tests' check of
-    ``_integrand_partials``).  Returns (pairs, end): the integrand at each
-    pair, (t0 - t1 - 2 (v0 - v1)) sec^2 y / pi from the halves' terms
-    t = dq_u F and v = dq_k^2 avg F^2, and at each z its endpoint limit
-    (``_end_values``).  It is ``_kernel`` without the partials, in new
-    arrays of the inputs' dtype.
+    give complex-step derivatives (the tests' check of ``_kernel``'s
+    partials).  Returns (pairs, end): at each pair t0 - t1 - 2 (v0 - v1)
+    from the halves' terms t = dq_u F and v = dq_k^2 avg F^2, the integrand
+    without its column factor sec^2 y / pi (the outer weights hold it), and
+    at each z the endpoint limit (``_end_values``), factor included.  It is
+    ``_kernel`` without the partials, in new arrays of the inputs' dtype.
     """
     pairs, end, _ = _kernel(g, _fresh_work(g, kz, uz, ky, uy, D, b, band),
                             kz, uz, ky, uy, D, b, band, partials=False)
@@ -286,8 +288,7 @@ def _integrand(g: _Geometry, kz, uz, ky, uy, D, b, band):
 
 
 class _Partials(NamedTuple):
-    """Partials of ``_integrand``, with or without the column factor
-    sec^2 y / pi (see ``_kernel`` and ``_integrand_partials``)."""
+    """Partials of ``_integrand``'s values (see ``_kernel``)."""
 
     kz: np.ndarray
     ky: np.ndarray
@@ -320,14 +321,12 @@ def _kernel(g: _Geometry, work, kz, uz, ky, uy, D, b, band, partials=True):
 
     Returns (pairs, end, partials), partials None unless ``partials``.  At
     the pairs: in kz, ky, du = uz - uy (u enters only as that difference,
-    so the uy partial is minus the du one) and D, without the column
-    factor sec^2 y / pi; the last three are ``work[:3, 0]``.  At the
-    endpoint column, one per z: in kz, uz and b.  At the near pairs, in
-    the order of ``band`` and without the column factor: in the three
-    expansion quotients (dq_k, dq_u, avg).  The pair value is half 0's
-    terms minus half 1's, and the quotients are c times +-kz - ky, du and
-    -D: the halves' partials combine with those signs.
-    ``_integrand_partials`` applies the factor.
+    so the uy partial is minus the du one) and D; the last three are
+    ``work[:3, 0]``.  At the endpoint column, one per z: in kz, uz and b.
+    At the near pairs, in the order of ``band``: in the three expansion
+    quotients (dq_k, dq_u, avg).  The pair value is half 0's terms minus
+    half 1's, and the quotients are c times +-kz - ky, du and -D: the
+    halves' partials combine with those signs.
     """
     du = np.subtract(uz, uy, out=work[2, 0])
     dq_k, dq_u, avg, F = _quotients(g, kz, du, ky, D, band,
@@ -341,7 +340,6 @@ def _kernel(g: _Geometry, work, kz, uz, ky, uy, D, b, band, partials=True):
     t[0] -= t[1]
     v[0] *= 2.0
     t[0] -= v[0]
-    t[0] *= g.sec2y / np.pi
     pairs, end = t[0], _end_values(g, kz, uz, b)
     if not partials:
         return pairs, end, None
@@ -390,29 +388,19 @@ def _kernel(g: _Geometry, work, kz, uz, ky, uy, D, b, band, partials=True):
                                  band=near)
 
 
-def _integrand_partials(g: _Geometry, kz, uz, ky, uy, D, b, band) -> _Partials:
-    """The partials of ``_integrand`` at real inputs: ``_kernel``'s, with
-    the column factor sec^2 y / pi applied (the tests check them against a
-    complex step through ``_integrand``)."""
-    _, _, p = _kernel(g, _fresh_work(g, kz, uz, ky, uy, D, b, band),
-                      kz, uz, ky, uy, D, b, band)
-    col = g.sec2y / np.pi
-    near_col = col[g.flat % col.size]
-    return p._replace(kz=p.kz * col, ky=p.ky * col, du=p.du * col, D=p.D * col,
-                      band=p.band * near_col)
-
-
 def _outer_nodes(N: int, cfg: ResidualConfig) -> tuple[np.ndarray, float]:
     """The outer trapezoid nodes but pi/2, and their spacing."""
     y = np.linspace(0.0, HALF_PI, cfg.resolve_outer_nodes(N))
     return y[:-1], y[1] - y[0]
 
 
-def _outer_integral(hy: float, z, yi, pairs, end) -> np.ndarray:
-    """Trapezoid in y of the outer integrand at the rows z: its values
-    ``pairs`` at the outer nodes ``yi`` but pi/2 and ``end`` at pi/2 (see
-    ``_integrand``).  A non-finite integrand raises QuadratureError naming
-    its (z, y), so numpy's overflow warnings on the way are not shown.
+def _outer_integral(w, z, yi, pairs, end) -> np.ndarray:
+    """The outer rule in y at the rows z: the weights ``w`` on the
+    integrand's values ``pairs`` at the outer nodes ``yi`` but pi/2, and
+    its last entry on ``end`` at pi/2 (see ``_integrand``).  A non-finite
+    integrand raises QuadratureError naming its (z, y), so numpy's
+    overflow warnings on the way are not shown.  Each row's sum takes no
+    BLAS call, so it is the same in any row block at any thread count.
     """
     if not (np.all(np.isfinite(pairs)) and np.all(np.isfinite(end))):
         bad = ~np.isfinite(np.column_stack([pairs, end]))
@@ -420,7 +408,7 @@ def _outer_integral(hy: float, z, yi, pairs, end) -> np.ndarray:
         y = np.append(yi, HALF_PI)[j]
         raise QuadratureError(f"non-finite outer integrand at (z={z[i]}, y={y})",
                               interval=(float(z[i]), float(y)))
-    return hy * (pairs.sum(axis=1) - 0.5 * pairs[:, 0] + 0.5 * end[:, 0])
+    return np.einsum("ij,j->i", pairs, w[:-1]) + w[-1] * end[:, 0]
 
 
 # pairs of both halves per row block of a kernel pass, about: the rows are
@@ -444,42 +432,44 @@ class Discretization:
     """The value-independent part of the residual for one (N, cfg) and its rows.
 
     Holds the rows z (the interior nodes but pi/2, or the one point of
-    ``row``) in row ``blocks``, each with its pair geometry, and the linear
-    maps from the nodal values to every input of the outer integrand:
-    ``maps[name] @ values`` gives the input ``name`` (spline maps E_nu at the
-    rows, the outer nodes and pi/2, and value -> P maps).  ``P`` is a table
-    in B-spline coefficient space at ``pts`` (0, the interior nodes and the
-    outer nodes): the integrals of sec^2 B_c up to each point for every
-    B-spline c, from one GK15 panel per gap.  The value -> P maps are its
-    rows, plus panels up to a row that is not a table point, times the
-    cardinal map ``coef`` (``_primitive``).  The expansion quotients at the
-    near pairs are fixed weights ``band_weight`` (per quotient, entry and
-    coefficient) on the five coefficients ``band_gather`` whose B-splines
-    can be nonzero at an entry's midpoint; each block's entries, half 0's
-    then half 1's, are one slice.
+    ``row``) in row ``blocks``, each with its pair geometry, and fixed
+    weights from the nodal values to every input of the outer integrand.
+    ``P`` is a table in B-spline coefficient space at ``pts`` (0, the
+    interior nodes and the outer nodes): the integrals of sec^2 B_c up to
+    each point for every B-spline c, from one GK15 panel per gap.  At the
+    rows and at pi/2, ``maps[name] @ values`` gives the input ``name``:
+    spline maps E_nu, and value -> P maps, the table's rows plus panels up
+    to a row that is not a table point, times the cardinal map ``coef``
+    (``_primitive``).  At the outer nodes the inputs are sums over the
+    spline coefficients a = coef @ values: ``y_rows`` holds, per outer
+    node, the rows of k, u = k' cos^2 and P on the K+1 coefficients
+    ``y_gather`` whose B-splines are nonzero there (local support), P's
+    being the table's entries there.  Every B-spline c whose support ends
+    at or below a node has all of its integral ``support_integral[c]``
+    (the table's last row) in P there, which a cumulative sum over the
+    coefficients adds.  The expansion quotients at the near pairs are
+    fixed weights ``band_weight`` (per quotient, entry and coefficient) on
+    the five coefficients ``band_gather`` whose B-splines can be nonzero at
+    an entry's midpoint; each block's entries, half 0's then half 1's, are
+    one slice.  The outer rule is the one weight vector ``w``: the
+    trapezoid weight times the column factor sec^2 y / pi at each outer
+    node but pi/2 (halved at y = 0), then hy/2 at pi/2.
 
     One pass (``_pass``) gives the residual and the Jacobian at the same
     values, its kernel running in the workspace ``work``: ``_SLOTS``
     64-byte aligned stacked arrays (2, rows, ny) of the largest block,
     which every block and every pass reuses.  The Jacobian's y-terms are
-    summed in B-spline coefficient space, where each outer node touches the
-    K+1 B-splines nonzero there (local support): per chunk of ``_CHUNK``
-    consecutive outer nodes, one batched product of the partials in ky, du
-    and D with the fixed ``chunk_weight`` onto the chunk's window of
-    coefficients.
-    Their weights hold the trapezoid and column factors and the B-spline
-    rows of k and u = k' cos^2 at the node; for P, the ``P`` table's
-    entries at the node of the K+1 B-splines that are nonzero there.
-    Every B-spline c whose support ends at or below a node has all of its
-    integral ``support_integral[c]`` (the table's last row) in P there, so
-    a second part of each window sums the partials in D by first
-    coefficient, and a cumulative sum over the coefficients gives those
-    weights.  The band term, the partials in the expansion quotients times
-    the column weight ``band_column`` and the quotient weights, is summed
-    into coefficient space by ``band_index`` with one ``np.bincount``; then
-    one product with the cardinal map ``coef`` gives all of them in the
-    nodal values.  ``residual`` keeps the values and Jacobian of its last
-    pass, and ``jacobian`` at those values returns a copy of it, so a
+    summed in coefficient space through the same local rows under the
+    same weights: per chunk of ``_CHUNK`` consecutive outer nodes, one
+    batched product of the partials in ky, du and D with the fixed
+    ``chunk_weight`` onto the chunk's window of coefficients, whose second
+    part sums the partials in D by first coefficient for the whole
+    integrals.  The band term, the partials in the expansion quotients
+    times their outer weight ``band_column`` and the quotient weights, is
+    summed into coefficient space by ``band_index`` with one
+    ``np.bincount``; then one product with ``coef`` gives all of them in
+    the nodal values.  ``residual`` keeps the values and Jacobian of its
+    last pass, and ``jacobian`` at those values returns a copy of it, so a
     Levenberg-Marquardt step, whose Jacobian is taken at the trial point it
     has just evaluated, costs one pass.
     """
@@ -498,12 +488,18 @@ class Discretization:
         P = np.zeros((len(pts), N))
         P[1:] = _coef_panels(sm, pts[:-1], pts[1:])
         self.P = np.cumsum(P, axis=0, out=P)
-        self.maps = {"ky": sm.dense(yi, 0), "uy": np.cos(yi)[:, None] ** 2 * sm.dense(yi, 1),
-                     "Py": self._primitive(yi), "b": sm.dense([HALF_PI], 0)[0]}
-        # the Jacobian's weights of the pair columns: the trapezoid weight
-        # (1/2 at y = 0) times the factor sec^2 y / pi the partials leave out
-        self.col = 1.0 / (np.pi * np.cos(yi) ** 2)
-        self.col[0] *= 0.5
+        self.support_integral = P[-1]
+        # the outer rule: the trapezoid weights times the column factor
+        # sec^2 y / pi the pair values leave out, then hy/2 at pi/2
+        self.w = np.append(self.hy / (np.pi * np.cos(yi) ** 2), 0.5 * self.hy)
+        self.w[0] *= 0.5
+        # the rows of k, u = k' cos^2 and P on the K+1 B-splines nonzero at
+        # each outer node
+        B0, first = sm.local(yi, 0)
+        self.y_gather = first[:, None] + np.arange(B0.shape[1])
+        self.y_rows = np.array([B0, np.cos(yi)[:, None] ** 2 * sm.local(yi, 1)[0],
+                                P[pts.searchsorted(yi)[:, None], self.y_gather]])
+        self.maps = {"b": sm.dense([HALF_PI], 0)[0]}
         self._chunk_weights()
         self._set_rows(z)
 
@@ -513,36 +509,28 @@ class Discretization:
         ``chunk_weight[q, c, l]`` takes the partial in ky, du or D (q = 0,
         1, 2) at the l-th outer node of chunk c to a window of coefficients
         from the chunk's first node's first nonzero B-spline: the window's
-        first part holds the coefficients' own weights, and its second,
-        for D only, sums the partials by their node's first nonzero
-        B-spline.  ``chunk_index`` places each window entry in a row of
-        both parts, each N + window long (see ``_chunk_sums``).
+        first part holds the outer weight times the node's ``y_rows`` (the
+        uy partial is minus the du one), and its second, for D only, sums
+        the partials by their node's first nonzero B-spline.
+        ``chunk_index`` places each window entry in a row of both parts,
+        each N + window long (see ``_chunk_sums``).
         """
-        yi, n = self.yi, len(self.yi)
-        B0, first = self.sm.local(yi, 0)
-        B1, _ = self.sm.local(yi, 1)
-        # P there: the whole integral of every B-spline c (the table's last
-        # row) and the integrals up to the node of the K+1 nonzero there
-        self.support_integral = self.P[-1]
-        support = first[:, None] + np.arange(B0.shape[1])
-        partial = self.P[self.pts.searchsorted(yi)[:, None], support]
+        first, w = self.y_gather[:, 0], self.w[:-1]
+        n, K1 = self.y_gather.shape
         L = self.chunk = min(_CHUNK, n)
         chunk, pos = np.divmod(np.arange(n), L)
         rel = first - first[::L][chunk]                 # within the chunk's window
-        band = rel.max() + B0.shape[1]
-        w = self.hy * self.col
+        band = rel.max() + K1
         W = self.chunk_weight = np.zeros((3, chunk[-1] + 1, L, band + rel.max() + 1))
-        at = chunk[:, None], pos[:, None], rel[:, None] + np.arange(B0.shape[1])
-        W[(0, *at)] = w[:, None] * B0
-        W[(1, *at)] = -(w * np.cos(yi) ** 2)[:, None] * B1
-        W[(2, *at)] = w[:, None] * partial
+        W[:, chunk[:, None], pos[:, None], rel[:, None] + np.arange(K1)] = (
+            w[:, None] * self.y_rows * np.array([1.0, -1.0, 1.0])[:, None, None])
         W[2, chunk, pos, band + rel] = w
         k = np.arange(W.shape[3])
         self.chunk_index = first[::L, None] + np.where(k < band, k, self.N + len(k) + k - band)
 
     def row(self, z: float) -> Discretization:
         """The discretization of the one row z (0 <= z < pi/2), sharing the
-        outer-node maps and the P table but not the kept pass or the
+        outer-node rows and the P table but not the kept pass or the
         workspace."""
         d = copy.copy(self)
         d._set_rows(np.array([z], dtype=float))
@@ -563,14 +551,12 @@ class Discretization:
         return A @ self.coef
 
     def _set_rows(self, z: np.ndarray) -> None:
-        """The row maps, transport term, blocks, band weights and workspace
-        of rows z; no pass is kept for them yet."""
+        """The row maps, blocks, band weights and workspace of rows z; no
+        pass is kept for them yet."""
         sm, yi = self.sm, self.yi
         self.z, self._last = z, None
-        dk_z = sm.dense(z, 1)
-        self.maps = {**self.maps, "kz": sm.dense(z, 0), "uz": np.cos(z)[:, None] ** 2 * dk_z,
-                     "Pz": self._primitive(z)}
-        self.transport = (np.sin(z) * np.cos(z))[:, None] * dk_z
+        self.maps = {**self.maps, "kz": sm.dense(z, 0),
+                     "uz": np.cos(z)[:, None] ** 2 * sm.dense(z, 1), "Pz": self._primitive(z)}
 
         # per block: its rows, geometry and slice of the expansion entries
         nblocks = -(-2 * len(z) * len(yi) // _BLOCK_PAIRS)
@@ -592,19 +578,27 @@ class Discretization:
         first = local[0][1]                     # the same for every order
         self.band_weight = _series(m[:, None], d2[:, None], [rows for rows, _ in local])
         self.band_gather = first[:, None] + np.arange(local[0][0].shape[1])
-        self.band_column = self.hy * self.col[j]
+        self.band_column = self.w[j]
         self.band_index = (i[:, None] * len(self.coef) + self.band_gather).ravel()
 
     def _passes(self, values):
-        """Per row block: (rows, entry slice, geometry, kernel inputs), from
-        one product of each input map with the values."""
+        """Per row block: (rows, entry slice, geometry, kernel inputs).  The
+        inputs at the rows are products of the row maps with the values;
+        those at the outer nodes and the expansion quotients are sums of
+        the spline coefficients under their local weights."""
         values = np.asarray(values, dtype=float)
-        inp = {name: E @ values for name, E in self.maps.items()}
-        band = np.einsum("qek,ek->qe", self.band_weight, (self.coef @ values)[self.band_gather])
-        kz, uz, Pz = (inp[name][:, None] for name in ("kz", "uz", "Pz"))
-        for r, geo, b in self.blocks:
-            yield r, b, geo, {"kz": kz[r], "uz": uz[r], "ky": inp["ky"], "uy": inp["uy"],
-                              "D": inp["Py"] - Pz[r], "b": inp["b"], "band": band[:, b]}
+        a = self.coef @ values
+        kz, uz, Pz = ((self.maps[name] @ values)[:, None] for name in ("kz", "uz", "Pz"))
+        ky, uy, Py = np.einsum("qyk,yk->qy", self.y_rows, a[self.y_gather])
+        # the whole integrals of the B-splines before each node's first
+        whole = np.zeros(self.N + 1)
+        np.cumsum(self.support_integral * a, out=whole[1:])
+        Py += whole[self.y_gather[:, 0]]
+        band = np.einsum("qek,ek->qe", self.band_weight, a[self.band_gather])
+        b = self.maps["b"] @ values
+        for r, geo, e in self.blocks:
+            yield r, e, geo, {"kz": kz[r], "uz": uz[r], "ky": ky, "uy": uy,
+                              "D": Py - Pz[r], "b": b, "band": band[:, e]}
 
     def _chunk_sums(self, X: np.ndarray) -> np.ndarray:
         """The partials ``X`` in ky, du and D (3, rows, ny) of a block summed
@@ -628,18 +622,17 @@ class Discretization:
         """The residual at the rows z and its Jacobian, one ``_kernel`` pass
         per row block.
 
-        The residual is the transport term, one map of the values, plus the
-        trapezoid of the pair values.  The Jacobian, shape (N+1, N), is the
-        derivative of ``residual_vector(...).stacked()``.  Its z-terms are
-        the pair partials' row sums under the column weights ``col``, taken
-        per block, times the row maps, after the last block.  Its y-terms
+        The residual is the transport term sin z cos z k'(z) = tan z u(z)
+        plus the outer rule ``w`` on the integrand's values.  The Jacobian,
+        shape (N+1, N), is the derivative of ``residual_vector(...).stacked()``.
+        Its z-terms are the partials' row sums under ``w``, taken per block,
+        times the row maps, after the last block.  Its y-terms
         (``_chunk_sums``) and the band term are sums in coefficient space,
         taken to the nodal values by one product with ``coef``.
         """
-        N, col, hy, maps, nz = self.N, self.col, self.hy, self.maps, len(self.z)
-        out = self.transport @ values
+        N, w, maps, nz = self.N, self.w, self.maps, len(self.z)
+        out = np.empty(nz)
         J = np.zeros((N + 1, N))
-        J[:nz] = self.transport
         J[N - 1, 0] = 1.0             # bc0 = values[0]
         J[N, N - 1] = 1.0             # bc_end = values[-1] - s
 
@@ -647,20 +640,20 @@ class Discretization:
         quot = np.empty(self.band_weight.shape[:2])
         zsums = np.empty((4, nz))         # the z-terms' row sums, in kz, uz, Pz and b
         ny = len(self.yi)
-        for r, b, geo, inputs in self._passes(values):
-            nr = geo.x.shape[0]
+        for r, e, geo, inputs in self._passes(values):
+            nr, tan_z = geo.x.shape[0], geo.x[:, 0]
             work = self.work[:, :2 * nr * ny].reshape(_SLOTS, 2, nr, ny)
-            with np.errstate(over="ignore", invalid="ignore"):   # lm_solve checks J
-                pairs, end, p = _kernel(geo, work, **inputs)
-            out[r] += _outer_integral(hy, self.z[r], self.yi, pairs, end)
-            zsums[:, r] = (p.kz @ col + 0.5 * p.end_kz, p.du @ col + 0.5 * p.end_uz,
-                           p.D @ col, p.end_b)
+            pairs, end, p = _kernel(geo, work, **inputs)
+            out[r] = tan_z * inputs["uz"][:, 0] + _outer_integral(w, self.z[r], self.yi,
+                                                                  pairs, end)
+            zsums[:, r] = (p.kz @ w[:-1] + w[-1] * p.end_kz,
+                           p.du @ w[:-1] + w[-1] * p.end_uz + tan_z,
+                           p.D @ w[:-1], w[-1] * p.end_b)
             sums[r] += self._chunk_sums(work[:3, 0])
-            quot[:, b] = p.band
+            quot[:, e] = p.band
 
         kz, uz, Pz, b = zsums[:, :, None]
-        J[:nz] += hy * (kz * maps["kz"] + uz * maps["uz"] - Pz * maps["Pz"]
-                        + 0.5 * b * maps["b"])
+        J[:nz] = kz * maps["kz"] + uz * maps["uz"] - Pz * maps["Pz"] + b * maps["b"]
 
         C = sums[:, 0, :N] + np.bincount(
             self.band_index, np.einsum("qe,qek->ek", quot * self.band_column,
@@ -678,7 +671,10 @@ class Discretization:
         also gives the Jacobian there, which is kept for ``jacobian``."""
         values = np.array(values, dtype=float)
         self._last = None             # a pass that raises keeps no Jacobian
-        out, J = self._pass(values)
+        # _outer_integral raises on a non-finite integrand and lm_solve
+        # checks J, so numpy's overflow warnings on the way are not shown
+        with np.errstate(over="ignore", invalid="ignore"):
+            out, J = self._pass(values)
         self._last = (values, J)
         return out
 
@@ -728,7 +724,7 @@ def residual_at(profile: Profile, z: float, cfg: ResidualConfig | None = None) -
     """Equation residual at a single z in [0, pi/2].
 
     The one row z of the discretization (``Discretization.row``): the
-    maps, band weights, kernel and trapezoid of ``residual_vector``, whose
+    maps, band weights, kernel and outer weights of ``residual_vector``, whose
     interior rows it is at the grid nodes.  At z = pi/2 every term of the
     equation degenerates (the transport term carries cos z and the
     integrand limits vanish pointwise), so the row is identically zero.

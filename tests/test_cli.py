@@ -134,6 +134,17 @@ class TestSolve:
             assert main(["solve", "--s", "1e300", "--n", "9", "--outer-nodes", "40"]) == EX_SOLVER
         assert capsys.readouterr().err.count("\n") == 1
 
+    def test_overflowing_inputs_exit_2_with_one_line(self):
+        # the residual's input products overflow at s = 1e308; in a child
+        # process, under Python's default warning filter, so that a numpy
+        # warning would count as a stderr line
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run([sys.executable, "-m", "muskatss.cli", "solve", "--s", "1e308",
+                              "--n", "9"], capture_output=True, text=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.returncode == EX_SOLVER, out.stderr
+        assert out.stderr.count("\n") == 1, out.stderr
+
     def test_zero_slope_writes_zero_profile(self, tmp_path):
         out = tmp_path / "p.json"
         assert main(["solve", "--s", "0", "-o", str(out)] + FAST) == EX_OK
@@ -367,8 +378,10 @@ class TestUnevaluableBranch:
         (_missed_end_value, ["validate"]),
         (lambda d: _bad_steps(d, s=float("nan")), ["validate"]),
         (lambda d: _bad_steps(d, s=-0.2), ["validate"]),
+        (lambda d: _bad_steps(d, 0, s=0.0), ["export", "--figure", "normalized",
+                                             "--s-list", "0"]),
     ], ids=["integrated-huge-range", "huge-values", "huge-slope", "string-ds",
-            "string-s", "end-value-misses-s", "nan-s", "negative-s"])
+            "string-s", "end-value-misses-s", "nan-s", "negative-s", "normalized-zero-s"])
     def test_exit_65_with_one_line(self, tmp_path, mutate, argv):
         # in a child process, so that Python warnings count as stderr lines too
         doc = synthetic_branch_doc()

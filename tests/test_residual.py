@@ -13,7 +13,6 @@ from muskatss.residual import (
     ResidualConfig,
     _coef_panels,
     _integrand,
-    _integrand_partials,
     _kernel,
     _outer_integral,
     _pair_geometry,
@@ -244,7 +243,7 @@ class TestResidualVector:
         scale = np.max(np.abs(residual_vector(fit_spline(g, values, s), cfg).interior))
         d = discretization(N, cfg)
         for r, _, geo, inp in d._passes(values):
-            pairs, _ = _integrand(geo, **inp)
+            pairs = _integrand(geo, **inp)[0] / (np.pi * np.cos(d.yi) ** 2)
             near0, near1 = near_masks(geo)
             region = (d.yi > HALF_PI - 2.0 * g.spacing) & ~(near0 | near1)
             assert np.count_nonzero(region, axis=1).min() > 0
@@ -323,7 +322,7 @@ def reference_rows(profile, cfg, z):
         ky=ev(yi, 0), uy=ev(yi, 1) * np.cos(yi) ** 2,
         D=P[np.searchsorted(pts, yi)][None, :] - P[np.searchsorted(pts, z)][:, None],
         b=float(ev(HALF_PI, 0)), band=oracle_quotients(ev, geo))
-    rows = np.column_stack([pairs, end[:, 0]])
+    rows = np.column_stack([pairs / (np.pi * np.cos(yi) ** 2), end[:, 0]])
     integral = d.hy * (rows.sum(axis=1) - 0.5 * (rows[:, 0] + rows[:, -1]))
     transport = np.sin(z) * np.cos(z) * ev(z, 1)
     return transport + integral, np.max(np.abs(transport))
@@ -449,9 +448,10 @@ class TestOnePass:
         for seed in range(3):
             p = random_odd_profile(N, seed)
             d = discretization(N, cfg)
-            rows = d.transport @ p.values
+            rows = np.empty(len(d.z))
             for r, _, geo, inp in d._passes(p.values):
-                rows[r] += _outer_integral(d.hy, d.z[r], d.yi, *_integrand(geo, **inp))
+                rows[r] = geo.x[:, 0] * inp["uz"][:, 0] + _outer_integral(
+                    d.w, d.z[r], d.yi, *_integrand(geo, **inp))
             want = np.concatenate([rows, [0.0, p.values[0], p.values[-1] - p.s]])
             assert np.array_equal(residual_vector(p, cfg).stacked(), want)
 
@@ -522,23 +522,29 @@ class TestOnePass:
 
 def dense_jacobian(d, values):
     """The Jacobian with its y-terms contracted in value space: the pair
-    partials times the dense input maps, as the pass once summed them."""
-    N, col, hy, maps, nz = d.N, d.col, d.hy, d.maps, len(d.z)
+    partials times dense input maps at the outer nodes, built here, and the
+    trapezoid weights times the column factor sec^2 y / pi, as the pass
+    once summed them."""
+    N, hy, maps, nz, yi = d.N, d.hy, d.maps, len(d.z), d.yi
+    Ey, Uy = d.sm.dense(yi, 0), np.cos(yi)[:, None] ** 2 * d.sm.dense(yi, 1)
+    Py = d._primitive(yi)
+    col = 1.0 / (np.pi * np.cos(yi) ** 2)
+    col[0] *= 0.5
     J = np.zeros((N + 1, N))
-    J[:nz] = d.transport
+    J[:nz] = (np.sin(d.z) * np.cos(d.z))[:, None] * d.sm.dense(d.z, 1)     # transport
     J[N - 1, 0] = J[N, N - 1] = 1.0
     quot = np.empty(d.band_weight.shape[:2])
     for r, b, geo, inputs in d._passes(values):
-        _, _, p = _kernel(geo, np.empty((_SLOTS, *geo.c.shape)), **inputs)
+        p = kernel_partials(geo, inputs)
+        quot[:, b] = p.band * hy * col[geo.flat % geo.c[0].size % len(yi)]
         J[r] += hy * (
             (p.kz @ col + 0.5 * p.end_kz)[:, None] * maps["kz"][r]
             + (p.du @ col + 0.5 * p.end_uz)[:, None] * maps["uz"][r]
-            + (p.ky * col) @ maps["ky"] - (p.du * col) @ maps["uy"]
-            + (p.D * col) @ maps["Py"] - (p.D @ col)[:, None] * maps["Pz"][r]
+            + (p.ky * col) @ Ey - (p.du * col) @ Uy
+            + (p.D * col) @ Py - (p.D @ col)[:, None] * maps["Pz"][r]
             + 0.5 * p.end_b[:, None] * maps["b"])
-        quot[:, b] = p.band
-    G = np.bincount(d.band_index, np.einsum("qe,qek->ek", quot * d.band_column,
-                                            d.band_weight).ravel(), minlength=nz * N)
+    G = np.bincount(d.band_index, np.einsum("qe,qek->ek", quot, d.band_weight).ravel(),
+                    minlength=nz * N)
     J[:nz] += G.reshape(nz, -1) @ d.coef
     return J
 
@@ -595,7 +601,7 @@ class TestCoefficientSpace:
         assert np.all(np.where(after, table[at] == 0.0, True))
         rebuilt = np.where(before, full, 0.0)
         np.put_along_axis(rebuilt, first[:, None] + np.arange(rows.shape[1]), partial, axis=1)
-        Py = d.maps["Py"]
+        Py = d._primitive(d.yi)
         assert np.max(np.abs(rebuilt @ d.coef - Py)) <= 1e-14 * np.max(np.abs(Py))
         # in value space: the dense spline map at the GK15 nodes of each gap,
         # weighted by sec^2 and summed, then summed over the gaps
@@ -604,10 +610,36 @@ class TestCoefficientSpace:
         value = np.zeros((len(d.pts), N))
         value[1:] = np.einsum("gq,gqn->gn", wts / np.cos(nodes) ** 2, E)
         value = np.cumsum(value, axis=0)
-        for name, pts in (("Py", d.yi), ("Pz", d.z)):
-            got = d.maps[name]
+        for name, got, pts in (("Py", Py, d.yi), ("Pz", d.maps["Pz"], d.z)):
             want = value[d.pts.searchsorted(pts)]
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(got)), name
+
+
+class TestOuterNodeInputs:
+    """The inputs at the outer nodes are sums of local B-spline rows on the
+    spline coefficients; in value space they are the dense spline maps and
+    the value -> P map there."""
+
+    @pytest.mark.parametrize("N", [17, 33, 129])
+    @pytest.mark.parametrize("cfg", [ResidualConfig(), ResidualConfig(outer_nodes=77)],
+                             ids=["default", "nodes77"])
+    @pytest.mark.parametrize("z", [None, 0.7345], ids=["rows", "off-table-row"])
+    def test_match_the_value_maps(self, z, cfg, N):
+        d = discretization(N, cfg)
+        if z is not None:
+            d = d.row(z)
+        sm, yi = d.sm, d.yi
+        maps = {"ky": sm.dense(yi, 0), "uy": np.cos(yi)[:, None] ** 2 * sm.dense(yi, 1),
+                "Py": d._primitive(yi)}
+        for seed in range(2):
+            v = random_odd_profile(N, seed).values
+            Pz = d.maps["Pz"] @ v
+            for r, _, _, inp in d._passes(v):
+                got = {"ky": inp["ky"], "uy": inp["uy"], "Py": inp["D"] + Pz[r, None]}
+                for name, E in maps.items():
+                    # the roundoff of a sum is relative to its terms' size
+                    tol = 2e-15 * np.max(np.abs(E) @ np.abs(v))
+                    assert np.max(np.abs(got[name] - E @ v)) <= tol, name
 
 
 class TestWorkspace:
@@ -679,6 +711,11 @@ class TestWorkspaceBlocks(TestWorkspace):
         assert np.max(np.abs(d.jacobian(v) - J)) <= 1e-15 * np.max(np.abs(J))
 
 
+def kernel_partials(g, inp):
+    """``_kernel``'s partials at the inputs ``inp`` on the geometry ``g``."""
+    return _kernel(g, np.empty((_SLOTS, *g.c.shape)), **inp)[2]
+
+
 def kernel_inputs(N, cfg, s):
     """The interior-row geometry of (N, cfg), one block, and the kernel's
     inputs there."""
@@ -718,7 +755,7 @@ class TestIntegrandPartials:
     def test_matches_complex_step(self, cfg, band, band_halfwidth):
         band_halfwidth(band)
         g, inp = kernel_inputs(33, cfg, 2.0)
-        p = _integrand_partials(g, **inp)
+        p = kernel_partials(g, inp)
         step = 1e-30
         cinp = {name: np.asarray(v, dtype=complex) for name, v in inp.items()}
 
@@ -765,7 +802,7 @@ class TestIntegrandPartials:
         inp["band"][2] = 1e200
         with np.errstate(over="ignore"):
             pairs, end = _integrand(g, **inp)
-            p = _integrand_partials(g, **inp)
+            p = kernel_partials(g, inp)
         assert np.all(np.isfinite(pairs)) and np.all(np.isfinite(end))
         for part in (p.kz, p.ky, p.du, p.D, p.end_kz, p.end_uz, p.end_b, p.band):
             assert np.all(np.isfinite(part))
