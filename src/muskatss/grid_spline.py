@@ -192,9 +192,10 @@ class SplineMaps:
 
     ``coef`` maps nodal values to B-spline coefficients.  ``dense(pts, nu)``
     is the matrix E with ``E @ values`` equal to the nu-th derivative at
-    ``pts`` (odd reflection included); ``local(pts, nu)`` gives the same
-    rows on the coefficients as the k+1 basis values that can be nonzero
-    at each point, and the index of the first of them.  ``taylor`` maps
+    ``pts`` (odd reflection included); ``on_coef(x, nu)`` gives the same
+    rows on all the coefficients at x >= 0, and ``local(pts, nu)`` as the
+    k+1 basis values that can be nonzero at each point, and the index of
+    the first of them.  ``taylor`` maps
     nodal values to the Taylor coefficients of the interpolant about every
     node, K+1 blocks of N rows by order; ``fit`` applies it.
     ``spline_maps(N)`` caches one per N.
@@ -206,7 +207,7 @@ class SplineMaps:
             raise ValueError("degree-4 interpolation needs N >= 5")
         self.t = np.concatenate([np.zeros(K + 1), 0.5 * (x[2:N - 3] + x[3:N - 2]),
                                  np.full(K + 1, HALF_PI)])
-        self.coef = _inverse(self._on_coef(x, 0))
+        self.coef = _inverse(self.on_coef(x, 0))
         # Taylor coefficients about each node, used on the cell of points
         # nearest to it: the interior knots are cell bounds, so each cell lies
         # within one polynomial piece, and |x - node| <= h/2 keeps Horner's
@@ -241,7 +242,7 @@ class SplineMaps:
                     h[:, n] = w
         return h, ell - K
 
-    def _on_coef(self, x, nu):
+    def on_coef(self, x, nu):
         """The map from B-spline coefficients to the nu-th derivative at x >= 0."""
         rows, first = self.basis(x, nu)
         out = np.zeros((len(rows), len(self.t) - K - 1))
@@ -260,7 +261,7 @@ class SplineMaps:
 
     def dense(self, pts, nu: int = 0) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
-        return self._reflect(self._on_coef(np.abs(pts), nu) @ self.coef, pts, nu)
+        return self._reflect(self.on_coef(np.abs(pts), nu) @ self.coef, pts, nu)
 
     def local(self, pts, nu: int = 0) -> tuple[np.ndarray, np.ndarray]:
         pts = np.asarray(pts, dtype=float)

@@ -38,10 +38,14 @@ class LMConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if not all(0.0 < v < math.inf for v in (self.tol_residual, self.tol_step)):
-            raise ValueError("all LM parameters must be positive and finite")
-        if self.max_iters < 1 or self.threads < 1:
-            raise ValueError("max_iters and threads must be >= 1")
+        for name in ("tol_residual", "tol_step"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        for name in ("max_iters", "threads"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass

@@ -41,26 +41,24 @@ value-dependent inputs k and u = k' cos^2 at z and y, D = P(y) - P(z),
 k(pi/2) and the three expansion quotients at the near pairs of both
 halves.  The geometry (``_pair_geometry``) depends only on N and the
 outer nodes, and so do the products of it the kernel needs: the
-quotients' factors cos z cos y / sin(+-z - y).  Every input is linear in
-the nodal values, so a cached ``Discretization`` builds fixed weights
-once per (N, ResidualConfig).  At the outer nodes they are the K+1 local
-B-spline rows of k, u and P there (local support), applied to the spline
-coefficients: P from one table in B-spline coefficient space, the
-integrals of sec^2 B_c with one GK15 panel per gap.  At the rows they
-are dense value maps, P from the same table taken to the nodal values by
-the cardinal map.  The expansion quotients are fixed weights on the
-spline coefficients (``_series`` applied to the B-spline rows at the
-midpoints).  The outer rule is one weight vector: the trapezoid weights
-times the column factor sec^2 y / pi at the outer nodes but pi/2, and
-hy/2 at pi/2, whose analytic limit holds the factor.
-``residual_vector`` is those weights, each applied once to the values,
-and one kernel pass (``_kernel``) per block of rows, in a reused aligned
-workspace.  The pass builds the quotients of both halves once, in one
-sweep, and forms from them both the integrand's values, in the operations
-of ``_integrand``, and its elementwise partials, from a hand-derived
-gradient.  The partials under the same outer weights, summed in B-spline
-coefficient space through the same local rows and taken to the nodal
-values by one product with the cardinal map, are the Jacobian
+quotients' factors cos z cos y / sin(+-z - y).  Every input is a fixed
+linear map of the spline coefficients a = coef @ values, so a cached
+``Discretization`` builds its weights once per (N, ResidualConfig): the
+B-spline rows of k, u and P at the rows (dense) and at the outer nodes
+(the K+1 local ones), P's from one table in B-spline coefficient space,
+the integrals of sec^2 B_c with one GK15 panel per gap; k(pi/2) is a's
+last entry.  The expansion quotients are fixed weights on a (``_series``
+applied to the B-spline rows at the midpoints).  The outer rule is one
+weight vector: the trapezoid weights times the column factor sec^2 y / pi
+at the outer nodes but pi/2, and hy/2 at pi/2, whose analytic limit holds
+the factor.  ``residual_vector`` is those weights, each applied once to
+a, and one kernel pass (``_kernel``) per block of rows, in a reused
+aligned workspace.  The pass builds the quotients of both halves once, in
+one sweep, and forms from them both the integrand's values, in the
+operations of ``_integrand``, and its elementwise partials, from a
+hand-derived gradient.  The partials under the same outer weights, summed
+through the same rows, are the Jacobian in coefficient space; one product
+with the cardinal map takes it to the nodal values
 (``residual_jacobian``).  So one pass per trial point gives the residual
 and the Jacobian there, and the ``Discretization`` keeps the last one for
 a Jacobian asked at the same values.  A complex step through
@@ -203,9 +201,9 @@ def _pair_geometry(z: np.ndarray, yi: np.ndarray, spacing: float) -> _Geometry:
     m, d = 0.5 * (yi + x), 0.5 * (x - yi)
     dd = d * d
     flat = np.flatnonzero((np.abs(d) < 0.5 * band) & (dd / np.cos(m) ** 2 < 0.01))
-    # tan(+-z) - tan y as sin(+-z - y)/(cos z cos y); the sine vanishes
-    # only on the bands, whose factors the expansions replace
-    with np.errstate(divide="ignore"):
+    # tan(+-z) - tan y as sin(+-z - y)/(cos z cos y); the sine vanishes, or
+    # is subnormal, only on the bands, whose factors the expansions replace
+    with np.errstate(divide="ignore", over="ignore"):
         c = np.cos(z) * cy / np.sin(x - yi)
     np.put(c, flat, 0.0)
     return _Geometry(x=np.tan(z), c=c, flat=flat, m=m.take(flat), d2=dd.take(flat))
@@ -433,16 +431,16 @@ class Discretization:
 
     Holds the rows z (the interior nodes but pi/2, or the one point of
     ``row``) in row ``blocks``, each with its pair geometry, and fixed
-    weights from the nodal values to every input of the outer integrand.
-    ``P`` is a table in B-spline coefficient space at ``pts`` (0, the
-    interior nodes and the outer nodes): the integrals of sec^2 B_c up to
-    each point for every B-spline c, from one GK15 panel per gap.  At the
-    rows and at pi/2, ``maps[name] @ values`` gives the input ``name``:
-    spline maps E_nu, and value -> P maps, the table's rows plus panels up
-    to a row that is not a table point, times the cardinal map ``coef``
-    (``_primitive``).  At the outer nodes the inputs are sums over the
-    spline coefficients a = coef @ values: ``y_rows`` holds, per outer
-    node, the rows of k, u = k' cos^2 and P on the K+1 coefficients
+    weights from the spline coefficients a = coef @ values to every input
+    of the outer integrand.  ``P`` is a table in B-spline coefficient space
+    at ``pts`` (0, the interior nodes and the outer nodes): the integrals
+    of sec^2 B_c up to each point for every B-spline c, from one GK15 panel
+    per gap.  ``z_rows`` holds the rows of k, u = k' cos^2 and P on all
+    the coefficients at the rows, P's the table's rows plus panels up to a
+    row that is not a table point (``_primitive``).  b = k(pi/2) is a's
+    last entry: the last B-spline is the only one nonzero at pi/2.  At the
+    outer nodes ``y_rows`` holds the rows of k, u and P on the K+1
+    coefficients
     ``y_gather`` whose B-splines are nonzero there (local support), P's
     being the table's entries there.  Every B-spline c whose support ends
     at or below a node has all of its integral ``support_integral[c]``
@@ -455,8 +453,9 @@ class Discretization:
     trapezoid weight times the column factor sec^2 y / pi at each outer
     node but pi/2 (halved at y = 0), then hy/2 at pi/2.
 
-    One pass (``_pass``) gives the residual and the Jacobian at the same
-    values, its kernel running in the workspace ``work``: ``_SLOTS``
+    One pass (``_pass``) gives the residual and its Jacobian in coefficient
+    space, C, at the same values, its kernel running in the workspace
+    ``work``: ``_SLOTS``
     64-byte aligned stacked arrays (2, rows, ny) of the largest block,
     which every block and every pass reuses.  The Jacobian's y-terms are
     summed in coefficient space through the same local rows under the
@@ -467,9 +466,9 @@ class Discretization:
     integrals.  The band term, the partials in the expansion quotients
     times their outer weight ``band_column`` and the quotient weights, is
     summed into coefficient space by ``band_index`` with one
-    ``np.bincount``; then one product with ``coef`` gives all of them in
-    the nodal values.  ``residual`` keeps the values and Jacobian of its
-    last pass, and ``jacobian`` at those values returns a copy of it, so a
+    ``np.bincount``, and the z-terms through ``z_rows``.  ``residual``
+    keeps the values and C of its last pass, and ``jacobian`` at those
+    values takes C to the nodal values by one product with ``coef``, so a
     Levenberg-Marquardt step, whose Jacobian is taken at the trial point it
     has just evaluated, costs one pass.
     """
@@ -499,7 +498,6 @@ class Discretization:
         self.y_gather = first[:, None] + np.arange(B0.shape[1])
         self.y_rows = np.array([B0, np.cos(yi)[:, None] ** 2 * sm.local(yi, 1)[0],
                                 P[pts.searchsorted(yi)[:, None], self.y_gather]])
-        self.maps = {"b": sm.dense([HALF_PI], 0)[0]}
         self._chunk_weights()
         self._set_rows(z)
 
@@ -537,9 +535,9 @@ class Discretization:
         return d
 
     def _primitive(self, at: np.ndarray) -> np.ndarray:
-        """Value -> P maps at the points ``at``: the table's row at the table
-        point a at or below each, plus GK15 panels from a up to a point that
-        is not a table point, taken to the nodal values by ``coef``.  A panel
+        """The rows of P on the coefficients at the points ``at``: the table's
+        row at the table point a at or below each, plus GK15 panels from a
+        up to a point that is not a table point.  A panel
         is no wider than its distance from the pole of sec^2 at pi/2: one
         panel below the last table point, halvings of the distance past it."""
         i = self.pts.searchsorted(at, side="right") - 1
@@ -548,15 +546,15 @@ class Discretization:
             gap, rest = HALF_PI - self.pts[i[n]], HALF_PI - at[n]
             cuts = HALF_PI - gap * 0.5 ** np.arange(1 + int(np.log2(gap / rest)))
             A[n] += _coef_panels(self.sm, cuts, np.append(cuts[1:], at[n])).sum(axis=0)
-        return A @ self.coef
+        return A
 
     def _set_rows(self, z: np.ndarray) -> None:
-        """The row maps, blocks, band weights and workspace of rows z; no
-        pass is kept for them yet."""
+        """The coefficient rows, blocks, band weights and workspace of rows z;
+        no pass is kept for them yet."""
         sm, yi = self.sm, self.yi
         self.z, self._last = z, None
-        self.maps = {**self.maps, "kz": sm.dense(z, 0),
-                     "uz": np.cos(z)[:, None] ** 2 * sm.dense(z, 1), "Pz": self._primitive(z)}
+        self.z_rows = np.array([sm.on_coef(z, 0), np.cos(z)[:, None] ** 2 * sm.on_coef(z, 1),
+                                self._primitive(z)])
 
         # per block: its rows, geometry and slice of the expansion entries
         nblocks = -(-2 * len(z) * len(yi) // _BLOCK_PAIRS)
@@ -582,20 +580,19 @@ class Discretization:
         self.band_index = (i[:, None] * len(self.coef) + self.band_gather).ravel()
 
     def _passes(self, values):
-        """Per row block: (rows, entry slice, geometry, kernel inputs).  The
-        inputs at the rows are products of the row maps with the values;
-        those at the outer nodes and the expansion quotients are sums of
-        the spline coefficients under their local weights."""
-        values = np.asarray(values, dtype=float)
-        a = self.coef @ values
-        kz, uz, Pz = ((self.maps[name] @ values)[:, None] for name in ("kz", "uz", "Pz"))
+        """Per row block: (rows, entry slice, geometry, kernel inputs), each
+        input a fixed map of the spline coefficients a = coef @ values: dense
+        rows at the rows, local weights at the outer nodes and for the
+        expansion quotients, and b = a[-1]."""
+        a = self.coef @ np.asarray(values, dtype=float)
+        kz, uz, Pz = (self.z_rows @ a)[:, :, None]
         ky, uy, Py = np.einsum("qyk,yk->qy", self.y_rows, a[self.y_gather])
         # the whole integrals of the B-splines before each node's first
         whole = np.zeros(self.N + 1)
         np.cumsum(self.support_integral * a, out=whole[1:])
         Py += whole[self.y_gather[:, 0]]
         band = np.einsum("qek,ek->qe", self.band_weight, a[self.band_gather])
-        b = self.maps["b"] @ values
+        b = a[-1]
         for r, geo, e in self.blocks:
             yield r, e, geo, {"kz": kz[r], "uz": uz[r], "ky": ky, "uy": uy,
                               "D": Py - Pz[r], "b": b, "band": band[:, e]}
@@ -619,26 +616,22 @@ class Discretization:
         return np.bincount(at.ravel(), out.ravel(), minlength=2 * width * nr).reshape(nr, 2, -1)
 
     def _pass(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The residual at the rows z and its Jacobian, one ``_kernel`` pass
-        per row block.
+        """The residual at the rows z and its Jacobian C in the spline
+        coefficients, shape (rows, N), one ``_kernel`` pass per row block.
 
         The residual is the transport term sin z cos z k'(z) = tan z u(z)
-        plus the outer rule ``w`` on the integrand's values.  The Jacobian,
-        shape (N+1, N), is the derivative of ``residual_vector(...).stacked()``.
-        Its z-terms are the partials' row sums under ``w``, taken per block,
-        times the row maps, after the last block.  Its y-terms
-        (``_chunk_sums``) and the band term are sums in coefficient space,
-        taken to the nodal values by one product with ``coef``.
+        plus the outer rule ``w`` on the integrand's values.  C's z-terms
+        are the partials' row sums under ``w``, taken per block, times
+        ``z_rows`` after the last block, b's in column N-1.  Its y-terms
+        (``_chunk_sums``) and the band term are added as sums in the same
+        coefficients.
         """
-        N, w, maps, nz = self.N, self.w, self.maps, len(self.z)
+        N, w, nz = self.N, self.w, len(self.z)
         out = np.empty(nz)
-        J = np.zeros((N + 1, N))
-        J[N - 1, 0] = 1.0             # bc0 = values[0]
-        J[N, N - 1] = 1.0             # bc_end = values[-1] - s
-
         sums = np.zeros((nz, 2, N + self.chunk_weight.shape[3]))
         quot = np.empty(self.band_weight.shape[:2])
-        zsums = np.empty((4, nz))         # the z-terms' row sums, in kz, uz, Pz and b
+        # the z-terms' row sums, in kz, uz, Pz (which D holds negated) and b
+        zsums = np.empty((4, nz))
         ny = len(self.yi)
         for r, e, geo, inputs in self._passes(values):
             nr, tan_z = geo.x.shape[0], geo.x[:, 0]
@@ -648,12 +641,9 @@ class Discretization:
                                                                   pairs, end)
             zsums[:, r] = (p.kz @ w[:-1] + w[-1] * p.end_kz,
                            p.du @ w[:-1] + w[-1] * p.end_uz + tan_z,
-                           p.D @ w[:-1], w[-1] * p.end_b)
+                           -(p.D @ w[:-1]), w[-1] * p.end_b)
             sums[r] += self._chunk_sums(work[:3, 0])
             quot[:, e] = p.band
-
-        kz, uz, Pz, b = zsums[:, :, None]
-        J[:nz] = kz * maps["kz"] + uz * maps["uz"] - Pz * maps["Pz"] + b * maps["b"]
 
         C = sums[:, 0, :N] + np.bincount(
             self.band_index, np.einsum("qe,qek->ek", quot * self.band_column,
@@ -663,31 +653,39 @@ class Discretization:
         # nonzero B-spline comes after c
         past = np.cumsum(sums[:, 1, N - 1:0:-1], axis=1)[:, ::-1]
         C[:, :-1] += past * self.support_integral[:-1]
-        J[:nz] += C @ self.coef
-        return out, J
+        C += np.einsum("qi,qic->ic", zsums[:3], self.z_rows)
+        C[:, -1] += zsums[3]          # b = a[-1]
+        return out, C
 
     def residual(self, values) -> np.ndarray:
         """The residual at the rows z at nodal values ``values``.  The pass
-        also gives the Jacobian there, which is kept for ``jacobian``."""
+        also gives the Jacobian there in coefficient space, which is kept
+        for ``jacobian``."""
         values = np.array(values, dtype=float)
         self._last = None             # a pass that raises keeps no Jacobian
         # _outer_integral raises on a non-finite integrand and lm_solve
         # checks J, so numpy's overflow warnings on the way are not shown
         with np.errstate(over="ignore", invalid="ignore"):
-            out, J = self._pass(values)
-        self._last = (values, J)
+            out, C = self._pass(values)
+        self._last = (values, C)
         return out
 
     def jacobian(self, values) -> np.ndarray:
         """Derivative of ``residual_vector(...).stacked()`` in the nodal values,
-        shape (N+1, N): a copy of the kept one when ``values`` are those of
-        the last ``residual``, else from a new pass (which raises
-        QuadratureError where ``residual`` does)."""
+        shape (N+1, N): the kept coefficient-space one when ``values`` are
+        those of the last ``residual``, else a new pass's (which raises
+        QuadratureError where ``residual`` does), times ``coef``, with the
+        boundary rows.  ``lm_solve`` checks it is finite, so numpy's
+        overflow warnings in the product are not shown."""
         last = self._last
         if last is None or not np.array_equal(last[0], values):
             self.residual(values)
             last = self._last
-        return last[1].copy()
+        J = np.zeros((self.N + 1, self.N))
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(last[1], self.coef, out=J[:len(self.z)])
+        J[-2, 0] = J[-1, -1] = 1.0    # bc0 = values[0], bc_end = values[-1] - s
+        return J
 
 
 def _coef_panels(sm: SplineMaps, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -724,7 +722,7 @@ def residual_at(profile: Profile, z: float, cfg: ResidualConfig | None = None) -
     """Equation residual at a single z in [0, pi/2].
 
     The one row z of the discretization (``Discretization.row``): the
-    maps, band weights, kernel and outer weights of ``residual_vector``, whose
+    rows, band weights, kernel and outer weights of ``residual_vector``, whose
     interior rows it is at the grid nodes.  At z = pi/2 every term of the
     equation degenerates (the transport term carries cos z and the
     integrand limits vanish pointwise), so the row is identically zero.

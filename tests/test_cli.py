@@ -80,6 +80,16 @@ class TestUsageErrors:
         assert main(["solve", "--s", "0.1", "--n", "9", "--outer-nodes", "40",
                      "--tol-step", "nan"]) == EX_USAGE
 
+    @pytest.mark.parametrize("flag, value, field", [("--max-iters", "0", "max_iters"),
+                                                    ("--tol-step", "nan", "tol_step")])
+    def test_bad_setting_named(self, capsys, flag, value, field):
+        # the message names the setting given, and not threads, which the
+        # command line has no flag for
+        assert main(["solve", "--s", "0.1", "--n", "9", flag, value]) == EX_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and field in err and value in err
+        assert "threads" not in err
+
     def test_missing_config_file(self, tmp_path, capsys):
         path = tmp_path / "absent.cfg"
         assert main(["solve", "--s", "0", "--config", str(path)]) == EX_USAGE

@@ -176,14 +176,16 @@ class TestLMSolve:
         assert len(calls) == 3
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^tol_residual .* got -1e-08$"):
             LMConfig(tol_residual=-1e-8)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^max_iters must be >= 1, got 0$"):
             LMConfig(max_iters=0)
+        with pytest.raises(ValueError, match="^threads must be >= 1, got 0$"):
+            LMConfig(threads=0)
         for bad in (float("nan"), float("inf")):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"^tol_residual .* got {bad}$"):
                 LMConfig(tol_residual=bad)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"^tol_step .* got {bad}$"):
                 LMConfig(tol_step=bad)
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,19 @@ class TestResidualAt:
         for _ in range(10):
             p = fit_spline(g, random_odd_values(g, rng), 0.2)
             assert abs(residual_at(p, 0.0, cfg)) < 1e-10
+
+    @pytest.mark.parametrize("N", [9, 33])
+    def test_subnormal_row(self, N):
+        # cos z cos y / sin(z - y) overflows at the band pair y = 0, whose
+        # factor the expansion replaces.  The row is the one at z = 1e-300,
+        # not R(0) = 0: the odd reflection gives k'' a jump at 0
+        g = make_grid(N)
+        p = fit_spline(g, random_odd_values(g, np.random.default_rng(19)), 0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = residual_at(p, 1e-310)
+        assert np.isfinite(r)
+        assert abs(r - residual_at(p, 1e-300)) <= 1e-15
 
     def test_endpoint_row_degenerates(self):
         g = make_grid(65)
@@ -524,10 +539,12 @@ def dense_jacobian(d, values):
     """The Jacobian with its y-terms contracted in value space: the pair
     partials times dense input maps at the outer nodes, built here, and the
     trapezoid weights times the column factor sec^2 y / pi, as the pass
-    once summed them."""
-    N, hy, maps, nz, yi = d.N, d.hy, d.maps, len(d.z), d.yi
+    once summed them, and the z-terms times dense value maps at the rows."""
+    N, hy, nz, yi, z = d.N, d.hy, len(d.z), d.yi, d.z
     Ey, Uy = d.sm.dense(yi, 0), np.cos(yi)[:, None] ** 2 * d.sm.dense(yi, 1)
-    Py = d._primitive(yi)
+    Py = d._primitive(yi) @ d.coef
+    maps = {"kz": d.sm.dense(z, 0), "uz": np.cos(z)[:, None] ** 2 * d.sm.dense(z, 1),
+            "Pz": d._primitive(z) @ d.coef, "b": d.sm.dense([HALF_PI], 0)[0]}
     col = 1.0 / (np.pi * np.cos(yi) ** 2)
     col[0] *= 0.5
     J = np.zeros((N + 1, N))
@@ -601,7 +618,7 @@ class TestCoefficientSpace:
         assert np.all(np.where(after, table[at] == 0.0, True))
         rebuilt = np.where(before, full, 0.0)
         np.put_along_axis(rebuilt, first[:, None] + np.arange(rows.shape[1]), partial, axis=1)
-        Py = d._primitive(d.yi)
+        Py = d._primitive(d.yi) @ d.coef
         assert np.max(np.abs(rebuilt @ d.coef - Py)) <= 1e-14 * np.max(np.abs(Py))
         # in value space: the dense spline map at the GK15 nodes of each gap,
         # weighted by sec^2 and summed, then summed over the gaps
@@ -610,15 +627,16 @@ class TestCoefficientSpace:
         value = np.zeros((len(d.pts), N))
         value[1:] = np.einsum("gq,gqn->gn", wts / np.cos(nodes) ** 2, E)
         value = np.cumsum(value, axis=0)
-        for name, got, pts in (("Py", Py, d.yi), ("Pz", d.maps["Pz"], d.z)):
+        for name, got, pts in (("Py", Py, d.yi), ("Pz", d.z_rows[2] @ d.coef, d.z)):
             want = value[d.pts.searchsorted(pts)]
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(got)), name
 
 
 class TestOuterNodeInputs:
-    """The inputs at the outer nodes are sums of local B-spline rows on the
-    spline coefficients; in value space they are the dense spline maps and
-    the value -> P map there."""
+    """The inputs at the rows and the outer nodes are sums of B-spline rows
+    on the spline coefficients; in value space they are the dense spline
+    maps and the value -> P map there, and b, the last coefficient, is the
+    last nodal value up to one rounding."""
 
     @pytest.mark.parametrize("N", [17, 33, 129])
     @pytest.mark.parametrize("cfg", [ResidualConfig(), ResidualConfig(outer_nodes=77)],
@@ -628,18 +646,27 @@ class TestOuterNodeInputs:
         d = discretization(N, cfg)
         if z is not None:
             d = d.row(z)
-        sm, yi = d.sm, d.yi
+        sm, yi, z = d.sm, d.yi, d.z
         maps = {"ky": sm.dense(yi, 0), "uy": np.cos(yi)[:, None] ** 2 * sm.dense(yi, 1),
-                "Py": d._primitive(yi)}
+                "Py": d._primitive(yi) @ d.coef, "kz": sm.dense(z, 0),
+                "uz": np.cos(z)[:, None] ** 2 * sm.dense(z, 1), "Pz": d._primitive(z) @ d.coef}
+        # the last coefficient is b = k(pi/2), through coef's last row: e_{N-1}
+        # up to the rounding of B_{N-1}(pi/2) (1 - 2^-53 at N=129)
+        last = d.coef[-1]
+        assert np.flatnonzero(last).tolist() == [N - 1]
+        assert abs(last[-1] - 1.0) <= np.finfo(float).eps
         for seed in range(2):
             v = random_odd_profile(N, seed).values
-            Pz = d.maps["Pz"] @ v
+            Pz = d.z_rows[2] @ (d.coef @ v)
             for r, _, _, inp in d._passes(v):
-                got = {"ky": inp["ky"], "uy": inp["uy"], "Py": inp["D"] + Pz[r, None]}
+                got = {"ky": inp["ky"], "uy": inp["uy"], "Py": inp["D"] + Pz[r, None],
+                       "kz": inp["kz"][:, 0], "uz": inp["uz"][:, 0], "Pz": Pz[r]}
                 for name, E in maps.items():
+                    E = E[r] if name.endswith("z") else E
                     # the roundoff of a sum is relative to its terms' size
                     tol = 2e-15 * np.max(np.abs(E) @ np.abs(v))
                     assert np.max(np.abs(got[name] - E @ v)) <= tol, name
+                assert inp["b"] == last[-1] * v[-1]
 
 
 class TestWorkspace:
