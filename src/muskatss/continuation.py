@@ -9,6 +9,7 @@ matches the new target slope exactly before solving.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -112,12 +113,14 @@ class Branch:
 
 def _residual_closure(grid: Grid, s: float, res_cfg: ResidualConfig):
     """The collocation residual in the unknowns x = values[1:], with its
-    exact Jacobian attached as ``r.jacobian``."""
-    def r(x):
+    exact Jacobian attached as ``r.jacobian`` and its value-only
+    evaluation, the same residual without keeping a Jacobian, as
+    ``r.values_only``."""
+    def r(x, **kwargs):
         values = np.concatenate([[0.0], x])
         profile = fit_spline(grid, values, s)
         try:
-            return residual_vector(profile, res_cfg).stacked()
+            return residual_vector(profile, res_cfg, **kwargs).stacked()
         except QuadratureError:
             # lm_solve rejects a non-finite trial; a non-finite start
             # point or Jacobian becomes a SolverError (a failed step)
@@ -127,6 +130,7 @@ def _residual_closure(grid: Grid, s: float, res_cfg: ResidualConfig):
         return residual_jacobian(np.concatenate([[0.0], x]), res_cfg)[:, 1:]
 
     r.jacobian = jacobian
+    r.values_only = functools.partial(r, jacobian=False)
     return r
 
 

@@ -6,6 +6,8 @@ between interior and boundary rows.  The Jacobian comes from the
 residual itself when the callable carries one as ``r.jacobian(x)`` (the
 collocation residual does); otherwise it is one-sided finite
 differences, ``fd_jacobian``, which also serves the tests as an oracle.
+A callable may also carry ``r.values_only(x)``, the same residual without
+the work of a Jacobian, for the trial that is likely the last.
 """
 
 from __future__ import annotations
@@ -95,7 +97,10 @@ def lm_solve(r, x0: np.ndarray, cfg: LMConfig | None = None) -> SolverReport:
     _LAMBDA0 and is multiplied by _LAMBDA_DOWN on acceptance and by
     _LAMBDA_UP on rejection.  J is ``r.jacobian(x)`` when r has that
     attribute and ``fd_jacobian`` otherwise; either raises SolverError if
-    not finite.  Stops when the residual max-norm falls below tol_residual,
+    not finite.  A trial whose linear model converges, max|r + J dx| <=
+    tol_residual, is evaluated by ``r.values_only`` when r has that
+    attribute, which must return r's values, so the iterates do not depend
+    on the guess.  Stops when the residual max-norm falls below tol_residual,
     the accepted step falls below tol_step (converged), a rejected step
     does (stalled), or after max_iters accepted steps.
     """
@@ -110,6 +115,7 @@ def lm_solve(r, x0: np.ndarray, cfg: LMConfig | None = None) -> SolverReport:
                             lambda_history=history)
 
     jacobian = getattr(r, "jacobian", jacobian)
+    values_only = getattr(r, "values_only", r)
     x = np.asarray(x0, dtype=float).copy()
     rx = np.asarray(r(x), dtype=float)
     if not np.all(np.isfinite(rx)):
@@ -141,7 +147,10 @@ def lm_solve(r, x0: np.ndarray, cfg: LMConfig | None = None) -> SolverReport:
                 lam *= _LAMBDA_UP
                 continue
             if np.all(np.isfinite(dx)):
-                rn = np.asarray(r(x + dx), dtype=float)
+                # a trial the linear model says converges is most likely
+                # the last, so no Jacobian need come with its residual
+                last = np.max(np.abs(rx + J @ dx)) <= cfg.tol_residual
+                rn = np.asarray((values_only if last else r)(x + dx), dtype=float)
                 if np.all(np.isfinite(rn)) and np.linalg.norm(rn) < np.linalg.norm(rx):
                     break
                 if np.max(np.abs(dx)) <= cfg.tol_step:

@@ -61,10 +61,13 @@ through the same rows, are the Jacobian in coefficient space; one product
 with the cardinal map takes it to the nodal values
 (``residual_jacobian``).  So one pass per trial point gives the residual
 and the Jacobian there, and the ``Discretization`` keeps the last one for
-a Jacobian asked at the same values.  A complex step through
-``_integrand`` is the tests' check of that gradient.  ``residual_at`` is
-the one-row discretization of its z, sharing the outer-node rows and the
-P table.  ``delta_tilde`` is the sliding average itself, by adaptive GK15.
+a Jacobian asked at the same values.  A value-only pass
+(``jacobian=False``) runs the kernel without the partials and keeps
+nothing; its residual is the full pass's, bit for bit.  A complex step
+through ``_integrand`` is the tests' check of that gradient.
+``residual_at`` is the one-row discretization of its z, sharing the
+outer-node rows and the P table, by a value-only pass.  ``delta_tilde`` is
+the sliding average itself, by adaptive GK15.
 """
 
 from __future__ import annotations
@@ -246,7 +249,10 @@ def _quotients(g: _Geometry, kz, du, ky, D, band, out):
     the near pairs (``flat``) they are ``band``, the expansion quotients.
     """
     dq_k, dq_u, avg, F = out
-    np.subtract(kz * _SIGNS, ky, out=dq_k)
+    # the (rows, 1) operand is copied in, not broadcast through the
+    # subtraction, whose inner loop would then read it with stride 0
+    np.copyto(dq_k, kz * _SIGNS)
+    dq_k -= ky
     dq_k *= g.c
     np.multiply(du, g.c, out=dq_u)
     np.negative(D, out=avg)
@@ -274,9 +280,9 @@ def _integrand(g: _Geometry, kz, uz, ky, uy, D, b, band):
     (dq_k, dq_u, avg) at the near pairs of both halves, half 0's first.
     Every output is an elementwise function of them, so complex inputs
     give complex-step derivatives (the tests' check of ``_kernel``'s
-    partials).  Returns (pairs, end): at each pair t0 - t1 - 2 (v0 - v1)
-    from the halves' terms t = dq_u F and v = dq_k^2 avg F^2, the integrand
-    without its column factor sec^2 y / pi (the outer weights hold it), and
+    partials).  Returns (pairs, end): at each pair half 0's value minus
+    half 1's, each F (dq_u - 2 dq_k^2 avg F), the integrand without its
+    column factor sec^2 y / pi (the outer weights hold it), and
     at each z the endpoint limit (``_end_values``), factor included.  It is
     ``_kernel`` without the partials, in new arrays of the inputs' dtype.
     """
@@ -313,67 +319,70 @@ def _kernel(g: _Geometry, work, kz, uz, ky, uy, D, b, band, partials=True):
 
     ``work`` holds ``_SLOTS`` stacked arrays of the pair shape (2, rows,
     ny).  du = uz - uy goes to slot 2's half 0, the quotients (dq_k, dq_u,
-    avg, F) to slots 3, 0, 1 and 4, and the terms v and t to 2 and 5; the
-    pair values end in slot 5's half 0.  The values are ``_integrand``'s,
-    with each array's operations in the same order.
+    avg, F) to slots 3, 0, 1 and 4, G = avg F over avg, B = dq_k G to slot
+    2 (a factor of the dq_k partial), and each half's value
+    F (dq_u - 2 B dq_k) to slot 5, or over B without the partials; the pair
+    values end in that slot's half 0.  The values are ``_integrand``'s, with
+    each array's operations in the same order.
 
     Returns (pairs, end, partials), partials None unless ``partials``.  At
     the pairs: in kz, ky, du = uz - uy (u enters only as that difference,
     so the uy partial is minus the du one) and D; the last three are
     ``work[:3, 0]``.  At the endpoint column, one per z: in kz, uz and b.
     At the near pairs, in the order of ``band``: in the three expansion
-    quotients (dq_k, dq_u, avg).  The pair value is half 0's terms minus
+    quotients (dq_k, dq_u, avg).  The pair value is half 0's value minus
     half 1's, and the quotients are c times +-kz - ky, du and -D: the
     halves' partials combine with those signs.
     """
-    du = np.subtract(uz, uy, out=work[2, 0])
+    du = work[2, 0]
+    np.copyto(du, uz)               # not broadcast through the subtraction
+    du -= uy
     dq_k, dq_u, avg, F = _quotients(g, kz, du, ky, D, band,
                                     out=(work[3], work[0], work[1], work[4]))
-    v = np.multiply(dq_k, dq_k, out=work[2])
-    v *= avg
+    G = avg
+    G *= F
+    B = np.multiply(dq_k, G, out=work[2])
+    v = np.multiply(B, dq_k, out=work[5] if partials else B)
+    v *= -2.0
+    v += dq_u
     v *= F
-    v *= F
-    t = np.multiply(dq_u, F, out=work[5])
     v[0] -= v[1]
-    t[0] -= t[1]
-    v[0] *= 2.0
-    t[0] -= v[0]
-    pairs, end = t[0], _end_values(g, kz, uz, b)
+    pairs, end = v[0], _end_values(g, kz, uz, b)
     if not partials:
         return pairs, end, None
 
-    # each half's terms t - 2 v in its quotients, in place: with G = avg F
-    # (|G| <= 1/2), in dq_u F, in dq_k -4 dq_k G F, and in avg
-    # -2 F (G dq_u + dq_k^2 F (4F - 3)), from F' = -2 G F and
-    # (avg F^2)' = F^2 (4F - 3) (as avg^2 F = 1 - F); they stay finite
-    # wherever the terms do
-    G = avg
-    G *= F
-    dq_u *= G
-    p_avg = np.multiply(4.0, F, out=work[2])
-    p_avg -= 3.0
-    p_avg *= F
-    p_avg *= dq_k
-    p_avg *= dq_k
-    p_avg += dq_u
-    p_avg *= F
-    p_avg *= -2.0
-    p_dq_k = dq_k
-    p_dq_k *= G
-    p_dq_k *= F
-    p_dq_k *= -4.0
-    p_dq_u = F
-    near = np.array([p_dq_k.take(g.flat), p_dq_u.take(g.flat), p_avg.take(g.flat)])
+    # each half's value in its quotients: in dq_u F, in dq_k -4 B F, and in
+    # avg -2 F (G dq_u + dq_k^2 F (4F - 3)), from F' = -2 G F and
+    # (avg F^2)' = F^2 (4F - 3) (as avg^2 F = 1 - F), with |G| <= 1/2; they
+    # stay finite wherever the values do.  The near pairs' quotients are
+    # ``band``'s, so their partials come from it alone
+    kn, un, an = band
+    Fn = 1.0 / (1.0 + an * an)
+    Gn = an * Fn
+    near = np.array([kn * Gn * Fn * -4.0, Fn,
+                     (Gn * un + kn * kn * Fn * (4.0 * Fn - 3.0)) * Fn * -2.0])
     half1 = near[:, g.flat.searchsorted(g.c[0].size):]
     np.negative(half1, out=half1)
-    for part in (p_dq_k, p_dq_u, p_avg):
-        part *= g.c
+    dq_u *= G
+    Q = np.multiply(F, 4.0, out=G)
+    Q -= 3.0
+    Q *= F
+    Q *= dq_k
+    Q *= dq_k
+    Q += dq_u
     # through the generic quotients, whose factors c are 0 where the band
-    # expansions replace them
-    d_ky = np.subtract(p_dq_k[1], p_dq_k[0], out=work[0, 0])
-    d_du = np.subtract(p_dq_u[0], p_dq_u[1], out=work[1, 0])
-    d_D = np.subtract(p_avg[1], p_avg[0], out=work[2, 0])
-    d_kz = np.add(p_dq_k[0], p_dq_k[1], out=p_dq_k[0])
+    # expansions replace them; the constants apply to the halves' sums
+    Fc = F
+    Fc *= g.c
+    Q *= Fc
+    B *= Fc
+    d_ky = np.subtract(B[0], B[1], out=work[0, 0])
+    d_ky *= 4.0
+    d_kz = np.add(B[0], B[1], out=work[3, 0])
+    d_kz *= -4.0
+    d_D = np.subtract(Q[0], Q[1], out=work[2, 0])
+    d_D *= 2.0
+    d_du = np.subtract(Fc[0], Fc[1], out=work[1, 0])
 
     # endpoint y = pi/2, with (1 - b^2) Fb^2 = (2Fb - 1) Fb and b^2 Fb^2 = (1 - Fb) Fb
     x = g.x
@@ -397,16 +406,22 @@ def _outer_integral(w, z, yi, pairs, end) -> np.ndarray:
     integrand's values ``pairs`` at the outer nodes ``yi`` but pi/2, and
     its last entry on ``end`` at pi/2 (see ``_integrand``).  A non-finite
     integrand raises QuadratureError naming its (z, y), so numpy's
-    overflow warnings on the way are not shown.  Each row's sum takes no
-    BLAS call, so it is the same in any row block at any thread count.
+    overflow warnings on the way are not shown.  Every weight is positive,
+    so such a value makes its row's sum non-finite, and only those rows
+    are searched; a row of finite values whose sum overflows is returned.
+    Each row's sum takes no BLAS call, so it is the same in any row block
+    at any thread count.
     """
-    if not (np.all(np.isfinite(pairs)) and np.all(np.isfinite(end))):
-        bad = ~np.isfinite(np.column_stack([pairs, end]))
-        i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        y = np.append(yi, HALF_PI)[j]
-        raise QuadratureError(f"non-finite outer integrand at (z={z[i]}, y={y})",
-                              interval=(float(z[i]), float(y)))
-    return np.einsum("ij,j->i", pairs, w[:-1]) + w[-1] * end[:, 0]
+    rows = np.einsum("ij,j->i", pairs, w[:-1]) + w[-1] * end[:, 0]
+    odd = np.flatnonzero(~np.isfinite(rows))
+    if odd.size:
+        bad = ~np.isfinite(np.column_stack([pairs[odd], end[odd]]))
+        if bad.any():
+            i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            i, y = odd[i], np.append(yi, HALF_PI)[j]
+            raise QuadratureError(f"non-finite outer integrand at (z={z[i]}, y={y})",
+                                  interval=(float(z[i]), float(y)))
+    return rows
 
 
 # pairs of both halves per row block of a kernel pass, about: the rows are
@@ -454,7 +469,8 @@ class Discretization:
     node but pi/2 (halved at y = 0), then hy/2 at pi/2.
 
     One pass (``_pass``) gives the residual and its Jacobian in coefficient
-    space, C, at the same values, its kernel running in the workspace
+    space, C, at the same values (a value-only pass the residual alone, with
+    no partials formed), its kernel running in the workspace
     ``work``: ``_SLOTS``
     64-byte aligned stacked arrays (2, rows, ny) of the largest block,
     which every block and every pass reuses.  The Jacobian's y-terms are
@@ -470,7 +486,9 @@ class Discretization:
     keeps the values and C of its last pass, and ``jacobian`` at those
     values takes C to the nodal values by one product with ``coef``, so a
     Levenberg-Marquardt step, whose Jacobian is taken at the trial point it
-    has just evaluated, costs one pass.
+    has just evaluated, costs one pass.  ``residual(values,
+    jacobian=False)`` is a value-only pass, which leaves the kept pass as it
+    was: a later ``jacobian`` at its values runs a full pass.
     """
 
     def __init__(self, N: int, cfg: ResidualConfig):
@@ -586,6 +604,9 @@ class Discretization:
         expansion quotients, and b = a[-1]."""
         a = self.coef @ np.asarray(values, dtype=float)
         kz, uz, Pz = (self.z_rows @ a)[:, :, None]
+        # D = (-Pz) + Py, bit for bit Py - Pz, with -Pz copied into each row
+        # rather than broadcast through the sum
+        Pz = -Pz
         ky, uy, Py = np.einsum("qyk,yk->qy", self.y_rows, a[self.y_gather])
         # the whole integrals of the B-splines before each node's first
         whole = np.zeros(self.N + 1)
@@ -594,8 +615,11 @@ class Discretization:
         band = np.einsum("qek,ek->qe", self.band_weight, a[self.band_gather])
         b = a[-1]
         for r, geo, e in self.blocks:
+            D = np.empty((len(geo.x), len(Py)))
+            np.copyto(D, Pz[r])
+            D += Py
             yield r, e, geo, {"kz": kz[r], "uz": uz[r], "ky": ky, "uy": uy,
-                              "D": Py - Pz[r], "b": b, "band": band[:, e]}
+                              "D": D, "b": b, "band": band[:, e]}
 
     def _chunk_sums(self, X: np.ndarray) -> np.ndarray:
         """The partials ``X`` in ky, du and D (3, rows, ny) of a block summed
@@ -615,9 +639,10 @@ class Discretization:
         at = self.chunk_index[:, None, :] + (2 * width * np.arange(nr))[:, None]
         return np.bincount(at.ravel(), out.ravel(), minlength=2 * width * nr).reshape(nr, 2, -1)
 
-    def _pass(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The residual at the rows z and its Jacobian C in the spline
-        coefficients, shape (rows, N), one ``_kernel`` pass per row block.
+    def _pass(self, values: np.ndarray, jacobian: bool = True):
+        """The residual at the rows z and, if ``jacobian``, its Jacobian C
+        in the spline coefficients, shape (rows, N), else None, one
+        ``_kernel`` pass per row block.
 
         The residual is the transport term sin z cos z k'(z) = tan z u(z)
         plus the outer rule ``w`` on the integrand's values.  C's z-terms
@@ -628,22 +653,26 @@ class Discretization:
         """
         N, w, nz = self.N, self.w, len(self.z)
         out = np.empty(nz)
-        sums = np.zeros((nz, 2, N + self.chunk_weight.shape[3]))
-        quot = np.empty(self.band_weight.shape[:2])
-        # the z-terms' row sums, in kz, uz, Pz (which D holds negated) and b
-        zsums = np.empty((4, nz))
+        if jacobian:
+            sums = np.zeros((nz, 2, N + self.chunk_weight.shape[3]))
+            quot = np.empty(self.band_weight.shape[:2])
+            # the z-terms' row sums, in kz, uz, Pz (which D holds negated) and b
+            zsums = np.empty((4, nz))
         ny = len(self.yi)
         for r, e, geo, inputs in self._passes(values):
             nr, tan_z = geo.x.shape[0], geo.x[:, 0]
             work = self.work[:, :2 * nr * ny].reshape(_SLOTS, 2, nr, ny)
-            pairs, end, p = _kernel(geo, work, **inputs)
+            pairs, end, p = _kernel(geo, work, **inputs, partials=jacobian)
             out[r] = tan_z * inputs["uz"][:, 0] + _outer_integral(w, self.z[r], self.yi,
                                                                   pairs, end)
-            zsums[:, r] = (p.kz @ w[:-1] + w[-1] * p.end_kz,
-                           p.du @ w[:-1] + w[-1] * p.end_uz + tan_z,
-                           -(p.D @ w[:-1]), w[-1] * p.end_b)
-            sums[r] += self._chunk_sums(work[:3, 0])
-            quot[:, e] = p.band
+            if jacobian:
+                zsums[:, r] = (p.kz @ w[:-1] + w[-1] * p.end_kz,
+                               p.du @ w[:-1] + w[-1] * p.end_uz + tan_z,
+                               -(p.D @ w[:-1]), w[-1] * p.end_b)
+                sums[r] += self._chunk_sums(work[:3, 0])
+                quot[:, e] = p.band
+        if not jacobian:
+            return out, None
 
         C = sums[:, 0, :N] + np.bincount(
             self.band_index, np.einsum("qe,qek->ek", quot * self.band_column,
@@ -657,15 +686,19 @@ class Discretization:
         C[:, -1] += zsums[3]          # b = a[-1]
         return out, C
 
-    def residual(self, values) -> np.ndarray:
+    def residual(self, values, jacobian: bool = True) -> np.ndarray:
         """The residual at the rows z at nodal values ``values``.  The pass
         also gives the Jacobian there in coefficient space, which is kept
-        for ``jacobian``."""
+        for ``jacobian``.  With ``jacobian=False`` it is a value-only pass,
+        the same residual bit for bit, that forms no partials and leaves
+        the kept pass as it was."""
         values = np.array(values, dtype=float)
-        self._last = None             # a pass that raises keeps no Jacobian
         # _outer_integral raises on a non-finite integrand and lm_solve
         # checks J, so numpy's overflow warnings on the way are not shown
         with np.errstate(over="ignore", invalid="ignore"):
+            if not jacobian:
+                return self._pass(values, jacobian=False)[0]
+            self._last = None         # a pass that raises keeps no Jacobian
             out, C = self._pass(values)
         self._last = (values, C)
         return out
@@ -723,9 +756,15 @@ def residual_at(profile: Profile, z: float, cfg: ResidualConfig | None = None) -
 
     The one row z of the discretization (``Discretization.row``): the
     rows, band weights, kernel and outer weights of ``residual_vector``, whose
-    interior rows it is at the grid nodes.  At z = pi/2 every term of the
-    equation degenerates (the transport term carries cos z and the
-    integrand limits vanish pointwise), so the row is identically zero.
+    interior rows it is at the grid nodes, in a value-only pass.  At z = pi/2
+    every term of the equation degenerates (the transport term carries cos z
+    and the integrand limits vanish pointwise), so the row is identically
+    zero.  The row at z = 0 is exactly 0 by oddness, but it is not the limit
+    z -> 0+ of the rows next to it: the odd reflection gives k'' a jump at 0,
+    so the two halves' band quotients at y = 0 see u'(0+-) = +-k''(0+).  For
+    ``random_odd_values`` seed 1 (the tests' conftest), the row at z = 1e-300
+    is 8.7e-5, 4.2e-7 and 1.7e-9 at N = 9, 33 and 129, falling like the
+    interpolation error.
     """
     if cfg is None:
         cfg = ResidualConfig()
@@ -733,21 +772,26 @@ def residual_at(profile: Profile, z: float, cfg: ResidualConfig | None = None) -
         raise ValueError(f"z={z} outside [0, pi/2]")
     if z == HALF_PI:
         return 0.0
-    return float(discretization(profile.grid.N, cfg).row(z).residual(profile.values)[0])
+    d = discretization(profile.grid.N, cfg).row(z)
+    return float(d.residual(profile.values, jacobian=False)[0])
 
 
-def residual_vector(profile: Profile, cfg: ResidualConfig | None = None) -> ResidualVector:
+def residual_vector(profile: Profile, cfg: ResidualConfig | None = None, *,
+                    jacobian: bool = True) -> ResidualVector:
     """Equation residuals at the interior collocation nodes plus boundary rows.
 
     Interior rows are z_i, i = 1..N-1 (the last, at pi/2, is identically
     zero because the equation degenerates there); the boundary rows are
     k(0) - 0 and k(pi/2) - s.  The interior rows come from the profile's
-    nodal values through the cached ``Discretization`` of (N, cfg).
+    nodal values through the cached ``Discretization`` of (N, cfg), whose
+    pass keeps the Jacobian there unless ``jacobian`` is False (a
+    value-only pass, the same rows bit for bit).
     """
     if cfg is None:
         cfg = ResidualConfig()
+    d = discretization(profile.grid.N, cfg)
     return ResidualVector(
-        interior=np.append(discretization(profile.grid.N, cfg).residual(profile.values), 0.0),
+        interior=np.append(d.residual(profile.values, jacobian=jacobian), 0.0),
         bc0=float(profile.values[0]),
         bc_end=float(profile.values[-1] - profile.s),
     )

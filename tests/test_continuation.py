@@ -89,10 +89,10 @@ class TestContinueBranch:
     def test_raising_residual_truncates_with_failure(self, monkeypatch, small_branch):
         real = continuation.residual_vector
 
-        def flaky(profile, cfg):
+        def flaky(profile, cfg, **kwargs):
             if profile.s > 0.1 + 1e-9:
                 raise QuadratureError("budget exhausted")
-            return real(profile, cfg)
+            return real(profile, cfg, **kwargs)
 
         monkeypatch.setattr(continuation, "residual_vector", flaky)
         branch = continue_branch(0.3, 0.1, SMALL_N, SMALL_LM, SMALL_RES)
@@ -108,11 +108,11 @@ class TestContinueBranch:
         real = continuation.residual_vector
         calls = []
 
-        def flaky(profile, cfg):
+        def flaky(profile, cfg, **kwargs):
             calls.append(profile.s)
             if len(calls) == 2:
                 raise QuadratureError("wild trial")
-            return real(profile, cfg)
+            return real(profile, cfg, **kwargs)
 
         monkeypatch.setattr(continuation, "residual_vector", flaky)
         branch = continue_branch(0.1, 0.1, SMALL_N, LMConfig(), SMALL_RES)
@@ -144,6 +144,64 @@ class TestContinueBranch:
     def test_step_at_missing_raises(self, small_branch):
         with pytest.raises(KeyError):
             small_branch.step_at(0.7)
+
+
+def record_residual_calls(monkeypatch):
+    """The ``jacobian`` keyword of every ``residual_vector`` call the
+    solver makes, in order, with the slope of its profile."""
+    real, calls = continuation.residual_vector, []
+
+    def recording(profile, cfg, **kwargs):
+        calls.append((profile.s, kwargs.get("jacobian", True)))
+        return real(profile, cfg, **kwargs)
+
+    monkeypatch.setattr(continuation, "residual_vector", recording)
+    return calls
+
+
+class TestValueOnlyTrial:
+    """A trial step that the linear model says converges is evaluated
+    value-only; it changes no number of the solve."""
+
+    def test_coarse_branch_counts(self, monkeypatch):
+        # the benchmark's branch-coarse setting: N=33 to s = 2
+        calls = record_residual_calls(monkeypatch)
+        branch = continue_branch(2.0, 0.1, 33)
+        assert branch.failure is None
+        assert [st.report.iterations for st in branch.steps] == [5] + [6] * 6 + [7] * 13
+        assert len(calls) == 152
+        values_only = [i for i, (_, jac) in enumerate(calls) if not jac]
+        assert len(values_only) == 20
+        # each the last evaluation of its step
+        assert all(i + 1 == len(calls) or calls[i + 1][0] != calls[i][0] for i in values_only)
+
+    def test_same_report_with_and_without_the_hint(self, monkeypatch):
+        grid = make_grid(33)
+        x0 = (2.0 / np.pi) * 0.5 * grid.nodes[1:]
+        r = continuation._residual_closure(grid, 0.5, ResidualConfig())
+
+        def forced(x):                   # every evaluation value-only
+            return r.values_only(x)
+
+        def plain(x):                    # no hint
+            return r(x)
+
+        forced.jacobian = plain.jacobian = r.jacobian
+        forced.values_only = r.values_only
+        calls = record_residual_calls(monkeypatch)
+        reports = []
+        for f in (r, forced, plain):
+            calls.clear()
+            reports.append(lm_solve(f, x0))
+            kinds = [jac for _, jac in calls]
+            assert kinds.count(False) == {r: 1, forced: len(kinds), plain: 0}[f]
+        want = reports[0]
+        assert want.converged and want.iterations > 1
+        for got in reports[1:]:
+            assert got.solution.tobytes() == want.solution.tobytes()
+            assert got.iterations == want.iterations
+            assert got.lambda_history == want.lambda_history
+            assert got.residual_norm == want.residual_norm
 
 
 class TestSerialization:

@@ -535,6 +535,89 @@ class TestOnePass:
         assert np.array_equal(d.jacobian(v), Discretization(N, cfg).jacobian(v))
 
 
+class TestValueOnly:
+    """``residual(values, jacobian=False)`` is a pass without the partials:
+    the same residual bytes, and no pass kept."""
+
+    CFGS = pytest.mark.parametrize("cfg", [ResidualConfig(), ResidualConfig(outer_nodes=77)],
+                                   ids=["default", "nodes77"])
+
+    @pytest.mark.parametrize("N", [17, 33, 129])
+    @CFGS
+    def test_same_bytes_as_the_full_pass(self, cfg, N):
+        d = discretization(N, cfg)
+        for seed in range(3):
+            p = random_odd_profile(N, seed)
+            values_only = residual_vector(p, cfg, jacobian=False).stacked()
+            assert values_only.tobytes() == residual_vector(p, cfg).stacked().tobytes()
+            assert d.residual(p.values, jacobian=False).tobytes() == d.residual(p.values).tobytes()
+
+    @pytest.mark.parametrize("N", [17, 129])
+    @CFGS
+    def test_keeps_no_pass(self, cfg, N):
+        v, v2 = (random_odd_profile(N, seed).values for seed in (1, 2))
+        d = Discretization(N, cfg)
+        d.residual(v, jacobian=False)
+        assert d._last is None
+        d.residual(v)
+        kept = d._last
+        d.residual(v2, jacobian=False)
+        assert d._last is kept and np.array_equal(kept[0], v)
+        # a Jacobian at the value-only point runs its own full pass
+        passes = TestOnePass.counting(d)
+        assert np.array_equal(d.jacobian(v2), Discretization(N, cfg).jacobian(v2))
+        assert len(passes) == 1
+        assert np.array_equal(d.jacobian(v), Discretization(N, cfg).jacobian(v))
+
+    def test_residual_at_forms_no_partials(self, monkeypatch):
+        p = random_odd_profile(33, 4)
+        kinds, run = [], Discretization._pass
+
+        def recording(self, values, jacobian=True):
+            kinds.append(jacobian)
+            return run(self, values, jacobian=jacobian)
+
+        monkeypatch.setattr(Discretization, "_pass", recording)
+        residual_at(p, 0.3)
+        residual_at(p, 1e-300)
+        assert kinds == [False, False]
+
+
+class TestOuterIntegral:
+    """Only the rows whose sum is not finite are searched for the pair
+    that made them so."""
+
+    @staticmethod
+    def block():
+        d = discretization(17, ResidualConfig(outer_nodes=77))
+        (r, _, geo, inp), = d._passes(random_odd_profile(17, 1).values)
+        pairs, end = _integrand(geo, **inp)
+        return d, pairs.copy(), end.copy()
+
+    def test_names_the_first_non_finite_pair(self):
+        d, pairs, end = self.block()
+        pairs[2] = 1e308                     # finite, but the row sum overflows
+        pairs[5, 7] = np.nan
+        pairs[9, 3] = np.inf
+        with pytest.raises(QuadratureError, match=rf"z={d.z[5]}, y={d.yi[7]}\)") as err:
+            _outer_integral(d.w, d.z, d.yi, pairs, end)
+        assert err.value.interval == (d.z[5], d.yi[7])
+
+    def test_names_the_endpoint_column(self):
+        d, pairs, end = self.block()
+        end[4, 0] = np.inf
+        with pytest.raises(QuadratureError, match=rf"z={d.z[4]}, y={HALF_PI}\)"):
+            _outer_integral(d.w, d.z, d.yi, pairs, end)
+
+    def test_finite_pairs_whose_sum_overflows(self):
+        d, pairs, end = self.block()
+        want = _outer_integral(d.w, d.z, d.yi, pairs, end)
+        pairs[3] = 1e308
+        got = _outer_integral(d.w, d.z, d.yi, pairs, end)
+        assert got[3] == np.inf
+        assert np.array_equal(np.delete(got, 3), np.delete(want, 3))
+
+
 def dense_jacobian(d, values):
     """The Jacobian with its y-terms contracted in value space: the pair
     partials times dense input maps at the outer nodes, built here, and the
