@@ -28,6 +28,7 @@ import sys
 import numpy as np
 
 from .continuation import (
+    FORMAT_VERSION,
     S_MATCH_TOL,
     SETTINGS,
     Branch,
@@ -161,7 +162,7 @@ def _run_settings(args) -> dict:
 
 def _profile_json(profile, report, N: int) -> str:
     doc = {
-        "meta": {"version": "1", "N": N, "s": profile.s},
+        "meta": {"version": FORMAT_VERSION, "N": N, "s": profile.s},
         "values": [float(v) for v in profile.values],
         **report.to_dict(),
     }

@@ -221,7 +221,11 @@ class SplineMaps:
     def basis(self, x, nu: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """The nu-th derivatives at x >= 0 of the K+1 B-splines that can be
         nonzero there, and the index of the first: Cox-de Boor to degree
-        K-nu, then nu differentiation steps."""
+        K-nu, then nu differentiation steps.  The rounding shows at pi/2:
+        at N=129 the last B-spline evaluates to 1 - 2^-53 there (exactly 1
+        at N = 9, 17, 33 and 65), so an interpolant's last coefficient,
+        which ``residual`` takes as b = k(pi/2), can sit 1-2 ulps above its
+        nodal value k(pi/2)."""
         t = self.t
         x = np.asarray(x, dtype=float)
         ell = np.clip(t.searchsorted(x, side="right") - 1, K, len(t) - K - 2)

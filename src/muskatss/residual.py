@@ -36,38 +36,41 @@ integrand is half 0's terms minus half 1's.  Half 1's band y ~ -z is met
 only near z = y = 0; expanding there makes the oddness cancellation at
 z = 0 exact in floating point.
 
-The integrand is one elementwise kernel, ``_integrand``, of the
-value-dependent inputs k and u = k' cos^2 at z and y, D = P(y) - P(z),
-k(pi/2) and the three expansion quotients at the near pairs of both
-halves.  The geometry (``_pair_geometry``) depends only on N and the
-outer nodes, and so do the products of it the kernel needs: the
-quotients' factors cos z cos y / sin(+-z - y).  Every input is a fixed
-linear map of the spline coefficients a = coef @ values, so a cached
-``Discretization`` builds its weights once per (N, ResidualConfig): the
-B-spline rows of k, u and P at the rows (dense) and at the outer nodes
-(the K+1 local ones), P's from one table in B-spline coefficient space,
-the integrals of sec^2 B_c with one GK15 panel per gap; k(pi/2) is a's
-last entry.  The expansion quotients are fixed weights on a (``_series``
-applied to the B-spline rows at the midpoints).  The outer rule is one
-weight vector: the trapezoid weights times the column factor sec^2 y / pi
-at the outer nodes but pi/2, and hy/2 at pi/2, whose analytic limit holds
+The pair integrand is one elementwise kernel, ``_integrand``, of the
+value-dependent inputs k, u = k' cos^2 and P at z and at y, and the three
+expansion quotients at the near pairs of both halves.  The geometry
+(``_pair_geometry``) depends only on N and the outer nodes, and so do the
+products of it the kernel needs: the quotients' factors
+cos z cos y / sin(+-z - y).  Every input is a fixed linear map of the
+spline coefficients a = coef @ values, so a cached ``Discretization``
+builds its weights once per (N, ResidualConfig): the B-spline rows of k, u
+and P at the rows (dense) and at the outer nodes (the K+1 local ones),
+P's from one table in B-spline coefficient space, the integrals of
+sec^2 B_c with one GK15 panel per gap; k(pi/2) is a's last entry.  The
+expansion quotients are fixed weights on a (``_series`` applied to the
+B-spline rows at the midpoints).  The outer rule is one weight vector: the
+trapezoid weights times the column factor sec^2 y / pi at the outer nodes
+but pi/2, and hy/2 at pi/2, whose analytic limit (``_end_values``) holds
 the factor.  ``residual_vector`` is those weights, each applied once to
-a, and one kernel pass (``_kernel``) per block of rows, in a reused
-aligned workspace.  The pass builds the quotients of both halves once, in
-one sweep, and forms from them both the integrand's values, in the
-operations of ``_integrand``, and its elementwise partials, from a
-hand-derived gradient.  The partials under the same outer weights, summed
-through the same rows, are the Jacobian in coefficient space; one product
-with the cardinal map takes it to the nodal values
+a, the terms local to a row (the transport term and the endpoint limit)
+formed once over all rows, and one kernel pass (``_kernel``) per block of
+rows, in a reused aligned workspace.  The kernel builds the quotients of
+both halves once, in one sweep, and forms from them the pair values, in
+the operations of ``_integrand``, and their partials in the pair inputs,
+from a hand-derived gradient.  The partials in the row-local terms
+(``_end_partials``) and in the expansion quotients (``_band_partials``)
+are formed once per pass.  The partials under the same outer weights,
+summed through the same rows, are the Jacobian in coefficient space; one
+product with the cardinal map takes it to the nodal values
 (``residual_jacobian``).  So one pass per trial point gives the residual
 and the Jacobian there, and the ``Discretization`` keeps the last one for
 a Jacobian asked at the same values.  A value-only pass
-(``jacobian=False``) runs the kernel without the partials and keeps
-nothing; its residual is the full pass's, bit for bit.  A complex step
-through ``_integrand`` is the tests' check of that gradient.
-``residual_at`` is the one-row discretization of its z, sharing the
-outer-node rows and the P table, by a value-only pass.  ``delta_tilde`` is
-the sliding average itself, by adaptive GK15.
+(``jacobian=False``) forms no partials and keeps nothing; its residual is
+the full pass's, bit for bit.  A complex step through ``_integrand`` and
+``_end_values`` is the tests' check of the gradient.  ``residual_at`` is
+the one-row discretization of its z, sharing the outer-node rows and the
+P table, by a value-only pass.  ``delta_tilde`` is the sliding average
+itself, by adaptive GK15.
 """
 
 from __future__ import annotations
@@ -176,16 +179,16 @@ def delta_tilde(profile: Profile, z: float, y: float, sign: int) -> float:
 class _Geometry:
     """Value-independent arrays of the outer integrand on a grid of pairs (z, y).
 
-    z arrays have shape (nz, 1) and y arrays (ny,); the pairs of both
-    halves (the row z, then its reflection -z) are stacked on a leading
-    axis, shape (2, nz, ny), so the elementwise kernel broadcasts them.
+    The pairs of both halves (the row z, then its reflection -z) are
+    stacked on a leading axis, shape (2, nz, ny), against which the
+    kernel's inputs at the rows, (nz, 1), and at the outer nodes, (ny,),
+    broadcast.
     ``c`` = cos z cos y / sin(+-z - y), zeroed on the near pairs, whose
     flat row-major indices in the stacked shape are ``flat`` (half 0's
     first) and whose midpoints ``m`` and squared half-distances ``d2``
     feed the expansions.
     """
 
-    x: np.ndarray
     c: np.ndarray
     flat: np.ndarray
     m: np.ndarray
@@ -209,7 +212,7 @@ def _pair_geometry(z: np.ndarray, yi: np.ndarray, spacing: float) -> _Geometry:
     with np.errstate(divide="ignore", over="ignore"):
         c = np.cos(z) * cy / np.sin(x - yi)
     np.put(c, flat, 0.0)
-    return _Geometry(x=np.tan(z), c=c, flat=flat, m=m.take(flat), d2=dd.take(flat))
+    return _Geometry(c=c, flat=flat, m=m.take(flat), d2=dd.take(flat))
 
 
 # the expansions take the spline derivatives of orders 0.._SERIES_DERIVS-1
@@ -240,22 +243,24 @@ def _series(m, d2, k) -> np.ndarray:
     return np.array([c2 * num_k / den, c2 * num_u / den, num_p / den])
 
 
-def _quotients(g: _Geometry, kz, du, ky, D, band, out):
+def _quotients(g: _Geometry, kz, du, ky, Pz, Py, band, out):
     """The quotients (dq_k, dq_u, avg) of both halves at the pairs of ``g``,
     and F = 1/(1 + avg^2), written to the four stacked arrays ``out``.
 
     With x = +-z the row of a half (k odd, u = k' cos^2 and P even): the
-    quotients of k(x) - k(y), u(x) - u(y) and -D over tan x - tan y.  On
-    the near pairs (``flat``) they are ``band``, the expansion quotients.
+    quotients of k(x) - k(y), u(x) - u(y) and P(x) - P(y) = P(z) - P(y)
+    over tan x - tan y.  On the near pairs (``flat``) they are ``band``, the
+    expansion quotients.
     """
     dq_k, dq_u, avg, F = out
-    # the (rows, 1) operand is copied in, not broadcast through the
-    # subtraction, whose inner loop would then read it with stride 0
+    # the (rows, 1) operands are copied in, not broadcast through the
+    # subtraction, whose inner loop would then read them with stride 0
     np.copyto(dq_k, kz * _SIGNS)
     dq_k -= ky
     dq_k *= g.c
     np.multiply(du, g.c, out=dq_u)
-    np.negative(D, out=avg)
+    np.copyto(avg, Pz)
+    avg -= Py
     avg *= g.c
     for q, v in zip((dq_k, dq_u, avg), band):
         np.put(q, g.flat, v)
@@ -265,30 +270,49 @@ def _quotients(g: _Geometry, kz, du, ky, D, band, out):
     return out
 
 
-def _end_values(g: _Geometry, kz, uz, b):
-    """The integrand's analytic limit at the endpoint y = pi/2, where t0 and
-    t1 diverge, at each z."""
+def _end_values(x, kz, uz, b):
+    """The integrand's analytic limit at the endpoint y = pi/2, where its
+    two first-derivative terms diverge, at the rows x = tan z, with k and u
+    there and b = k(pi/2); the column factor included."""
     Fb = 1.0 / (1.0 + b * b)
-    return (-2.0 * g.x * uz * (1.0 - b * b) + 8.0 * b * b * kz) * Fb * Fb / np.pi
+    return (-2.0 * x * uz * (1.0 - b * b) + 8.0 * b * b * kz) * Fb * Fb / np.pi
 
 
-def _integrand(g: _Geometry, kz, uz, ky, uy, D, b, band):
-    """The outer integrand: its values at the pairs of ``g`` and at y = pi/2.
+def _end_partials(x, kz, uz, b):
+    """The partials of ``_end_values`` in kz, uz and b, from
+    (1 - b^2) Fb^2 = (2Fb - 1) Fb and b^2 Fb^2 = (1 - Fb) Fb."""
+    Fb = 1.0 / (1.0 + b * b)
+    return (8.0 * (1.0 - Fb) * Fb / np.pi, -2.0 * x * (2.0 * Fb - 1.0) * Fb / np.pi,
+            ((-2.0 * x * uz * (4.0 * Fb - 1.0) + 8.0 * kz * (1.0 - 2.0 * Fb))
+             * (-2.0 * b * Fb * Fb) / np.pi))
 
-    The inputs are the value-dependent quantities: k and u = k' cos^2 at
-    z and at y, D = P(y) - P(z), b = k(pi/2), and the expansion quotients
+
+def _band_partials(band):
+    """The partials of a half's value F (dq_u - 2 dq_k^2 avg F) in its three
+    expansion quotients (dq_k, dq_u, avg) at the near pairs (see
+    ``_kernel``); the pair value takes half 1's with a minus sign."""
+    kn, un, an = band
+    Fn = 1.0 / (1.0 + an * an)
+    Gn = an * Fn
+    return np.array([kn * Gn * Fn * -4.0, Fn,
+                     (Gn * un + kn * kn * Fn * (4.0 * Fn - 3.0)) * Fn * -2.0])
+
+
+def _integrand(g: _Geometry, kz, uz, Pz, ky, uy, Py, band):
+    """The outer integrand's values at the pairs of ``g``.
+
+    The inputs are the value-dependent quantities: k, u = k' cos^2 and P
+    at z, shape (rows, 1), and at y, and the expansion quotients
     (dq_k, dq_u, avg) at the near pairs of both halves, half 0's first.
-    Every output is an elementwise function of them, so complex inputs
-    give complex-step derivatives (the tests' check of ``_kernel``'s
-    partials).  Returns (pairs, end): at each pair half 0's value minus
-    half 1's, each F (dq_u - 2 dq_k^2 avg F), the integrand without its
-    column factor sec^2 y / pi (the outer weights hold it), and
-    at each z the endpoint limit (``_end_values``), factor included.  It is
-    ``_kernel`` without the partials, in new arrays of the inputs' dtype.
+    Every value is an elementwise function of them, so complex inputs give
+    complex-step derivatives (the tests' check of ``_kernel``'s partials).
+    At each pair: half 0's value minus half 1's, each F (dq_u - 2 dq_k^2
+    avg F), the integrand without its column factor sec^2 y / pi (the
+    outer weights hold it).  It is ``_kernel`` without the partials, in a
+    new array of the inputs' dtype.
     """
-    pairs, end, _ = _kernel(g, _fresh_work(g, kz, uz, ky, uy, D, b, band),
-                            kz, uz, ky, uy, D, b, band, partials=False)
-    return pairs, end
+    return _kernel(g, _fresh_work(g, kz, uz, Pz, ky, uy, Py, band),
+                   kz, uz, Pz, ky, uy, Py, band, partials=False)[0]
 
 
 class _Partials(NamedTuple):
@@ -298,10 +322,6 @@ class _Partials(NamedTuple):
     ky: np.ndarray
     du: np.ndarray
     D: np.ndarray
-    end_kz: np.ndarray
-    end_uz: np.ndarray
-    end_b: np.ndarray
-    band: np.ndarray
 
 
 # stacked arrays (2, rows, ny) of one row block that a kernel pass holds at once
@@ -313,7 +333,7 @@ def _fresh_work(g: _Geometry, *inputs) -> np.ndarray:
     return np.empty((_SLOTS, *g.c.shape), np.result_type(*inputs))
 
 
-def _kernel(g: _Geometry, work, kz, uz, ky, uy, D, b, band, partials=True):
+def _kernel(g: _Geometry, work, kz, uz, Pz, ky, uy, Py, band, partials=True):
     """The values of ``_integrand`` and, at real inputs, their partials, in
     one sweep over the quotients of both halves, in the workspace ``work``.
 
@@ -325,19 +345,19 @@ def _kernel(g: _Geometry, work, kz, uz, ky, uy, D, b, band, partials=True):
     values end in that slot's half 0.  The values are ``_integrand``'s, with
     each array's operations in the same order.
 
-    Returns (pairs, end, partials), partials None unless ``partials``.  At
-    the pairs: in kz, ky, du = uz - uy (u enters only as that difference,
-    so the uy partial is minus the du one) and D; the last three are
-    ``work[:3, 0]``.  At the endpoint column, one per z: in kz, uz and b.
-    At the near pairs, in the order of ``band``: in the three expansion
-    quotients (dq_k, dq_u, avg).  The pair value is half 0's value minus
-    half 1's, and the quotients are c times +-kz - ky, du and -D: the
-    halves' partials combine with those signs.
+    Returns (pairs, partials), partials None unless ``partials``: at the
+    pairs, in kz, ky, du = uz - uy (u enters only as that difference, so
+    the uy partial is minus the du one) and D = Py - Pz (P enters only as
+    that difference); the last three are ``work[:3, 0]``.  The pair value
+    is half 0's value minus half 1's, and the quotients are c times
+    +-kz - ky, du and -D: the halves' partials combine with those signs.
+    On the near pairs the quotients are ``band``'s, whose partials
+    ``_band_partials`` gives; the generic ones are 0 there.
     """
     du = work[2, 0]
     np.copyto(du, uz)               # not broadcast through the subtraction
     du -= uy
-    dq_k, dq_u, avg, F = _quotients(g, kz, du, ky, D, band,
+    dq_k, dq_u, avg, F = _quotients(g, kz, du, ky, Pz, Py, band,
                                     out=(work[3], work[0], work[1], work[4]))
     G = avg
     G *= F
@@ -347,22 +367,13 @@ def _kernel(g: _Geometry, work, kz, uz, ky, uy, D, b, band, partials=True):
     v += dq_u
     v *= F
     v[0] -= v[1]
-    pairs, end = v[0], _end_values(g, kz, uz, b)
     if not partials:
-        return pairs, end, None
+        return v[0], None
 
     # each half's value in its quotients: in dq_u F, in dq_k -4 B F, and in
     # avg -2 F (G dq_u + dq_k^2 F (4F - 3)), from F' = -2 G F and
     # (avg F^2)' = F^2 (4F - 3) (as avg^2 F = 1 - F), with |G| <= 1/2; they
-    # stay finite wherever the values do.  The near pairs' quotients are
-    # ``band``'s, so their partials come from it alone
-    kn, un, an = band
-    Fn = 1.0 / (1.0 + an * an)
-    Gn = an * Fn
-    near = np.array([kn * Gn * Fn * -4.0, Fn,
-                     (Gn * un + kn * kn * Fn * (4.0 * Fn - 3.0)) * Fn * -2.0])
-    half1 = near[:, g.flat.searchsorted(g.c[0].size):]
-    np.negative(half1, out=half1)
+    # stay finite wherever the values do
     dq_u *= G
     Q = np.multiply(F, 4.0, out=G)
     Q -= 3.0
@@ -383,16 +394,7 @@ def _kernel(g: _Geometry, work, kz, uz, ky, uy, D, b, band, partials=True):
     d_D = np.subtract(Q[0], Q[1], out=work[2, 0])
     d_D *= 2.0
     d_du = np.subtract(Fc[0], Fc[1], out=work[1, 0])
-
-    # endpoint y = pi/2, with (1 - b^2) Fb^2 = (2Fb - 1) Fb and b^2 Fb^2 = (1 - Fb) Fb
-    x = g.x
-    Fb = 1.0 / (1.0 + b * b)
-    end_kz = np.full(x.shape[0], 8.0 * (1.0 - Fb) * Fb / np.pi)
-    end_uz = -2.0 * x * (2.0 * Fb - 1.0) * Fb / np.pi
-    end_b = ((-2.0 * x * uz * (4.0 * Fb - 1.0) + 8.0 * kz * (1.0 - 2.0 * Fb))
-             * (-2.0 * b * Fb * Fb) / np.pi)
-    return pairs, end, _Partials(d_kz, d_ky, d_du, d_D, end_kz, end_uz[:, 0], end_b[:, 0],
-                                 band=near)
+    return v[0], _Partials(d_kz, d_ky, d_du, d_D)
 
 
 def _outer_nodes(N: int, cfg: ResidualConfig) -> tuple[np.ndarray, float]:
@@ -404,7 +406,7 @@ def _outer_nodes(N: int, cfg: ResidualConfig) -> tuple[np.ndarray, float]:
 def _outer_integral(w, z, yi, pairs, end) -> np.ndarray:
     """The outer rule in y at the rows z: the weights ``w`` on the
     integrand's values ``pairs`` at the outer nodes ``yi`` but pi/2, and
-    its last entry on ``end`` at pi/2 (see ``_integrand``).  A non-finite
+    its last entry on the endpoint limits ``end`` (``_end_values``).  A non-finite
     integrand raises QuadratureError naming its (z, y), so numpy's
     overflow warnings on the way are not shown.  Every weight is positive,
     so such a value makes its row's sum non-finite, and only those rows
@@ -412,7 +414,7 @@ def _outer_integral(w, z, yi, pairs, end) -> np.ndarray:
     Each row's sum takes no BLAS call, so it is the same in any row block
     at any thread count.
     """
-    rows = np.einsum("ij,j->i", pairs, w[:-1]) + w[-1] * end[:, 0]
+    rows = np.einsum("ij,j->i", pairs, w[:-1]) + w[-1] * end
     odd = np.flatnonzero(~np.isfinite(rows))
     if odd.size:
         bad = ~np.isfinite(np.column_stack([pairs[odd], end[odd]]))
@@ -445,50 +447,53 @@ class Discretization:
     """The value-independent part of the residual for one (N, cfg) and its rows.
 
     Holds the rows z (the interior nodes but pi/2, or the one point of
-    ``row``) in row ``blocks``, each with its pair geometry, and fixed
-    weights from the spline coefficients a = coef @ values to every input
-    of the outer integrand.  ``P`` is a table in B-spline coefficient space
-    at ``pts`` (0, the interior nodes and the outer nodes): the integrals
-    of sec^2 B_c up to each point for every B-spline c, from one GK15 panel
-    per gap.  ``z_rows`` holds the rows of k, u = k' cos^2 and P on all
-    the coefficients at the rows, P's the table's rows plus panels up to a
-    row that is not a table point (``_primitive``).  b = k(pi/2) is a's
-    last entry: the last B-spline is the only one nonzero at pi/2.  At the
-    outer nodes ``y_rows`` holds the rows of k, u and P on the K+1
-    coefficients
-    ``y_gather`` whose B-splines are nonzero there (local support), P's
-    being the table's entries there.  Every B-spline c whose support ends
-    at or below a node has all of its integral ``support_integral[c]``
-    (the table's last row) in P there, which a cumulative sum over the
-    coefficients adds.  The expansion quotients at the near pairs are
-    fixed weights ``band_weight`` (per quotient, entry and coefficient) on
-    the five coefficients ``band_gather`` whose B-splines can be nonzero at
-    an entry's midpoint; each block's entries, half 0's then half 1's, are
+    ``row``) and their ``tan_z``, in row ``blocks``, each with its pair
+    geometry, and fixed weights from the spline coefficients
+    a = coef @ values to every input of the outer integrand.  ``P`` is a
+    table in B-spline coefficient space at ``pts`` (0, the interior nodes
+    and the outer nodes): the integrals of sec^2 B_c up to each point for
+    every B-spline c, from one GK15 panel per gap.  ``z_rows`` holds the
+    rows of k, u = k' cos^2 and P on all the coefficients at the rows, P's
+    the table's rows plus panels up to a row that is not a table point
+    (``_primitive``).  b = k(pi/2) is a's last entry: the last B-spline is
+    the only one nonzero at pi/2.  At the outer nodes ``y_rows`` holds the
+    rows of k, u and P on the K+1 coefficients ``y_gather`` whose
+    B-splines are nonzero there (local support), P's being the table's
+    entries there.  Every B-spline c whose support ends at or below a node
+    has all of its integral ``support_integral[c]`` (the table's last row)
+    in P there, which a cumulative sum over the coefficients adds.  The
+    expansion quotients at the near pairs are fixed weights
+    ``band_weight`` (per quotient, entry and coefficient) on the five
+    coefficients ``band_gather`` whose B-splines can be nonzero at an
+    entry's midpoint; each block's entries, half 0's then half 1's, are
     one slice.  The outer rule is the one weight vector ``w``: the
     trapezoid weight times the column factor sec^2 y / pi at each outer
     node but pi/2 (halved at y = 0), then hy/2 at pi/2.
 
     One pass (``_pass``) gives the residual and its Jacobian in coefficient
     space, C, at the same values (a value-only pass the residual alone, with
-    no partials formed), its kernel running in the workspace
-    ``work``: ``_SLOTS``
-    64-byte aligned stacked arrays (2, rows, ny) of the largest block,
-    which every block and every pass reuses.  The Jacobian's y-terms are
-    summed in coefficient space through the same local rows under the
-    same weights: per chunk of ``_CHUNK`` consecutive outer nodes, one
-    batched product of the partials in ky, du and D with the fixed
-    ``chunk_weight`` onto the chunk's window of coefficients, whose second
-    part sums the partials in D by first coefficient for the whole
-    integrals.  The band term, the partials in the expansion quotients
-    times their outer weight ``band_column`` and the quotient weights, is
-    summed into coefficient space by ``band_index`` with one
-    ``np.bincount``, and the z-terms through ``z_rows``.  ``residual``
-    keeps the values and C of its last pass, and ``jacobian`` at those
-    values takes C to the nodal values by one product with ``coef``, so a
-    Levenberg-Marquardt step, whose Jacobian is taken at the trial point it
-    has just evaluated, costs one pass.  ``residual(values,
-    jacobian=False)`` is a value-only pass, which leaves the kept pass as it
-    was: a later ``jacobian`` at its values runs a full pass.
+    no partials formed).  It forms the terms local to a row once over all
+    rows: the transport term, the endpoint limit and, for C, that limit's
+    partials and the partials in the expansion quotients.  Its kernel runs
+    per block in the workspace ``work``: ``_SLOTS`` 64-byte aligned
+    stacked arrays (2, rows, ny) of the largest block, which every block
+    and every pass reuses.  The Jacobian's y-terms are summed in
+    coefficient space through the same local rows under the same weights:
+    per chunk of ``_CHUNK`` consecutive outer nodes, one batched product of
+    the partials in ky, du and D with the fixed ``chunk_weight`` onto the
+    chunk's window of coefficients, whose second part sums the partials in
+    D by first coefficient for the whole integrals.  The band term, the
+    partials in the expansion quotients times their column weight
+    ``band_column`` (the outer weight, negated on half 1's entries) and
+    the quotient weights, is summed into coefficient space by
+    ``band_index`` with one ``np.bincount``, and the z-terms through
+    ``z_rows``.  ``residual`` keeps the values and C of its last pass, and
+    ``jacobian`` at those values takes C to the nodal values by one
+    product with ``coef``, so a Levenberg-Marquardt step, whose Jacobian is
+    taken at the trial point it has just evaluated, costs one pass.
+    ``residual(values, jacobian=False)`` is a value-only pass, which leaves
+    the kept pass as it was: a later ``jacobian`` at its values runs a full
+    pass.
     """
 
     def __init__(self, N: int, cfg: ResidualConfig):
@@ -570,7 +575,7 @@ class Discretization:
         """The coefficient rows, blocks, band weights and workspace of rows z;
         no pass is kept for them yet."""
         sm, yi = self.sm, self.yi
-        self.z, self._last = z, None
+        self.z, self.tan_z, self._last = z, np.tan(z), None
         self.z_rows = np.array([sm.on_coef(z, 0), np.cos(z)[:, None] ** 2 * sm.on_coef(z, 1),
                                 self._primitive(z)])
 
@@ -581,45 +586,37 @@ class Discretization:
         for r0, r1 in zip(cuts[:-1], cuts[1:]):
             r = slice(r0, r1)
             g = _pair_geometry(z[r], yi, self.spacing)
-            i, j = np.divmod(g.flat % g.c[0].size, len(yi))
+            half, at = np.divmod(g.flat, g.c[0].size)
+            i, j = np.divmod(at, len(yi))
             self.blocks.append((r, g, slice(n, n + len(i))))
-            entries.append((r0 + i, j, g.m, g.d2))
+            entries.append((r0 + i, j, half, g.m, g.d2))
             n += len(i)
         self.work = _aligned(_SLOTS, 2 * -(-len(z) // nblocks) * len(yi))
         # _series is linear in the spline derivatives, so on the B-spline
         # rows of each order at an entry's midpoint it gives each quotient's
         # weights on the coefficients first..first+4 of that entry
-        i, j, m, d2 = (np.concatenate(a) for a in zip(*entries))
+        i, j, half, m, d2 = (np.concatenate(a) for a in zip(*entries))
         local = [sm.local(m, nu) for nu in range(_SERIES_DERIVS)]
         first = local[0][1]                     # the same for every order
         self.band_weight = _series(m[:, None], d2[:, None], [rows for rows, _ in local])
         self.band_gather = first[:, None] + np.arange(local[0][0].shape[1])
-        self.band_column = self.w[j]
+        self.band_column = _SIGNS[half, 0, 0] * self.w[j]     # half 1's enter negated
         self.band_index = (i[:, None] * len(self.coef) + self.band_gather).ravel()
 
-    def _passes(self, values):
-        """Per row block: (rows, entry slice, geometry, kernel inputs), each
-        input a fixed map of the spline coefficients a = coef @ values: dense
-        rows at the rows, local weights at the outer nodes and for the
-        expansion quotients, and b = a[-1]."""
+    def _inputs(self, values):
+        """The kernel's inputs, each a fixed map of the spline coefficients
+        a = coef @ values: k, u and P at every row (dense rows) and at the
+        outer nodes (local weights), the expansion quotients at every near
+        pair (local weights), and b = a[-1]."""
         a = self.coef @ np.asarray(values, dtype=float)
-        kz, uz, Pz = (self.z_rows @ a)[:, :, None]
-        # D = (-Pz) + Py, bit for bit Py - Pz, with -Pz copied into each row
-        # rather than broadcast through the sum
-        Pz = -Pz
+        kz, uz, Pz = self.z_rows @ a
         ky, uy, Py = np.einsum("qyk,yk->qy", self.y_rows, a[self.y_gather])
         # the whole integrals of the B-splines before each node's first
         whole = np.zeros(self.N + 1)
         np.cumsum(self.support_integral * a, out=whole[1:])
         Py += whole[self.y_gather[:, 0]]
         band = np.einsum("qek,ek->qe", self.band_weight, a[self.band_gather])
-        b = a[-1]
-        for r, geo, e in self.blocks:
-            D = np.empty((len(geo.x), len(Py)))
-            np.copyto(D, Pz[r])
-            D += Py
-            yield r, e, geo, {"kz": kz[r], "uz": uz[r], "ky": ky, "uy": uy,
-                              "D": D, "b": b, "band": band[:, e]}
+        return kz, uz, Pz, ky, uy, Py, band, a[-1]
 
     def _chunk_sums(self, X: np.ndarray) -> np.ndarray:
         """The partials ``X`` in ky, du and D (3, rows, ny) of a block summed
@@ -645,45 +642,47 @@ class Discretization:
         ``_kernel`` pass per row block.
 
         The residual is the transport term sin z cos z k'(z) = tan z u(z)
-        plus the outer rule ``w`` on the integrand's values.  C's z-terms
-        are the partials' row sums under ``w``, taken per block, times
-        ``z_rows`` after the last block, b's in column N-1.  Its y-terms
-        (``_chunk_sums``) and the band term are added as sums in the same
-        coefficients.
+        plus the outer rule ``w`` on the pair values and, at pi/2, on the
+        endpoint limit, which is formed once over all rows, as are its
+        partials and those in the expansion quotients.  C's z-terms are the
+        pair partials' row sums under ``w``, taken per block, and the
+        endpoint partials, times ``z_rows`` after the last block, b's in
+        column N-1.  Its y-terms (``_chunk_sums``) and the band term are
+        added as sums in the same coefficients.
         """
-        N, w, nz = self.N, self.w, len(self.z)
-        out = np.empty(nz)
+        N, w, nz, ny, tan_z = self.N, self.w, len(self.z), len(self.yi), self.tan_z
+        kz, uz, Pz, ky, uy, Py, band, b = self._inputs(values)
+        out = tan_z * uz                # the transport term; each block adds its integral
+        end = _end_values(tan_z, kz, uz, b)
         if jacobian:
             sums = np.zeros((nz, 2, N + self.chunk_weight.shape[3]))
-            quot = np.empty(self.band_weight.shape[:2])
-            # the z-terms' row sums, in kz, uz, Pz (which D holds negated) and b
-            zsums = np.empty((4, nz))
-        ny = len(self.yi)
-        for r, e, geo, inputs in self._passes(values):
-            nr, tan_z = geo.x.shape[0], geo.x[:, 0]
-            work = self.work[:, :2 * nr * ny].reshape(_SLOTS, 2, nr, ny)
-            pairs, end, p = _kernel(geo, work, **inputs, partials=jacobian)
-            out[r] = tan_z * inputs["uz"][:, 0] + _outer_integral(w, self.z[r], self.yi,
-                                                                  pairs, end)
+            # the z-terms' row sums, in kz, uz and Pz (which D holds negated)
+            zsums = np.empty((3, nz))
+        for r, geo, e in self.blocks:
+            work = self.work[:, :2 * (r.stop - r.start) * ny].reshape(_SLOTS, 2, -1, ny)
+            pairs, p = _kernel(geo, work, kz[r, None], uz[r, None], Pz[r, None], ky, uy, Py,
+                               band[:, e], partials=jacobian)
+            out[r] += _outer_integral(w, self.z[r], self.yi, pairs, end[r])
             if jacobian:
-                zsums[:, r] = (p.kz @ w[:-1] + w[-1] * p.end_kz,
-                               p.du @ w[:-1] + w[-1] * p.end_uz + tan_z,
-                               -(p.D @ w[:-1]), w[-1] * p.end_b)
+                zsums[:, r] = p.kz @ w[:-1], p.du @ w[:-1], -(p.D @ w[:-1])
                 sums[r] += self._chunk_sums(work[:3, 0])
-                quot[:, e] = p.band
         if not jacobian:
             return out, None
 
+        end_kz, end_uz, end_b = _end_partials(tan_z, kz, uz, b)
+        zsums[0] += w[-1] * end_kz
+        zsums[1] += w[-1] * end_uz
+        zsums[1] += tan_z               # the transport term's
         C = sums[:, 0, :N] + np.bincount(
-            self.band_index, np.einsum("qe,qek->ek", quot * self.band_column,
+            self.band_index, np.einsum("qe,qek->ek", _band_partials(band) * self.band_column,
                                        self.band_weight).ravel(),
             minlength=nz * N).reshape(nz, N)
         # P holds all of B-spline c's integral at the nodes whose first
         # nonzero B-spline comes after c
         past = np.cumsum(sums[:, 1, N - 1:0:-1], axis=1)[:, ::-1]
         C[:, :-1] += past * self.support_integral[:-1]
-        C += np.einsum("qi,qic->ic", zsums[:3], self.z_rows)
-        C[:, -1] += zsums[3]          # b = a[-1]
+        C += np.einsum("qi,qic->ic", zsums, self.z_rows)
+        C[:, -1] += w[-1] * end_b          # b = a[-1]
         return out, C
 
     def residual(self, values, jacobian: bool = True) -> np.ndarray:

@@ -170,6 +170,12 @@ class TestSolve:
         assert doc["values"][-1] == pytest.approx(0.1, abs=1e-8)
         assert doc["meta"]["N"] == 17
 
+    def test_same_format_version_as_a_branch(self, tmp_path, branch_file):
+        out = tmp_path / "p.json"
+        assert main(["solve", "--s", "0.1", "-o", str(out)] + FAST) == EX_OK
+        version = json.loads(out.read_text())["meta"]["version"]
+        assert version == json.loads(branch_file.read_text())["meta"]["version"]
+
     def test_deterministic_output(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import numpy as np
@@ -13,7 +14,10 @@ from muskatss.residual import (
     _SLOTS,
     Discretization,
     ResidualConfig,
+    _band_partials,
     _coef_panels,
+    _end_partials,
+    _end_values,
     _integrand,
     _kernel,
     _outer_integral,
@@ -66,6 +70,22 @@ def near_masks(geo):
 def half0_entries(geo):
     """The number of near pairs of half 0 of ``geo``: they come first."""
     return geo.flat.searchsorted(geo.c[0].size)
+
+
+def block_inputs(d, values):
+    """Per row block of ``d`` at ``values``: its rows, entry slice, geometry
+    and the kernel's inputs there."""
+    kz, uz, Pz, ky, uy, Py, band, _ = d._inputs(values)
+    for r, geo, e in d.blocks:
+        yield r, e, geo, {"kz": kz[r, None], "uz": uz[r, None], "Pz": Pz[r, None],
+                          "ky": ky, "uy": uy, "Py": Py, "band": band[:, e]}
+
+
+def end_inputs(d, values):
+    """The inputs of ``_end_values`` at the rows of ``d``: x = tan z, k and
+    u there, and b."""
+    kz, uz, *_, b = d._inputs(values)
+    return {"x": np.tan(d.z), "kz": kz, "uz": uz, "b": b}
 
 
 def sincos_profile(N=129):
@@ -257,8 +277,8 @@ class TestResidualVector:
         values = perturbed_arctan(g, s)
         scale = np.max(np.abs(residual_vector(fit_spline(g, values, s), cfg).interior))
         d = discretization(N, cfg)
-        for r, _, geo, inp in d._passes(values):
-            pairs = _integrand(geo, **inp)[0] / (np.pi * np.cos(d.yi) ** 2)
+        for r, _, geo, inp in block_inputs(d, values):
+            pairs = _integrand(geo, **inp) / (np.pi * np.cos(d.yi) ** 2)
             near0, near1 = near_masks(geo)
             region = (d.yi > HALF_PI - 2.0 * g.spacing) & ~(near0 | near1)
             assert np.count_nonzero(region, axis=1).min() > 0
@@ -290,8 +310,9 @@ def common_denominator_pairs(geo, z, yi, inp):
     with pe = cos^2 z / (sin(z - y) sin(z + y)) and px = tan z, where pk
     D^2 F0 F1 is tan y (F0 - F1) in a form that stays finite as y -> pi/2.
     The second-derivative terms are the kernel's, from its quotients."""
-    kz, ky, D, du = inp["kz"], inp["ky"], inp["D"], inp["uz"] - inp["uy"]
-    (k0, k1), _, (a0, a1), (F0, F1) = _quotients(geo, kz, du, ky, D, inp["band"],
+    kz, ky, Pz, Py, du = inp["kz"], inp["ky"], inp["Pz"], inp["Py"], inp["uz"] - inp["uy"]
+    D = Py - Pz
+    (k0, k1), _, (a0, a1), (F0, F1) = _quotients(geo, kz, du, ky, Pz, Py, inp["band"],
                                                  np.empty((4, *geo.c.shape)))
     z = z[:, None]
     cz, cy, sin_zy = np.cos(z), np.cos(yi), np.sin(z - yi) * np.sin(z + yi)
@@ -332,12 +353,13 @@ def reference_rows(profile, cfg, z):
     geo = _pair_geometry(z, yi, g.spacing)
     pts = np.unique(np.concatenate([[0.0], z, yi]))
     P = cumulative_gk15(lambda w: ev(w, 0) / np.cos(w) ** 2, pts, tol=1e-12)
-    pairs, end = _integrand(
-        geo, kz=ev(z[:, None], 0), uz=ev(z[:, None], 1) * np.cos(z[:, None]) ** 2,
-        ky=ev(yi, 0), uy=ev(yi, 1) * np.cos(yi) ** 2,
-        D=P[np.searchsorted(pts, yi)][None, :] - P[np.searchsorted(pts, z)][:, None],
-        b=float(ev(HALF_PI, 0)), band=oracle_quotients(ev, geo))
-    rows = np.column_stack([pairs / (np.pi * np.cos(yi) ** 2), end[:, 0]])
+    kz, uz = ev(z, 0), ev(z, 1) * np.cos(z) ** 2
+    pairs = _integrand(
+        geo, kz=kz[:, None], uz=uz[:, None], Pz=P[np.searchsorted(pts, z)][:, None],
+        ky=ev(yi, 0), uy=ev(yi, 1) * np.cos(yi) ** 2, Py=P[np.searchsorted(pts, yi)],
+        band=oracle_quotients(ev, geo))
+    end = _end_values(np.tan(z), kz, uz, float(ev(HALF_PI, 0)))
+    rows = np.column_stack([pairs / (np.pi * np.cos(yi) ** 2), end])
     integral = d.hy * (rows.sum(axis=1) - 0.5 * (rows[:, 0] + rows[:, -1]))
     transport = np.sin(z) * np.cos(z) * ev(z, 1)
     return transport + integral, np.max(np.abs(transport))
@@ -397,7 +419,7 @@ class TestBandQuotients:
         # each block's entries are half 0's (the band y ~ z) then half 1's
         # (the band y ~ -z of the reflected row)
         parts = [([], []), ([], [])]        # per half: (fixed weights, oracle)
-        for _, _, geo, inp in d._passes(values):
+        for _, _, geo, inp in block_inputs(d, values):
             n0 = half0_entries(geo)
             want = oracle_quotients(ev, geo)
             for h, cut in enumerate((slice(None, n0), slice(n0, None))):
@@ -408,6 +430,30 @@ class TestBandQuotients:
             assert mine.shape == oracle.shape and oracle.size > 0
             tol = 2e-15 / g.spacing ** 2 * np.max(np.abs(oracle))
             assert np.max(np.abs(mine - oracle)) <= tol, h
+
+
+def band_sign_counts(d):
+    """Checks that ``band_column`` is the outer weight w[j] of each near
+    pair's node on half 0's entries and -w[j] on half 1's, block by block,
+    from the near pairs' positions; returns the entries per half and block."""
+    counts = []
+    for _, geo, e in d.blocks:
+        half, _, j = np.nonzero(np.stack(near_masks(geo)))
+        assert np.array_equal(d.band_column[e], np.where(half == 0, d.w[j], -d.w[j]))
+        counts.append(np.bincount(half, minlength=2))
+    return np.array(counts)
+
+
+class TestBandSigns:
+    """Half 1's values enter the pair value with a minus sign, which the
+    band term's column weights hold."""
+
+    @pytest.mark.parametrize("N", [17, 33, 129])
+    def test_half_1_entries_negated(self, N):
+        d = discretization(N, ResidualConfig())
+        assert np.all(band_sign_counts(d).sum(axis=0) > 0)
+        # a row next to 0 has near pairs of both halves
+        assert np.all(band_sign_counts(d.row(0.5 * d.spacing)).sum(axis=0) > 0)
 
 
 class TestResidualJacobian:
@@ -464,9 +510,10 @@ class TestOnePass:
             p = random_odd_profile(N, seed)
             d = discretization(N, cfg)
             rows = np.empty(len(d.z))
-            for r, _, geo, inp in d._passes(p.values):
-                rows[r] = geo.x[:, 0] * inp["uz"][:, 0] + _outer_integral(
-                    d.w, d.z[r], d.yi, *_integrand(geo, **inp))
+            end = _end_values(**end_inputs(d, p.values))
+            for r, _, geo, inp in block_inputs(d, p.values):
+                rows[r] = np.tan(d.z[r]) * inp["uz"][:, 0] + _outer_integral(
+                    d.w, d.z[r], d.yi, _integrand(geo, **inp), end[r])
             want = np.concatenate([rows, [0.0, p.values[0], p.values[-1] - p.s]])
             assert np.array_equal(residual_vector(p, cfg).stacked(), want)
 
@@ -590,9 +637,9 @@ class TestOuterIntegral:
     @staticmethod
     def block():
         d = discretization(17, ResidualConfig(outer_nodes=77))
-        (r, _, geo, inp), = d._passes(random_odd_profile(17, 1).values)
-        pairs, end = _integrand(geo, **inp)
-        return d, pairs.copy(), end.copy()
+        v = random_odd_profile(17, 1).values
+        (r, _, geo, inp), = block_inputs(d, v)
+        return d, _integrand(geo, **inp), _end_values(**end_inputs(d, v))
 
     def test_names_the_first_non_finite_pair(self):
         d, pairs, end = self.block()
@@ -605,7 +652,7 @@ class TestOuterIntegral:
 
     def test_names_the_endpoint_column(self):
         d, pairs, end = self.block()
-        end[4, 0] = np.inf
+        end[4] = np.inf
         with pytest.raises(QuadratureError, match=rf"z={d.z[4]}, y={HALF_PI}\)"):
             _outer_integral(d.w, d.z, d.yi, pairs, end)
 
@@ -633,16 +680,20 @@ def dense_jacobian(d, values):
     J = np.zeros((N + 1, N))
     J[:nz] = (np.sin(d.z) * np.cos(d.z))[:, None] * d.sm.dense(d.z, 1)     # transport
     J[N - 1, 0] = J[N, N - 1] = 1.0
-    quot = np.empty(d.band_weight.shape[:2])
-    for r, b, geo, inputs in d._passes(values):
+    # the y = pi/2 column, with its trapezoid weight hy/2
+    end_kz, end_uz, end_b = _end_partials(**end_inputs(d, values))
+    J[:nz] += 0.5 * hy * (end_kz * maps["kz"] + end_uz[:, None] * maps["uz"]
+                          + end_b[:, None] * maps["b"])
+    quot = _band_partials(d._inputs(values)[6])
+    for r, b, geo, inputs in block_inputs(d, values):
         p = kernel_partials(geo, inputs)
-        quot[:, b] = p.band * hy * col[geo.flat % geo.c[0].size % len(yi)]
+        # half 1's values enter the pair value with a minus sign
+        sign = np.where(geo.flat < geo.c[0].size, 1.0, -1.0)
+        quot[:, b] *= sign * hy * col[geo.flat % geo.c[0].size % len(yi)]
         J[r] += hy * (
-            (p.kz @ col + 0.5 * p.end_kz)[:, None] * maps["kz"][r]
-            + (p.du @ col + 0.5 * p.end_uz)[:, None] * maps["uz"][r]
+            (p.kz @ col)[:, None] * maps["kz"][r] + (p.du @ col)[:, None] * maps["uz"][r]
             + (p.ky * col) @ Ey - (p.du * col) @ Uy
-            + (p.D * col) @ Py - (p.D @ col)[:, None] * maps["Pz"][r]
-            + 0.5 * p.end_b[:, None] * maps["b"])
+            + (p.D * col) @ Py - (p.D @ col)[:, None] * maps["Pz"][r])
     G = np.bincount(d.band_index, np.einsum("qe,qek->ek", quot, d.band_weight).ravel(),
                     minlength=nz * N)
     J[:nz] += G.reshape(nz, -1) @ d.coef
@@ -740,16 +791,13 @@ class TestOuterNodeInputs:
         assert abs(last[-1] - 1.0) <= np.finfo(float).eps
         for seed in range(2):
             v = random_odd_profile(N, seed).values
-            Pz = d.z_rows[2] @ (d.coef @ v)
-            for r, _, _, inp in d._passes(v):
-                got = {"ky": inp["ky"], "uy": inp["uy"], "Py": inp["D"] + Pz[r, None],
-                       "kz": inp["kz"][:, 0], "uz": inp["uz"][:, 0], "Pz": Pz[r]}
-                for name, E in maps.items():
-                    E = E[r] if name.endswith("z") else E
-                    # the roundoff of a sum is relative to its terms' size
-                    tol = 2e-15 * np.max(np.abs(E) @ np.abs(v))
-                    assert np.max(np.abs(got[name] - E @ v)) <= tol, name
-                assert inp["b"] == last[-1] * v[-1]
+            kz, uz, Pz, ky, uy, Py, _, b = d._inputs(v)
+            got = {"ky": ky, "uy": uy, "Py": Py, "kz": kz, "uz": uz, "Pz": Pz}
+            for name, E in maps.items():
+                # the roundoff of a sum is relative to its terms' size
+                tol = 2e-15 * np.max(np.abs(E) @ np.abs(v))
+                assert np.max(np.abs(got[name] - E @ v)) <= tol, name
+            assert b == last[-1] * v[-1]
 
 
 class TestWorkspace:
@@ -810,6 +858,11 @@ class TestWorkspaceBlocks(TestWorkspace):
         d = Discretization(self.N, self.cfg)
         assert [r.stop - r.start for r, _, _ in d.blocks] == [10, 10, 11]
 
+    def test_band_signs(self):
+        counts = band_sign_counts(Discretization(self.N, self.cfg))
+        assert len(counts) == 3 and np.all(counts.sum(axis=0) > 0)
+        assert np.count_nonzero(counts[:, 0]) == 3
+
     def test_matches_one_block(self, monkeypatch):
         v = random_odd_profile(self.N, 9).values
         d = Discretization(self.N, self.cfg)
@@ -823,14 +876,16 @@ class TestWorkspaceBlocks(TestWorkspace):
 
 def kernel_partials(g, inp):
     """``_kernel``'s partials at the inputs ``inp`` on the geometry ``g``."""
-    return _kernel(g, np.empty((_SLOTS, *g.c.shape)), **inp)[2]
+    return _kernel(g, np.empty((_SLOTS, *g.c.shape)), **inp)[1]
 
 
 def kernel_inputs(N, cfg, s):
-    """The interior-row geometry of (N, cfg), one block, and the kernel's
-    inputs there."""
-    (_, _, geo, inp), = discretization(N, cfg)._passes(perturbed_arctan(make_grid(N), s))
-    return geo, inp
+    """The interior-row geometry of (N, cfg), one block, the kernel's
+    inputs there, and those of ``_end_values``."""
+    d = discretization(N, cfg)
+    values = perturbed_arctan(make_grid(N), s)
+    (_, _, geo, inp), = block_inputs(d, values)
+    return geo, inp, end_inputs(d, values)
 
 
 class TestQuotients:
@@ -841,16 +896,16 @@ class TestQuotients:
         # are the difference quotients written with np.tan: half 0's over
         # tan z - tan y, half 1's the plus quotients over tan z + tan y
         band_halfwidth(band)
-        g, inp = kernel_inputs(33, cfg, 2.0)
-        kz, uz, ky, uy, D = (inp[name] for name in ("kz", "uz", "ky", "uy", "D"))
+        g, inp, _ = kernel_inputs(33, cfg, 2.0)
+        kz, uz, ky, uy, Pz, Py = (inp[name] for name in ("kz", "uz", "ky", "uy", "Pz", "Py"))
         d = discretization(33, cfg)
         tz, ty = np.tan(d.z[:, None]), np.tan(d.yi)
         with np.errstate(divide="ignore", invalid="ignore"):    # 0/0 at y = z
             if h == 0:
-                want = ((kz - ky) / (tz - ty), (uz - uy) / (tz - ty), -D / (tz - ty))
+                want = ((kz - ky) / (tz - ty), (uz - uy) / (tz - ty), (Pz - Py) / (tz - ty))
             else:
-                want = ((kz + ky) / (tz + ty), -(uz - uy) / (tz + ty), D / (tz + ty))
-        got = [q[h] for q in _quotients(g, kz, uz - uy, ky, D, inp["band"],
+                want = ((kz + ky) / (tz + ty), -(uz - uy) / (tz + ty), -(Pz - Py) / (tz + ty))
+        got = [q[h] for q in _quotients(g, kz, uz - uy, ky, Pz, Py, inp["band"],
                                         np.empty((4, *g.c.shape)))]
         near0, near1 = near_masks(g)
         generic = ~(near0 | near1)
@@ -864,20 +919,17 @@ class TestIntegrandPartials:
     @BAND_CASES
     def test_matches_complex_step(self, cfg, band, band_halfwidth):
         band_halfwidth(band)
-        g, inp = kernel_inputs(33, cfg, 2.0)
+        g, inp, end_inp = kernel_inputs(33, cfg, 2.0)
         p = kernel_partials(g, inp)
         step = 1e-30
-        cinp = {name: np.asarray(v, dtype=complex) for name, v in inp.items()}
 
-        def cstep(name, q=None):
-            args = dict(cinp)
-            args[name] = cinp[name].copy()
+        def cstep(f, inputs, name, q=None):
+            args = {k: np.asarray(v, dtype=complex) for k, v in inputs.items()}
             if q is None:
                 args[name] += 1j * step
             else:
                 args[name][q] += 1j * step
-            pairs, end = _integrand(g, **args)
-            return pairs.imag / step, end.imag[:, 0] / step
+            return f(**args).imag / step
 
         def close(got, want):
             assert want.size > 0
@@ -886,33 +938,39 @@ class TestIntegrandPartials:
         near = near_masks(g)
         kinds = {"generic": ~(near[0] | near[1]),
                  "half 0 band": near[0], "half 1 band": near[1]}
+        # P enters as D = Py - Pz
         for name, want in (("kz", p.kz), ("ky", p.ky), ("uz", p.du), ("uy", -p.du),
-                           ("D", p.D)):
-            pairs, _ = cstep(name)
+                           ("Pz", -p.D), ("Py", p.D)):
+            pairs = cstep(functools.partial(_integrand, g), inp, name)
             for kind, mask in kinds.items():
                 assert np.any(mask), kind
                 close(want[mask], pairs[mask])
 
         # the y = pi/2 column
-        for name, want in (("kz", p.end_kz), ("uz", p.end_uz), ("b", p.end_b)):
-            close(want, cstep(name)[1])
+        for name, want in zip(("kz", "uz", "b"), _end_partials(**end_inp)):
+            close(np.broadcast_to(want, end_inp["x"].shape), cstep(_end_values, end_inp, name))
 
         # the three expansion quotients at the near pairs of each half (a
-        # pair near z = y = 0 can be in both, so each half has its own step)
+        # pair near z = y = 0 can be in both, so each half has its own step);
+        # half 1's enter the pair value with a minus sign
         n0 = half0_entries(g)
+        band_p = _band_partials(inp["band"])
         for h, cut in enumerate((slice(None, n0), slice(n0, None))):
             for q in range(3):
-                close(p.band[q, cut], cstep("band", (q, cut))[0][near[h]])
+                pairs = cstep(functools.partial(_integrand, g), inp, "band", (q, cut))
+                close(band_p[q, cut] * (1.0, -1.0)[h], pairs[near[h]])
 
     def test_finite_where_the_value_is_finite(self):
         # |avg| ~ 1e200 on the near pairs of both halves: F and G underflow
         # to 0, and G' written as F^2 - 4 a^2 F^3 would be inf * 0 = NaN there
-        g, inp = kernel_inputs(33, ResidualConfig(), 2.0)
+        g, inp, end_inp = kernel_inputs(33, ResidualConfig(), 2.0)
         inp["band"] = inp["band"].copy()
         inp["band"][2] = 1e200
         with np.errstate(over="ignore"):
-            pairs, end = _integrand(g, **inp)
+            pairs = _integrand(g, **inp)
             p = kernel_partials(g, inp)
+            end = _end_values(**end_inp)
+            band_p = _band_partials(inp["band"])
         assert np.all(np.isfinite(pairs)) and np.all(np.isfinite(end))
-        for part in (p.kz, p.ky, p.du, p.D, p.end_kz, p.end_uz, p.end_b, p.band):
+        for part in (p.kz, p.ky, p.du, p.D, *_end_partials(**end_inp), band_p):
             assert np.all(np.isfinite(part))
