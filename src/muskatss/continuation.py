@@ -2,9 +2,11 @@
 
 The unknown vector is the nodal values k(z_1), ..., k(z_{N-1}); the value
 at z = 0 is pinned by oddness.  The first continuation step starts from
-the linear approximation ds*(2/pi)*z; every later step starts from the
-previous solution shifted by ds*(2/pi)*z so the boundary value at pi/2
-matches the new target slope exactly before solving.
+the linear approximation ds*(2/pi)*z at the default damping; every later
+step starts from the secant through the last two solutions,
+2*x_{m-1} - x_{m-2} with x_0 = 0 the exact s = 0 solution, at the damping
+the previous step ended with.  A half-step retry starts cold again: from
+the previous solution shifted by (ds/2)*(2/pi)*z, at the default damping.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid_spline import Grid, Profile, fit_spline, make_grid
-from .lm import LMConfig, SolverError, SolverReport, lm_solve
+from .lm import _LAMBDA0, LMConfig, SolverError, SolverReport, lm_solve
 from .quadrature import QuadratureError
 from .residual import ResidualConfig, residual_jacobian, residual_vector
 
@@ -111,11 +113,12 @@ class Branch:
         raise KeyError(f"s={s} not present in branch (have {self.s_values})")
 
 
-def _residual_closure(grid: Grid, s: float, res_cfg: ResidualConfig):
+def _residual_closure(grid: Grid, s: float, res_cfg: ResidualConfig,
+                      damping: float = _LAMBDA0):
     """The collocation residual in the unknowns x = values[1:], with its
-    exact Jacobian attached as ``r.jacobian`` and its value-only
-    evaluation, the same residual without keeping a Jacobian, as
-    ``r.values_only``."""
+    exact Jacobian attached as ``r.jacobian``, its value-only evaluation,
+    the same residual without keeping a Jacobian, as ``r.values_only``,
+    and the damping lm_solve starts from as ``r.damping``."""
     def r(x, **kwargs):
         values = np.concatenate([[0.0], x])
         profile = fit_spline(grid, values, s)
@@ -131,19 +134,27 @@ def _residual_closure(grid: Grid, s: float, res_cfg: ResidualConfig):
 
     r.jacobian = jacobian
     r.values_only = functools.partial(r, jacobian=False)
+    r.damping = damping
     return r
+
+
+def _linear_shift(grid: Grid) -> np.ndarray:
+    """(2/pi)*z at the unknowns: the linear approximation per unit slope."""
+    return (2.0 / np.pi) * grid.nodes[1:]
 
 
 def solve_profile(s: float, N: int = 129,
                   lm_cfg: LMConfig | None = None,
                   res_cfg: ResidualConfig | None = None,
-                  initial: np.ndarray | None = None) -> tuple[Profile, SolverReport]:
+                  initial: np.ndarray | None = None,
+                  damping: float = _LAMBDA0) -> tuple[Profile, SolverReport]:
     """Solve the collocation system for one slope value.
 
     Cold starts use the linear approximation (2/pi)*s*z; continuation
-    passes the shifted previous solution instead.  s = 0 returns the
-    exact zero profile without running the solver.  A negative or
-    non-finite s raises ValueError.
+    passes its predicted guess instead, and the damping to start
+    Levenberg-Marquardt from.  s = 0 returns the exact zero profile
+    without running the solver.  A negative or non-finite s raises
+    ValueError.
     """
     if not (s >= 0 and math.isfinite(s)):
         raise ValueError(f"slope must be a finite nonnegative number, got {s}")
@@ -157,8 +168,8 @@ def solve_profile(s: float, N: int = 129,
                               iterations=0, converged=True, lambda_history=[])
         return profile, report
     if initial is None:
-        initial = (2.0 / np.pi) * s * grid.nodes[1:]
-    report = lm_solve(_residual_closure(grid, s, res_cfg), initial, lm_cfg)
+        initial = s * _linear_shift(grid)
+    report = lm_solve(_residual_closure(grid, s, res_cfg, damping), initial, lm_cfg)
     values = np.concatenate([[0.0], report.solution])
     return fit_spline(grid, values, s), report
 
@@ -169,11 +180,15 @@ def continue_branch(s_max: float, ds: float, N: int = 129,
                     on_step=None) -> Branch:
     """March the branch from s = ds to s_max in increments of ds.
 
-    A failed step is retried once through two half steps (ds/2) before
-    the branch is truncated with a failure record.  Damping is reset at
-    every step.  ``on_step(step, seconds)``, when given, is called after
-    each converged step with its BranchStep and the wall seconds it took,
-    a half-step retry included.
+    Step 1 is a cold solve: the linear approximation at the default
+    damping.  Step m > 1 starts from the secant 2*x_{m-1} - x_{m-2}
+    (x_0 = 0) at the damping step m-1 ended with.  A failed step is
+    retried once through two half steps (ds/2), each from the previous
+    solution shifted by the linear approximation at the default damping,
+    before the branch is truncated with a failure record.
+    ``on_step(step, seconds)``, when given, is called after each converged
+    step with its BranchStep and the wall seconds it took, a half-step
+    retry included.
     """
     if not (s_max > 0 and ds > 0 and math.isfinite(s_max / ds)):
         raise ValueError(f"s_max and ds must be positive with a finite ratio, got {s_max}, {ds}")
@@ -185,13 +200,14 @@ def continue_branch(s_max: float, ds: float, N: int = 129,
 
     grid = make_grid(N)
     branch = Branch(ds=ds, N=N, lm=lm, res=res)
-    prev = np.zeros(N - 1)
-    shift = (2.0 / np.pi) * grid.nodes[1:]
+    prev2 = prev = np.zeros(N - 1)     # x_0: the exact s = 0 solution
+    damping = _LAMBDA0
+    shift = _linear_shift(grid)
     for m in range(1, nsteps + 1):
         start = time.perf_counter()
         s_m = m * ds
-        guess = prev + ds * shift
-        profile, report = _solve_step(s_m, N, lm, res, guess)
+        guess = ds * shift if m == 1 else 2.0 * prev - prev2
+        profile, report = _solve_step(s_m, N, lm, res, guess, damping)
         if not report.converged:
             retry = _half_step_retry(s_m, ds, N, lm, res, prev, shift)
             if retry is None:
@@ -201,15 +217,16 @@ def continue_branch(s_max: float, ds: float, N: int = 129,
         branch.steps.append(BranchStep(s=s_m, profile=profile, report=report))
         if on_step is not None:
             on_step(branch.steps[-1], time.perf_counter() - start)
-        prev = report.solution
+        prev2, prev = prev, report.solution
+        damping = report.lambda_history[-1]
     return branch
 
 
-def _solve_step(s, N, lm, res, guess):
+def _solve_step(s, N, lm, res, guess, damping):
     """(profile, report) of one step; a SolverError gives no profile and an
     unconverged report at the guess."""
     try:
-        return solve_profile(s, N, lm, res, initial=guess)
+        return solve_profile(s, N, lm, res, initial=guess, damping=damping)
     except SolverError:
         return None, SolverReport(solution=guess, residual_norm=np.inf,
                                   iterations=0, converged=False)
@@ -217,10 +234,10 @@ def _solve_step(s, N, lm, res, guess):
 
 def _half_step_retry(s_m, ds, N, lm, res, prev, shift):
     half = 0.5 * ds
-    r1 = _solve_step(s_m - half, N, lm, res, prev + half * shift)[1]
+    r1 = _solve_step(s_m - half, N, lm, res, prev + half * shift, _LAMBDA0)[1]
     if not r1.converged:
         return None
-    p2, r2 = _solve_step(s_m, N, lm, res, r1.solution + half * shift)
+    p2, r2 = _solve_step(s_m, N, lm, res, r1.solution + half * shift, _LAMBDA0)
     if not r2.converged:
         return None
     return p2, r2

@@ -7,7 +7,9 @@ residual itself when the callable carries one as ``r.jacobian(x)`` (the
 collocation residual does); otherwise it is one-sided finite
 differences, ``fd_jacobian``, which also serves the tests as an oracle.
 A callable may also carry ``r.values_only(x)``, the same residual without
-the work of a Jacobian, for the trial that is likely the last.
+the work of a Jacobian, for the trial that is likely the last, and
+``r.damping``, the damping to start from, which continuation carries over
+from the previous step.
 """
 
 from __future__ import annotations
@@ -94,7 +96,9 @@ def lm_solve(r, x0: np.ndarray, cfg: LMConfig | None = None) -> SolverReport:
 
     A trial step solves (J^T J + lambda diag(J^T J)) dx = -J^T r and is
     accepted iff the 2-norm of the residual decreases; lambda starts at
-    _LAMBDA0 and is multiplied by _LAMBDA_DOWN on acceptance and by
+    ``r.damping`` when r has that attribute (ValueError, before r is
+    evaluated, unless it is positive and finite) and at _LAMBDA0
+    otherwise, and is multiplied by _LAMBDA_DOWN on acceptance and by
     _LAMBDA_UP on rejection.  J is ``r.jacobian(x)`` when r has that
     attribute and ``fd_jacobian`` otherwise; either raises SolverError if
     not finite.  A trial whose linear model converges, max|r + J dx| <=
@@ -116,11 +120,13 @@ def lm_solve(r, x0: np.ndarray, cfg: LMConfig | None = None) -> SolverReport:
 
     jacobian = getattr(r, "jacobian", jacobian)
     values_only = getattr(r, "values_only", r)
+    lam = getattr(r, "damping", _LAMBDA0)
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"damping must be positive and finite, got {lam}")
     x = np.asarray(x0, dtype=float).copy()
     rx = np.asarray(r(x), dtype=float)
     if not np.all(np.isfinite(rx)):
         raise SolverError("residual not finite at the initial point")
-    lam = _LAMBDA0
     history = [lam]
     iterations = 0
     converged = np.max(np.abs(rx)) <= cfg.tol_residual

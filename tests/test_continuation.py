@@ -168,12 +168,16 @@ class TestValueOnlyTrial:
         calls = record_residual_calls(monkeypatch)
         branch = continue_branch(2.0, 0.1, 33)
         assert branch.failure is None
-        assert [st.report.iterations for st in branch.steps] == [5] + [6] * 6 + [7] * 13
-        assert len(calls) == 152
-        values_only = [i for i, (_, jac) in enumerate(calls) if not jac]
-        assert len(values_only) == 20
-        # each the last evaluation of its step
-        assert all(i + 1 == len(calls) or calls[i + 1][0] != calls[i][0] for i in values_only)
+        assert [st.report.iterations for st in branch.steps] == [5] + [2] * 19
+        assert len(calls) == 63
+        # each step's evaluations, F full and v value-only: the last of each
+        # of the 20 steps is value-only, and from step 3 on so is the trial
+        # before it, whose linear model converges at the small carried
+        # damping while its residual does not
+        kinds = {}
+        for s, jac in calls:
+            kinds[s] = kinds.get(s, "") + ("F" if jac else "v")
+        assert list(kinds.values()) == ["FFFFFv", "FFv"] + ["Fvv"] * 18
 
     def test_same_report_with_and_without_the_hint(self, monkeypatch):
         grid = make_grid(33)
@@ -202,6 +206,92 @@ class TestValueOnlyTrial:
             assert got.iterations == want.iterations
             assert got.lambda_history == want.lambda_history
             assert got.residual_norm == want.residual_norm
+
+
+@pytest.fixture(scope="module")
+def coarse_branch():
+    """The benchmark's branch-coarse setting: N=33 to s = 2."""
+    return continue_branch(2.0, 0.1, 33)
+
+
+def record_steps(monkeypatch, fail_call=None):
+    """(s, guess, damping, report) of every ``_solve_step`` call, in order;
+    call number ``fail_call`` (from 1) fails without solving."""
+    real, calls = continuation._solve_step, []
+
+    def solve_step(s, N, lm, res, guess, damping):
+        if len(calls) + 1 == fail_call:
+            out = None, SolverReport(solution=guess, residual_norm=np.inf,
+                                     iterations=0, converged=False)
+        else:
+            out = real(s, N, lm, res, guess, damping)
+        calls.append((s, guess.copy(), damping, out[1]))
+        return out
+
+    monkeypatch.setattr(continuation, "_solve_step", solve_step)
+    return calls
+
+
+class TestWarmStart:
+    """Step 1 and the half steps of a retry start cold: from the linear
+    shift at _LAMBDA0.  Every other step starts from the secant through the
+    last two solutions, at the damping the step before it ended with."""
+
+    def test_step_1_is_a_cold_solve(self, coarse_branch):
+        profile, report = solve_profile(0.1, 33)
+        first = coarse_branch.steps[0]
+        assert first.profile.values.tobytes() == profile.values.tobytes()
+        assert first.report.to_dict() == report.to_dict()
+
+    def test_damping_carries_over(self, coarse_branch):
+        reports = [st.report for st in coarse_branch.steps]
+        assert reports[0].lambda_history[0] == _LAMBDA0
+        for prev, report in zip(reports, reports[1:]):
+            assert report.lambda_history[0] == prev.lambda_history[-1]
+
+    def test_secant_guess(self, monkeypatch):
+        calls = record_steps(monkeypatch)
+        branch = continue_branch(0.3, 0.1, SMALL_N, SMALL_LM, SMALL_RES)
+        assert branch.failure is None
+        shift = (2.0 / np.pi) * make_grid(SMALL_N).nodes[1:]
+        x = [np.zeros(SMALL_N - 1)] + [st.report.solution for st in branch.steps]
+        assert [c[0] for c in calls] == pytest.approx([0.1, 0.2, 0.3])
+        assert calls[0][1].tobytes() == (0.1 * shift).tobytes()
+        for m in (2, 3):
+            assert calls[m - 1][1].tobytes() == (2.0 * x[m - 1] - x[m - 2]).tobytes()
+        assert [c[2] for c in calls] == [_LAMBDA0] + [
+            st.report.lambda_history[-1] for st in branch.steps[:2]]
+
+    def test_half_step_retry_starts_cold(self, monkeypatch):
+        # the full step to s = 0.2 fails; its half steps start from the
+        # linear shift at _LAMBDA0, and step 3 from the secant through the
+        # retry's solution
+        calls = record_steps(monkeypatch, fail_call=2)
+        branch = continue_branch(0.3, 0.1, SMALL_N, SMALL_LM, SMALL_RES)
+        assert branch.failure is None
+        shift = (2.0 / np.pi) * make_grid(SMALL_N).nodes[1:]
+        x1, x2 = (st.report.solution for st in branch.steps[:2])
+        assert [c[0] for c in calls] == pytest.approx([0.1, 0.2, 0.15, 0.2, 0.3])
+        assert calls[1][2] == calls[0][3].lambda_history[-1] != _LAMBDA0
+        half1, half2 = calls[2], calls[3]
+        assert half1[1].tobytes() == (x1 + 0.05 * shift).tobytes()
+        assert half2[1].tobytes() == (half1[3].solution + 0.05 * shift).tobytes()
+        assert half1[2] == half2[2] == _LAMBDA0
+        assert half2[3] is branch.steps[1].report
+        assert calls[4][1].tobytes() == (2.0 * x2 - x1).tobytes()
+        assert calls[4][2] == half2[3].lambda_history[-1]
+
+    def test_agrees_with_the_cold_start_branch(self, coarse_branch):
+        # every step re-solved from the previous solution shifted by
+        # ds*(2/pi)*z at _LAMBDA0: both paths stop at max|r| <= 1e-8, so
+        # they agree to about that stop's error
+        shift = (2.0 / np.pi) * make_grid(33).nodes[1:]
+        prev = np.zeros(32)
+        for st in coarse_branch.steps:
+            _, report = solve_profile(st.s, 33, initial=prev + 0.1 * shift)
+            assert report.converged and report.lambda_history[0] == _LAMBDA0
+            assert np.max(np.abs(report.solution - st.report.solution)) <= 2e-7
+            prev = report.solution
 
 
 class TestSerialization:
@@ -316,10 +406,10 @@ class TestFailureRecord:
         # half fails: the record holds the full step's report
         real, calls = continuation._solve_step, []
 
-        def solve_step(s, N, lm, res, guess):
+        def solve_step(s, N, lm, res, guess, damping):
             calls.append(s)
             if len(calls) == 2:
-                return real(s, N, lm, res, guess)
+                return real(s, N, lm, res, guess, damping)
             return None, SolverReport(solution=guess, residual_norm=0.5 / len(calls),
                                       iterations=len(calls), converged=False)
 

@@ -136,6 +136,37 @@ class TestLMSolve:
         # one residual per trial and one at the start: no Jacobian columns
         assert len(calls) == rep.iterations + 1
 
+    def test_damping_hint_sets_the_start(self):
+        # the Rosenbrock search from a hinted start: the same path as
+        # lm_solve's own schedule begun at that lambda
+        def r(x):
+            return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+        cfg = LMConfig(max_iters=200)
+        plain = lm_solve(r, np.array([-1.2, 1.0]), cfg)
+        r.damping = _LAMBDA0
+        same = lm_solve(r, np.array([-1.2, 1.0]), cfg)
+        assert same.lambda_history == plain.lambda_history
+        assert same.solution.tobytes() == plain.solution.tobytes()
+        r.damping = 1e-6
+        rep = lm_solve(r, np.array([-1.2, 1.0]), cfg)
+        assert rep.converged
+        assert rep.lambda_history[0] == 1e-6
+        assert rep.lambda_history != plain.lambda_history
+
+    def test_damping_hint_must_be_positive_and_finite(self):
+        calls = []
+
+        def r(x):
+            calls.append(x)
+            return x - 1.0
+
+        for bad in (0.0, -1e-3, float("nan"), float("inf")):
+            r.damping = bad
+            with pytest.raises(ValueError, match=f"^damping must be positive and finite, got {bad}$"):
+                lm_solve(r, np.zeros(2))
+        assert calls == []     # rejected before the first evaluation
+
     def test_non_finite_attached_jacobian_raises(self):
         r = lambda x: x - 1.0
         r.jacobian = lambda x: np.full((2, 2), np.nan)
