@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid_spline import Grid, Profile, fit_spline, make_grid
-from .lm import _LAMBDA0, LMConfig, SolverError, SolverReport, lm_solve
+from .lm import LMConfig, SolverError, SolverReport, lm_solve
 from .quadrature import QuadratureError
 from .residual import ResidualConfig, residual_jacobian, residual_vector
 
@@ -114,11 +114,11 @@ class Branch:
 
 
 def _residual_closure(grid: Grid, s: float, res_cfg: ResidualConfig,
-                      damping: float = _LAMBDA0):
+                      damping: float | None = None):
     """The collocation residual in the unknowns x = values[1:], with its
     exact Jacobian attached as ``r.jacobian``, its value-only evaluation,
     the same residual without keeping a Jacobian, as ``r.values_only``,
-    and the damping lm_solve starts from as ``r.damping``."""
+    and, when given, the damping lm_solve starts from as ``r.damping``."""
     def r(x, **kwargs):
         values = np.concatenate([[0.0], x])
         profile = fit_spline(grid, values, s)
@@ -134,7 +134,8 @@ def _residual_closure(grid: Grid, s: float, res_cfg: ResidualConfig,
 
     r.jacobian = jacobian
     r.values_only = functools.partial(r, jacobian=False)
-    r.damping = damping
+    if damping is not None:
+        r.damping = damping
     return r
 
 
@@ -147,14 +148,14 @@ def solve_profile(s: float, N: int = 129,
                   lm_cfg: LMConfig | None = None,
                   res_cfg: ResidualConfig | None = None,
                   initial: np.ndarray | None = None,
-                  damping: float = _LAMBDA0) -> tuple[Profile, SolverReport]:
+                  damping: float | None = None) -> tuple[Profile, SolverReport]:
     """Solve the collocation system for one slope value.
 
-    Cold starts use the linear approximation (2/pi)*s*z; continuation
-    passes its predicted guess instead, and the damping to start
-    Levenberg-Marquardt from.  s = 0 returns the exact zero profile
-    without running the solver.  A negative or non-finite s raises
-    ValueError.
+    Cold starts use the linear approximation (2/pi)*s*z at lm_solve's
+    default damping; continuation passes its predicted guess instead, and
+    the damping to start Levenberg-Marquardt from.  s = 0 returns the
+    exact zero profile without running the solver.  A negative or
+    non-finite s raises ValueError.
     """
     if not (s >= 0 and math.isfinite(s)):
         raise ValueError(f"slope must be a finite nonnegative number, got {s}")
@@ -200,13 +201,16 @@ def continue_branch(s_max: float, ds: float, N: int = 129,
 
     grid = make_grid(N)
     branch = Branch(ds=ds, N=N, lm=lm, res=res)
-    prev2 = prev = np.zeros(N - 1)     # x_0: the exact s = 0 solution
-    damping = _LAMBDA0
     shift = _linear_shift(grid)
+    # x_0 = 0 is the exact s = 0 solution; with x_{-1} = -ds*shift, which
+    # the odd-in-s branch has to first order, step 1's secant is ds*shift
+    # bit for bit, the cold guess
+    prev, prev2 = np.zeros(N - 1), -ds * shift
+    damping = None
     for m in range(1, nsteps + 1):
         start = time.perf_counter()
         s_m = m * ds
-        guess = ds * shift if m == 1 else 2.0 * prev - prev2
+        guess = 2.0 * prev - prev2
         profile, report = _solve_step(s_m, N, lm, res, guess, damping)
         if not report.converged:
             retry = _half_step_retry(s_m, ds, N, lm, res, prev, shift)
@@ -234,10 +238,10 @@ def _solve_step(s, N, lm, res, guess, damping):
 
 def _half_step_retry(s_m, ds, N, lm, res, prev, shift):
     half = 0.5 * ds
-    r1 = _solve_step(s_m - half, N, lm, res, prev + half * shift, _LAMBDA0)[1]
+    r1 = _solve_step(s_m - half, N, lm, res, prev + half * shift, None)[1]
     if not r1.converged:
         return None
-    p2, r2 = _solve_step(s_m, N, lm, res, r1.solution + half * shift, _LAMBDA0)
+    p2, r2 = _solve_step(s_m, N, lm, res, r1.solution + half * shift, None)
     if not r2.converged:
         return None
     return p2, r2

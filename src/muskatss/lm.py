@@ -7,7 +7,8 @@ residual itself when the callable carries one as ``r.jacobian(x)`` (the
 collocation residual does); otherwise it is one-sided finite
 differences, ``fd_jacobian``, which also serves the tests as an oracle.
 A callable may also carry ``r.values_only(x)``, the same residual without
-the work of a Jacobian, for the trial that is likely the last, and
+the work of a Jacobian, for a trial after the first accepted step that is
+likely the last, and
 ``r.damping``, the damping to start from, which continuation carries over
 from the previous step.
 """
@@ -103,8 +104,8 @@ def lm_solve(r, x0: np.ndarray, cfg: LMConfig | None = None) -> SolverReport:
     attribute and ``fd_jacobian`` otherwise; either raises SolverError if
     not finite.  A trial whose linear model converges, max|r + J dx| <=
     tol_residual, is evaluated by ``r.values_only`` when r has that
-    attribute, which must return r's values, so the iterates do not depend
-    on the guess.  Stops when the residual max-norm falls below tol_residual,
+    attribute and a step has been accepted, which must return r's values,
+    so the iterates do not depend on the guess.  Stops when the residual max-norm falls below tol_residual,
     the accepted step falls below tol_step (converged), a rejected step
     does (stalled), or after max_iters accepted steps.
     """
@@ -154,8 +155,11 @@ def lm_solve(r, x0: np.ndarray, cfg: LMConfig | None = None) -> SolverReport:
                 continue
             if np.all(np.isfinite(dx)):
                 # a trial the linear model says converges is most likely
-                # the last, so no Jacobian need come with its residual
-                last = np.max(np.abs(rx + J @ dx)) <= cfg.tol_residual
+                # the last, so no Jacobian need come with its residual; not
+                # so before the first accepted step, as a warm start's
+                # small damping makes the model say so when it is not
+                last = (iterations > 0
+                        and np.max(np.abs(rx + J @ dx)) <= cfg.tol_residual)
                 rn = np.asarray((values_only if last else r)(x + dx), dtype=float)
                 if np.all(np.isfinite(rn)) and np.linalg.norm(rn) < np.linalg.norm(rx):
                     break

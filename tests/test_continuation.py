@@ -14,7 +14,7 @@ from muskatss.continuation import (
     save_branch,
     solve_profile,
 )
-from muskatss import cli, continuation
+from muskatss import cli, continuation, residual
 from muskatss.grid_spline import make_grid
 from muskatss.lm import _LAMBDA0, _LAMBDA_DOWN, _LAMBDA_UP, LMConfig, SolverReport, lm_solve
 from muskatss.quadrature import QuadConfig, QuadratureError
@@ -166,18 +166,25 @@ class TestValueOnlyTrial:
     def test_coarse_branch_counts(self, monkeypatch):
         # the benchmark's branch-coarse setting: N=33 to s = 2
         calls = record_residual_calls(monkeypatch)
+        passes = []
+        real_pass = residual.Discretization.residual
+
+        def counting(self, values, jacobian=True):
+            passes.append(jacobian)
+            return real_pass(self, values, jacobian)
+
+        monkeypatch.setattr(residual.Discretization, "residual", counting)
         branch = continue_branch(2.0, 0.1, 33)
         assert branch.failure is None
         assert [st.report.iterations for st in branch.steps] == [5] + [2] * 19
         assert len(calls) == 63
-        # each step's evaluations, F full and v value-only: the last of each
-        # of the 20 steps is value-only, and from step 3 on so is the trial
-        # before it, whose linear model converges at the small carried
-        # damping while its residual does not
-        kinds = {}
-        for s, jac in calls:
-            kinds[s] = kinds.get(s, "") + ("F" if jac else "v")
-        assert list(kinds.values()) == ["FFFFFv", "FFv"] + ["Fvv"] * 18
+        values_only = [i for i, (_, jac) in enumerate(calls) if not jac]
+        assert len(values_only) == 20
+        # each the last evaluation of its step
+        assert all(i + 1 == len(calls) or calls[i + 1][0] != calls[i][0] for i in values_only)
+        # and every Jacobian is the kept one of its point's pass: the
+        # kernel ran no pass that residual_vector did not
+        assert passes == [jac for _, jac in calls]
 
     def test_same_report_with_and_without_the_hint(self, monkeypatch):
         grid = make_grid(33)
@@ -234,8 +241,9 @@ def record_steps(monkeypatch, fail_call=None):
 
 class TestWarmStart:
     """Step 1 and the half steps of a retry start cold: from the linear
-    shift at _LAMBDA0.  Every other step starts from the secant through the
-    last two solutions, at the damping the step before it ended with."""
+    shift at lm_solve's default damping, _LAMBDA0.  Every other step starts
+    from the secant through the last two solutions, at the damping the step
+    before it ended with."""
 
     def test_step_1_is_a_cold_solve(self, coarse_branch):
         profile, report = solve_profile(0.1, 33)
@@ -259,8 +267,9 @@ class TestWarmStart:
         assert calls[0][1].tobytes() == (0.1 * shift).tobytes()
         for m in (2, 3):
             assert calls[m - 1][1].tobytes() == (2.0 * x[m - 1] - x[m - 2]).tobytes()
-        assert [c[2] for c in calls] == [_LAMBDA0] + [
+        assert [c[2] for c in calls] == [None] + [
             st.report.lambda_history[-1] for st in branch.steps[:2]]
+        assert calls[0][3].lambda_history[0] == _LAMBDA0
 
     def test_half_step_retry_starts_cold(self, monkeypatch):
         # the full step to s = 0.2 fails; its half steps start from the
@@ -276,7 +285,8 @@ class TestWarmStart:
         half1, half2 = calls[2], calls[3]
         assert half1[1].tobytes() == (x1 + 0.05 * shift).tobytes()
         assert half2[1].tobytes() == (half1[3].solution + 0.05 * shift).tobytes()
-        assert half1[2] == half2[2] == _LAMBDA0
+        assert half1[2] is half2[2] is None
+        assert half1[3].lambda_history[0] == half2[3].lambda_history[0] == _LAMBDA0
         assert half2[3] is branch.steps[1].report
         assert calls[4][1].tobytes() == (2.0 * x2 - x1).tobytes()
         assert calls[4][2] == half2[3].lambda_history[-1]

@@ -154,6 +154,30 @@ class TestLMSolve:
         assert rep.lambda_history[0] == 1e-6
         assert rep.lambda_history != plain.lambda_history
 
+    def test_no_value_only_trial_before_an_accepted_step(self):
+        # a linear residual, whose linear model is exact: at a tiny start
+        # damping the first trial converges and is still evaluated by r;
+        # from a start that needs two steps, the second one is value-only
+        A, b = np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([1.0, 2.0])
+        kinds = []
+
+        def r(x):
+            kinds.append("F")
+            return A @ x - b
+
+        def values_only(x):
+            kinds.append("v")
+            return A @ x - b
+
+        r.jacobian = lambda x: A
+        r.values_only = values_only
+        for damping, want in ((1e-15, "FF"), (1e-6, "FFv")):
+            kinds.clear()
+            r.damping = damping
+            rep = lm_solve(r, np.zeros(2))
+            assert rep.converged
+            assert "".join(kinds) == want
+
     def test_damping_hint_must_be_positive_and_finite(self):
         calls = []
 
