@@ -7,11 +7,13 @@ step starts from the secant through the last two solutions,
 2*x_{m-1} - x_{m-2} with x_0 = 0 the exact s = 0 solution, at the damping
 the previous step ended with.  A half-step retry starts cold again: from
 the previous solution shifted by (ds/2)*(2/pi)*z, at the default damping.
+Levenberg-Marquardt evaluates the residual in the unknowns in two forms,
+value-only and with its exact Jacobian, each one ``residual_vector`` call
+and one pass.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import time
@@ -22,7 +24,7 @@ import numpy as np
 from .grid_spline import Grid, Profile, fit_spline, make_grid
 from .lm import LMConfig, SolverError, SolverReport, lm_solve
 from .quadrature import QuadratureError
-from .residual import ResidualConfig, residual_jacobian, residual_vector
+from .residual import ResidualConfig, residual_vector
 
 __all__ = [
     "Branch",
@@ -113,30 +115,27 @@ class Branch:
         raise KeyError(f"s={s} not present in branch (have {self.s_values})")
 
 
-def _residual_closure(grid: Grid, s: float, res_cfg: ResidualConfig,
-                      damping: float | None = None):
-    """The collocation residual in the unknowns x = values[1:], with its
-    exact Jacobian attached as ``r.jacobian``, its value-only evaluation,
-    the same residual without keeping a Jacobian, as ``r.values_only``,
-    and, when given, the damping lm_solve starts from as ``r.damping``."""
-    def r(x, **kwargs):
-        values = np.concatenate([[0.0], x])
-        profile = fit_spline(grid, values, s)
+def _residual_closure(grid: Grid, s: float, res_cfg: ResidualConfig):
+    """The collocation residual in the unknowns x = values[1:]: (r, linearize),
+    r(x) by a value-only pass and linearize(x) the residual and its exact
+    Jacobian in x from one pass."""
+    def evaluate(x, jacobian):
+        profile = fit_spline(grid, np.concatenate([[0.0], x]), s)
         try:
-            return residual_vector(profile, res_cfg, **kwargs).stacked()
+            rv = residual_vector(profile, res_cfg, jacobian=jacobian)
         except QuadratureError:
             # lm_solve rejects a non-finite trial; a non-finite start
             # point or Jacobian becomes a SolverError (a failed step)
-            return np.full(grid.N + 1, np.nan)
+            return np.full(grid.N + 1, np.nan), None
+        return rv.stacked(), rv.jacobian[:, 1:] if jacobian else None
 
-    def jacobian(x):
-        return residual_jacobian(np.concatenate([[0.0], x]), res_cfg)[:, 1:]
+    def r(x):
+        return evaluate(x, False)[0]
 
-    r.jacobian = jacobian
-    r.values_only = functools.partial(r, jacobian=False)
-    if damping is not None:
-        r.damping = damping
-    return r
+    def linearize(x):
+        return evaluate(x, True)
+
+    return r, linearize
 
 
 def _linear_shift(grid: Grid) -> np.ndarray:
@@ -170,7 +169,8 @@ def solve_profile(s: float, N: int = 129,
         return profile, report
     if initial is None:
         initial = s * _linear_shift(grid)
-    report = lm_solve(_residual_closure(grid, s, res_cfg, damping), initial, lm_cfg)
+    r, linearize = _residual_closure(grid, s, res_cfg)
+    report = lm_solve(r, initial, lm_cfg, linearize=linearize, damping=damping)
     values = np.concatenate([[0.0], report.solution])
     return fit_spline(grid, values, s), report
 

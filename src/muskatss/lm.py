@@ -2,15 +2,13 @@
 
 Damping uses Marquardt's diag(J^T J) scaling, which keeps steps invariant
 under uniform rescaling of the residuals and copes with the size gap
-between interior and boundary rows.  The Jacobian comes from the
-residual itself when the callable carries one as ``r.jacobian(x)`` (the
-collocation residual does); otherwise it is one-sided finite
-differences, ``fd_jacobian``, which also serves the tests as an oracle.
-A callable may also carry ``r.values_only(x)``, the same residual without
-the work of a Jacobian, for a trial after the first accepted step that is
-likely the last, and
-``r.damping``, the damping to start from, which continuation carries over
-from the previous step.
+between interior and boundary rows.  The Jacobian comes with the
+residual from the caller's ``linearize(x)`` when it gives one (continuation
+does), and r alone evaluates a trial after the first accepted step that
+is likely the last.  Without it, J is one-sided finite differences,
+``fd_jacobian``, which also serves the tests as an oracle.
+The caller may give the damping to start from, which continuation carries
+over from the previous step.
 """
 
 from __future__ import annotations
@@ -92,40 +90,44 @@ def fd_jacobian(r, x: np.ndarray, step: float = 1e-6,
     return J
 
 
-def lm_solve(r, x0: np.ndarray, cfg: LMConfig | None = None) -> SolverReport:
+def lm_solve(r, x0: np.ndarray, cfg: LMConfig | None = None, *,
+             linearize=None, damping: float | None = None) -> SolverReport:
     """Minimize ||r(x)||_2 by damped Gauss-Newton steps.
 
     A trial step solves (J^T J + lambda diag(J^T J)) dx = -J^T r and is
     accepted iff the 2-norm of the residual decreases; lambda starts at
-    ``r.damping`` when r has that attribute (ValueError, before r is
-    evaluated, unless it is positive and finite) and at _LAMBDA0
-    otherwise, and is multiplied by _LAMBDA_DOWN on acceptance and by
-    _LAMBDA_UP on rejection.  J is ``r.jacobian(x)`` when r has that
-    attribute and ``fd_jacobian`` otherwise; either raises SolverError if
-    not finite.  A trial whose linear model converges, max|r + J dx| <=
-    tol_residual, is evaluated by ``r.values_only`` when r has that
-    attribute and a step has been accepted, which must return r's values,
-    so the iterates do not depend on the guess.  Stops when the residual max-norm falls below tol_residual,
-    the accepted step falls below tol_step (converged), a rejected step
-    does (stalled), or after max_iters accepted steps.
+    ``damping`` (ValueError, before r is evaluated, unless it is positive
+    and finite), _LAMBDA0 when None, and is multiplied by _LAMBDA_DOWN on
+    acceptance and by _LAMBDA_UP on rejection.  ``linearize(x)``, when
+    given, returns (r(x), J at x) from one evaluation: it evaluates the
+    start point and the trials.  A trial whose linear model converges,
+    max|r + J dx| <= tol_residual, after the first accepted step is
+    evaluated by r alone, as no Jacobian is likely to follow; if it is
+    accepted and the solve goes on, ``linearize`` runs there again.  r
+    must return linearize's values, so the iterates do not depend on that
+    guess.  Without ``linearize``, r evaluates every point and J is
+    ``fd_jacobian`` about it.  A J that is not finite raises SolverError.
+    Stops when the residual max-norm falls below tol_residual, the
+    accepted step falls below tol_step (converged), a rejected step does
+    (stalled), or after max_iters accepted steps.
     """
     cfg = LMConfig() if cfg is None else cfg
+    lam = _LAMBDA0 if damping is None else damping
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"damping must be positive and finite, got {lam}")
 
-    def jacobian(x):    # finite differences about the current rx
-        return fd_jacobian(r, x, r0=rx)
+    def evaluate(x, last=False):
+        """r at x and J there, None when it is still to be formed."""
+        rx, J = (r(x), None) if linearize is None or last else linearize(x)
+        return np.asarray(rx, dtype=float), J
 
     def report(converged):
         return SolverReport(solution=x, residual_norm=float(np.max(np.abs(rx))),
                             iterations=iterations, converged=bool(converged),
                             lambda_history=history)
 
-    jacobian = getattr(r, "jacobian", jacobian)
-    values_only = getattr(r, "values_only", r)
-    lam = getattr(r, "damping", _LAMBDA0)
-    if not 0.0 < lam < math.inf:
-        raise ValueError(f"damping must be positive and finite, got {lam}")
     x = np.asarray(x0, dtype=float).copy()
-    rx = np.asarray(r(x), dtype=float)
+    rx, J = evaluate(x)
     if not np.all(np.isfinite(rx)):
         raise SolverError("residual not finite at the initial point")
     history = [lam]
@@ -133,7 +135,9 @@ def lm_solve(r, x0: np.ndarray, cfg: LMConfig | None = None) -> SolverReport:
     converged = np.max(np.abs(rx)) <= cfg.tol_residual
 
     while not converged and iterations < cfg.max_iters:
-        J = np.asarray(jacobian(x), dtype=float)
+        if J is None:
+            J = fd_jacobian(r, x, r0=rx) if linearize is None else linearize(x)[1]
+        J = np.asarray(J, dtype=float)
         if not np.all(np.isfinite(J)):
             raise SolverError("non-finite Jacobian")
         JtJ = J.T @ J
@@ -160,7 +164,7 @@ def lm_solve(r, x0: np.ndarray, cfg: LMConfig | None = None) -> SolverReport:
                 # small damping makes the model say so when it is not
                 last = (iterations > 0
                         and np.max(np.abs(rx + J @ dx)) <= cfg.tol_residual)
-                rn = np.asarray((values_only if last else r)(x + dx), dtype=float)
+                rn, Jn = evaluate(x + dx, last)
                 if np.all(np.isfinite(rn)) and np.linalg.norm(rn) < np.linalg.norm(rx):
                     break
                 if np.max(np.abs(dx)) <= cfg.tol_step:
@@ -171,7 +175,7 @@ def lm_solve(r, x0: np.ndarray, cfg: LMConfig | None = None) -> SolverReport:
                 f"no acceptable step found after damping retries (lambda={lam:.3e})"
             )
         x = x + dx
-        rx = rn
+        rx, J = rn, Jn
         lam = max(lam * _LAMBDA_DOWN, 1e-15)
         iterations += 1
         history.append(lam)

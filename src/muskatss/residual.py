@@ -61,12 +61,12 @@ from a hand-derived gradient.  The partials in the row-local terms
 (``_end_partials``) and in the expansion quotients (``_band_partials``)
 are formed once per pass.  The partials under the same outer weights,
 summed through the same rows, are the Jacobian in coefficient space; one
-product with the cardinal map takes it to the nodal values
-(``residual_jacobian``).  So one pass per trial point gives the residual
-and the Jacobian there, and the ``Discretization`` keeps the last one for
-a Jacobian asked at the same values.  A value-only pass
-(``jacobian=False``) forms no partials and keeps nothing; its residual is
-the full pass's, bit for bit.  A complex step through ``_integrand`` and
+product with the cardinal map takes it to the nodal values.  So one pass
+(``Discretization.linearize``, ``residual_vector(..., jacobian=True)``)
+gives the residual and the Jacobian at a point, and hands both back; the
+``Discretization`` keeps no pass.  A value-only pass (``residual``, the
+default of ``residual_vector``) forms no partials; its residual is the
+full pass's, bit for bit.  A complex step through ``_integrand`` and
 ``_end_values`` is the tests' check of the gradient.  ``residual_at`` is
 the one-row discretization of its z, sharing the outer-node rows and the
 P table, by a value-only pass.  ``delta_tilde`` is the sliding average
@@ -77,6 +77,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -93,7 +94,6 @@ __all__ = [
     "delta_tilde",
     "discretization",
     "residual_at",
-    "residual_jacobian",
     "residual_vector",
 ]
 
@@ -120,11 +120,13 @@ class ResidualConfig:
 
 @dataclass(frozen=True)
 class ResidualVector:
-    """Equation residuals at z_1..z_{N-1} plus the two boundary rows."""
+    """Equation residuals at z_1..z_{N-1} plus the two boundary rows, and,
+    when asked for, the Jacobian of ``stacked()`` in the nodal values."""
 
     interior: np.ndarray
     bc0: float
     bc_end: float
+    jacobian: np.ndarray | None = None
 
     def stacked(self) -> np.ndarray:
         return np.concatenate([self.interior, [self.bc0, self.bc_end]])
@@ -487,16 +489,19 @@ class Discretization:
     ``band_column`` (the outer weight, negated on half 1's entries) and
     the quotient weights, is summed into coefficient space by
     ``band_index`` with one ``np.bincount``, and the z-terms through
-    ``z_rows``.  ``residual`` keeps the values and C of its last pass, and
-    ``jacobian`` at those values takes C to the nodal values by one
-    product with ``coef``, so a Levenberg-Marquardt step, whose Jacobian is
-    taken at the trial point it has just evaluated, costs one pass.
-    ``residual(values, jacobian=False)`` is a value-only pass, which leaves
-    the kept pass as it was: a later ``jacobian`` at its values runs a full
-    pass.
+    ``z_rows``.  ``linearize`` returns the residual and C taken to the
+    nodal values by one product with ``coef``; ``residual`` is a value-only
+    pass.  Nothing of a pass is kept.  A discretization whose pair geometry
+    and ``P`` table alone would not fit in physical memory raises
+    MemoryError before any array is built.
     """
 
     def __init__(self, N: int, cfg: ResidualConfig):
+        ny = cfg.resolve_outer_nodes(N)
+        need = 8 * (2 * (N - 2) * ny + (N + ny) * N)     # bytes: geometry and P
+        if need > _physical_memory():
+            raise MemoryError(f"N={N} with {ny} outer nodes needs about "
+                              f"{need / 2 ** 30:.3g} GiB for its discretization")
         grid = make_grid(N)
         self.N, self.spacing = N, grid.spacing
         self.yi, self.hy = _outer_nodes(N, cfg)
@@ -551,8 +556,7 @@ class Discretization:
 
     def row(self, z: float) -> Discretization:
         """The discretization of the one row z (0 <= z < pi/2), sharing the
-        outer-node rows and the P table but not the kept pass or the
-        workspace."""
+        outer-node rows and the P table but not the workspace."""
         d = copy.copy(self)
         d._set_rows(np.array([z], dtype=float))
         return d
@@ -572,10 +576,9 @@ class Discretization:
         return A
 
     def _set_rows(self, z: np.ndarray) -> None:
-        """The coefficient rows, blocks, band weights and workspace of rows z;
-        no pass is kept for them yet."""
+        """The coefficient rows, blocks, band weights and workspace of rows z."""
         sm, yi = self.sm, self.yi
-        self.z, self.tan_z, self._last = z, np.tan(z), None
+        self.z, self.tan_z = z, np.tan(z)
         self.z_rows = np.array([sm.on_coef(z, 0), np.cos(z)[:, None] ** 2 * sm.on_coef(z, 1),
                                 self._primitive(z)])
 
@@ -685,39 +688,35 @@ class Discretization:
         C[:, -1] += w[-1] * end_b          # b = a[-1]
         return out, C
 
-    def residual(self, values, jacobian: bool = True) -> np.ndarray:
-        """The residual at the rows z at nodal values ``values``.  The pass
-        also gives the Jacobian there in coefficient space, which is kept
-        for ``jacobian``.  With ``jacobian=False`` it is a value-only pass,
-        the same residual bit for bit, that forms no partials and leaves
-        the kept pass as it was."""
-        values = np.array(values, dtype=float)
-        # _outer_integral raises on a non-finite integrand and lm_solve
-        # checks J, so numpy's overflow warnings on the way are not shown
+    def residual(self, values) -> np.ndarray:
+        """The residual at the rows z at nodal values ``values``, by a
+        value-only pass: ``linearize``'s residual bit for bit, with no
+        partials formed."""
+        # _outer_integral raises on a non-finite integrand, so numpy's
+        # overflow warnings on the way are not shown
         with np.errstate(over="ignore", invalid="ignore"):
-            if not jacobian:
-                return self._pass(values, jacobian=False)[0]
-            self._last = None         # a pass that raises keeps no Jacobian
-            out, C = self._pass(values)
-        self._last = (values, C)
-        return out
+            return self._pass(np.asarray(values, dtype=float), jacobian=False)[0]
 
-    def jacobian(self, values) -> np.ndarray:
-        """Derivative of ``residual_vector(...).stacked()`` in the nodal values,
-        shape (N+1, N): the kept coefficient-space one when ``values`` are
-        those of the last ``residual``, else a new pass's (which raises
-        QuadratureError where ``residual`` does), times ``coef``, with the
-        boundary rows.  ``lm_solve`` checks it is finite, so numpy's
-        overflow warnings in the product are not shown."""
-        last = self._last
-        if last is None or not np.array_equal(last[0], values):
-            self.residual(values)
-            last = self._last
+    def linearize(self, values) -> tuple[np.ndarray, np.ndarray]:
+        """The residual at the rows z and the derivative of
+        ``residual_vector(...).stacked()`` in the nodal values, shape
+        (N+1, N), from one pass: its coefficient-space Jacobian times
+        ``coef``, with the boundary rows.  ``lm_solve`` checks J is finite,
+        so numpy's overflow warnings are not shown here either."""
         J = np.zeros((self.N + 1, self.N))
         with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(last[1], self.coef, out=J[:len(self.z)])
+            out, C = self._pass(np.asarray(values, dtype=float))
+            np.matmul(C, self.coef, out=J[:len(self.z)])
         J[-2, 0] = J[-1, -1] = 1.0    # bc0 = values[0], bc_end = values[-1] - s
-        return J
+        return out, J
+
+
+def _physical_memory() -> float:
+    """The machine's physical memory in bytes; no bound where unknown."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return np.inf
 
 
 def _coef_panels(sm: SplineMaps, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -736,18 +735,6 @@ def _coef_panels(sm: SplineMaps, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def discretization(N: int, cfg: ResidualConfig) -> Discretization:
     """The cached ``Discretization`` of (N, cfg), built on first use."""
     return Discretization(N, cfg)
-
-
-def residual_jacobian(values, cfg: ResidualConfig | None = None) -> np.ndarray:
-    """Jacobian of ``residual_vector(...).stacked()`` in the nodal values.
-
-    Shape (N+1, N) for N = len(values); it does not depend on s, and each
-    row is exact for the discretized residual up to roundoff.
-    """
-    if cfg is None:
-        cfg = ResidualConfig()
-    values = np.asarray(values, dtype=float)
-    return discretization(len(values), cfg).jacobian(values)
 
 
 def residual_at(profile: Profile, z: float, cfg: ResidualConfig | None = None) -> float:
@@ -772,25 +759,29 @@ def residual_at(profile: Profile, z: float, cfg: ResidualConfig | None = None) -
     if z == HALF_PI:
         return 0.0
     d = discretization(profile.grid.N, cfg).row(z)
-    return float(d.residual(profile.values, jacobian=False)[0])
+    return float(d.residual(profile.values)[0])
 
 
 def residual_vector(profile: Profile, cfg: ResidualConfig | None = None, *,
-                    jacobian: bool = True) -> ResidualVector:
+                    jacobian: bool = False) -> ResidualVector:
     """Equation residuals at the interior collocation nodes plus boundary rows.
 
     Interior rows are z_i, i = 1..N-1 (the last, at pi/2, is identically
     zero because the equation degenerates there); the boundary rows are
     k(0) - 0 and k(pi/2) - s.  The interior rows come from the profile's
-    nodal values through the cached ``Discretization`` of (N, cfg), whose
-    pass keeps the Jacobian there unless ``jacobian`` is False (a
-    value-only pass, the same rows bit for bit).
+    nodal values through the cached ``Discretization`` of (N, cfg), by a
+    value-only pass, or, with ``jacobian``, by ``linearize``, which also
+    fills the ``jacobian`` field: shape (N+1, N), independent of s, each
+    row exact for the discretized residual up to roundoff.  The rows are
+    the same bit for bit either way.
     """
     if cfg is None:
         cfg = ResidualConfig()
     d = discretization(profile.grid.N, cfg)
+    rows, J = d.linearize(profile.values) if jacobian else (d.residual(profile.values), None)
     return ResidualVector(
-        interior=np.append(d.residual(profile.values, jacobian=jacobian), 0.0),
+        interior=np.append(rows, 0.0),
         bc0=float(profile.values[0]),
         bc_end=float(profile.values[-1] - profile.s),
+        jacobian=J,
     )

@@ -17,7 +17,7 @@ from muskatss.cli import (
     main,
     read_config_file,
 )
-from muskatss import cli
+from muskatss import cli, residual
 from muskatss.continuation import load_branch
 
 from conftest import synthetic_branch_doc
@@ -209,6 +209,16 @@ def test_too_large_for_memory(branch_file, argv):
     assert out.returncode == EX_USAGE, out.stderr
     lines = out.stderr.splitlines()
     assert len(lines) == 1 and "too large for memory" in lines[0], out.stderr
+
+
+def test_discretization_too_large_for_memory(monkeypatch, capsys):
+    # N=9 with 10^6 outer nodes needs about 175 MiB of pair geometry and P
+    # table, refused before any of it is built against 64 MiB of memory
+    monkeypatch.setattr(residual, "_physical_memory", lambda: 64 << 20)
+    assert main(["solve", "--s", "0.1", "--n", "9", "--outer-nodes", "1000000"]) == EX_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "too large for memory" in lines[0]
+    assert "N=9 with 1000000 outer nodes" in lines[0]
 
 
 def test_validate_too_large_for_memory(branch_file, monkeypatch, capsys):

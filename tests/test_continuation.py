@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -65,18 +66,16 @@ class TestContinueBranch:
             assert st.profile.values[0] == 0.0
             assert st.profile.values[-1] == pytest.approx(st.s, abs=1e-8)
 
-    def test_initial_guess_rule_boundary_value(self):
-        # the shifted guess satisfies the new boundary value before solving
-        from muskatss.grid_spline import make_grid
-
-        g = make_grid(SMALL_N)
-        ds = 0.1
-        guess = ds * (2.0 / np.pi) * g.nodes[1:]
-        assert guess[-1] == pytest.approx(ds, abs=1e-15)
-        prev = np.sin(g.nodes[1:]) * 0.1
-        prev[-1] = 0.1
-        step2 = prev + ds * (2.0 / np.pi) * g.nodes[1:]
-        assert step2[-1] == pytest.approx(0.2, abs=1e-15)
+    def test_initial_guess_rule_boundary_value(self, monkeypatch):
+        # every guess continuation passes meets its step's boundary value
+        # k(pi/2) = s to the solutions' own error: a secant through two
+        # solutions each within tol_residual is within 3 tol_residual (at
+        # most 6.0e-9 on the N=33 branch to s = 2)
+        calls = record_steps(monkeypatch)
+        branch = continue_branch(2.0, 0.1, 33)
+        assert branch.failure is None and len(calls) == 20
+        for s, guess, _, _ in calls:
+            assert abs(guess[-1] - s) <= 3 * LMConfig().tol_residual
 
     def test_truncation_records_failure(self):
         # an unreachable tolerance forces non-convergence on step 1
@@ -125,17 +124,15 @@ class TestContinueBranch:
     def test_exact_and_fd_jacobian_take_the_same_path(self):
         grid = make_grid(SMALL_N)
         x0 = (2.0 / np.pi) * 0.1 * grid.nodes[1:]
-        exact = continuation._residual_closure(grid, 0.1, SMALL_RES)
-        plain = lambda x: exact(x)    # no .jacobian: lm_solve takes fd_jacobian
-        a = lm_solve(exact, x0, SMALL_LM)
-        b = lm_solve(plain, x0, SMALL_LM)
+        r, linearize = continuation._residual_closure(grid, 0.1, SMALL_RES)
+        a = lm_solve(r, x0, SMALL_LM, linearize=linearize)
+        b = lm_solve(r, x0, SMALL_LM)    # no linearize: lm_solve takes fd_jacobian
         assert a.converged and b.converged
         assert a.iterations == b.iterations
         assert np.max(np.abs(a.solution - b.solution)) <= 1e-9
 
     def test_non_finite_jacobian_truncates_with_failure(self, monkeypatch):
-        monkeypatch.setattr(continuation, "residual_jacobian",
-                            lambda values, cfg: np.full((len(values) + 1, len(values)), np.nan))
+        nan_jacobian_above(monkeypatch, 0.0)
         branch = continue_branch(0.2, 0.1, SMALL_N, SMALL_LM, SMALL_RES)
         assert branch.steps == []
         assert branch.failure is not None
@@ -146,13 +143,27 @@ class TestContinueBranch:
             small_branch.step_at(0.7)
 
 
+def nan_jacobian_above(monkeypatch, s_max):
+    """Make every Jacobian continuation takes at a slope above ``s_max``
+    non-finite."""
+    real = continuation.residual_vector
+
+    def residual_vector(profile, cfg, *, jacobian=False):
+        rv = real(profile, cfg, jacobian=jacobian)
+        if jacobian and profile.s > s_max:
+            rv = dataclasses.replace(rv, jacobian=np.full_like(rv.jacobian, np.nan))
+        return rv
+
+    monkeypatch.setattr(continuation, "residual_vector", residual_vector)
+
+
 def record_residual_calls(monkeypatch):
     """The ``jacobian`` keyword of every ``residual_vector`` call the
     solver makes, in order, with the slope of its profile."""
     real, calls = continuation.residual_vector, []
 
     def recording(profile, cfg, **kwargs):
-        calls.append((profile.s, kwargs.get("jacobian", True)))
+        calls.append((profile.s, kwargs.get("jacobian", False)))
         return real(profile, cfg, **kwargs)
 
     monkeypatch.setattr(continuation, "residual_vector", recording)
@@ -167,13 +178,13 @@ class TestValueOnlyTrial:
         # the benchmark's branch-coarse setting: N=33 to s = 2
         calls = record_residual_calls(monkeypatch)
         passes = []
-        real_pass = residual.Discretization.residual
+        real_pass = residual.Discretization._pass
 
         def counting(self, values, jacobian=True):
             passes.append(jacobian)
             return real_pass(self, values, jacobian)
 
-        monkeypatch.setattr(residual.Discretization, "residual", counting)
+        monkeypatch.setattr(residual.Discretization, "_pass", counting)
         branch = continue_branch(2.0, 0.1, 33)
         assert branch.failure is None
         assert [st.report.iterations for st in branch.steps] == [5] + [2] * 19
@@ -182,30 +193,30 @@ class TestValueOnlyTrial:
         assert len(values_only) == 20
         # each the last evaluation of its step
         assert all(i + 1 == len(calls) or calls[i + 1][0] != calls[i][0] for i in values_only)
-        # and every Jacobian is the kept one of its point's pass: the
-        # kernel ran no pass that residual_vector did not
+        # and the kernel ran no pass that residual_vector did not
         assert passes == [jac for _, jac in calls]
 
     def test_same_report_with_and_without_the_hint(self, monkeypatch):
         grid = make_grid(33)
         x0 = (2.0 / np.pi) * 0.5 * grid.nodes[1:]
-        r = continuation._residual_closure(grid, 0.5, ResidualConfig())
+        r, linearize = continuation._residual_closure(grid, 0.5, ResidualConfig())
 
-        def forced(x):                   # every evaluation value-only
-            return r.values_only(x)
+        def forced(x):                   # every residual value-only
+            return r(x), linearize(x)[1]
 
-        def plain(x):                    # no hint
-            return r(x)
+        def plain(x):                    # no value-only trial
+            return linearize(x)[0]
 
-        forced.jacobian = plain.jacobian = r.jacobian
-        forced.values_only = r.values_only
         calls = record_residual_calls(monkeypatch)
         reports = []
-        for f in (r, forced, plain):
+        for name, f, lin in (("hint", r, linearize), ("forced", r, forced),
+                             ("plain", plain, linearize)):
             calls.clear()
-            reports.append(lm_solve(f, x0))
+            reports.append(lm_solve(f, x0, linearize=lin))
             kinds = [jac for _, jac in calls]
-            assert kinds.count(False) == {r: 1, forced: len(kinds), plain: 0}[f]
+            # forced: one value-only call per linearize, plus the hint's
+            want = {"hint": 1, "forced": kinds.count(True) + 1, "plain": 0}[name]
+            assert kinds.count(False) == want
         want = reports[0]
         assert want.converged and want.iterations > 1
         for got in reports[1:]:
@@ -376,14 +387,8 @@ class TestSerialization:
 def truncated_branch():
     """Two converged steps, then a step whose Jacobian is non-finite: the
     solver error leaves residual_norm = inf in the failure record."""
-    real = continuation.residual_jacobian
-
-    def jacobian(values, cfg):
-        J = real(values, cfg)
-        return J if values[-1] < 0.22 else np.full_like(J, np.nan)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(continuation, "residual_jacobian", jacobian)
+        nan_jacobian_above(mp, 0.22)
         return continue_branch(0.4, 0.1, SMALL_N, SMALL_LM, SMALL_RES)
 
 

@@ -36,7 +36,7 @@ class TestFDJacobian:
         from muskatss.residual import ResidualConfig
 
         g = make_grid(17)
-        r = _residual_closure(g, 0.1, ResidualConfig(outer_nodes=170))
+        r, _ = _residual_closure(g, 0.1, ResidualConfig(outer_nodes=170))
         x = (2.0 / np.pi) * 0.1 * g.nodes[1:]
         step = 1e-6
         J = fd_jacobian(r, x, step)
@@ -130,8 +130,7 @@ class TestLMSolve:
             calls.append(x)
             return A @ x - b
 
-        r.jacobian = lambda x: A
-        rep = lm_solve(r, np.zeros(2))
+        rep = lm_solve(r, np.zeros(2), linearize=lambda x: (r(x), A))
         assert rep.converged
         # one residual per trial and one at the start: no Jacobian columns
         assert len(calls) == rep.iterations + 1
@@ -144,37 +143,33 @@ class TestLMSolve:
 
         cfg = LMConfig(max_iters=200)
         plain = lm_solve(r, np.array([-1.2, 1.0]), cfg)
-        r.damping = _LAMBDA0
-        same = lm_solve(r, np.array([-1.2, 1.0]), cfg)
+        same = lm_solve(r, np.array([-1.2, 1.0]), cfg, damping=_LAMBDA0)
         assert same.lambda_history == plain.lambda_history
         assert same.solution.tobytes() == plain.solution.tobytes()
-        r.damping = 1e-6
-        rep = lm_solve(r, np.array([-1.2, 1.0]), cfg)
+        rep = lm_solve(r, np.array([-1.2, 1.0]), cfg, damping=1e-6)
         assert rep.converged
         assert rep.lambda_history[0] == 1e-6
         assert rep.lambda_history != plain.lambda_history
 
     def test_no_value_only_trial_before_an_accepted_step(self):
         # a linear residual, whose linear model is exact: at a tiny start
-        # damping the first trial converges and is still evaluated by r;
-        # from a start that needs two steps, the second one is value-only
+        # damping the first trial converges and is still evaluated by
+        # linearize; from a start that needs two steps, the second one is
+        # value-only
         A, b = np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([1.0, 2.0])
         kinds = []
 
-        def r(x):
+        def linearize(x):
             kinds.append("F")
-            return A @ x - b
+            return A @ x - b, A
 
         def values_only(x):
             kinds.append("v")
             return A @ x - b
 
-        r.jacobian = lambda x: A
-        r.values_only = values_only
         for damping, want in ((1e-15, "FF"), (1e-6, "FFv")):
             kinds.clear()
-            r.damping = damping
-            rep = lm_solve(r, np.zeros(2))
+            rep = lm_solve(values_only, np.zeros(2), linearize=linearize, damping=damping)
             assert rep.converged
             assert "".join(kinds) == want
 
@@ -186,16 +181,14 @@ class TestLMSolve:
             return x - 1.0
 
         for bad in (0.0, -1e-3, float("nan"), float("inf")):
-            r.damping = bad
             with pytest.raises(ValueError, match=f"^damping must be positive and finite, got {bad}$"):
-                lm_solve(r, np.zeros(2))
+                lm_solve(r, np.zeros(2), linearize=lambda x: (r(x), np.eye(2)), damping=bad)
         assert calls == []     # rejected before the first evaluation
 
     def test_non_finite_attached_jacobian_raises(self):
         r = lambda x: x - 1.0
-        r.jacobian = lambda x: np.full((2, 2), np.nan)
         with pytest.raises(SolverError, match="non-finite Jacobian"):
-            lm_solve(r, np.zeros(2))
+            lm_solve(r, np.zeros(2), linearize=lambda x: (r(x), np.full((2, 2), np.nan)))
 
     def test_finite_difference_step_search_is_pinned(self):
         # Rosenbrock rejects trials on the way; every lambda and the solution
@@ -264,16 +257,17 @@ def singular(b):
 class TestLMExits:
     """The exits of the damping loop that a well-posed solve never takes."""
 
-    @staticmethod
-    def linear():
-        A = np.array([[2.0, 1.0], [0.5, 3.0]])
-        r = lambda x: A @ x - np.array([1.0, 2.0])
-        r.jacobian = lambda x: A
-        return r
+    A = np.array([[2.0, 1.0], [0.5, 3.0]])
+
+    def r(self, x):
+        return self.A @ x - np.array([1.0, 2.0])
+
+    def linearize(self, x):
+        return self.r(x), self.A
 
     def test_singular_solves_raise_lambda_and_recover(self, monkeypatch):
         calls = failing_solve(monkeypatch, 3, singular)
-        rep = lm_solve(self.linear(), np.zeros(2))
+        rep = lm_solve(self.r, np.zeros(2), linearize=self.linearize)
         assert rep.converged
         assert rep.lambda_history[1] == pytest.approx(_LAMBDA0 * _LAMBDA_UP ** 3 * _LAMBDA_DOWN)
         assert len(calls) > 3
@@ -281,16 +275,14 @@ class TestLMExits:
     def test_stays_singular_raises(self, monkeypatch):
         calls = failing_solve(monkeypatch, 10 ** 6, singular)
         with pytest.raises(SolverError, match="stayed singular"):
-            lm_solve(self.linear(), np.zeros(2))
+            lm_solve(self.r, np.zeros(2), linearize=self.linearize)
         assert len(calls) == 11           # ten retries, then the error
 
     def test_non_finite_step_is_damped(self, monkeypatch):
         evals = []
-        r = self.linear()
-        counted = lambda x: evals.append(x) or r(x)
-        counted.jacobian = r.jacobian
+        counted = lambda x: evals.append(x) or self.r(x)
         failing_solve(monkeypatch, 2, lambda b: np.full_like(b, np.nan))
-        rep = lm_solve(counted, np.zeros(2))
+        rep = lm_solve(counted, np.zeros(2), linearize=lambda x: (counted(x), self.A))
         assert rep.converged
         assert rep.lambda_history[1] == pytest.approx(_LAMBDA0 * _LAMBDA_UP ** 2 * _LAMBDA_DOWN)
         # a non-finite step is never evaluated
@@ -310,6 +302,6 @@ class TestLMExits:
         # a Jacobian of the wrong sign: every trial raises the residual, and
         # tol_step is too small for the damped steps to stall
         r = lambda x: np.array([1.0 + abs(x[0])])
-        r.jacobian = lambda x: np.array([[-1.0]])
         with pytest.raises(SolverError, match="no acceptable step"):
-            lm_solve(r, np.zeros(1), LMConfig(tol_step=1e-300))
+            lm_solve(r, np.zeros(1), LMConfig(tol_step=1e-300),
+                     linearize=lambda x: (r(x), np.array([[-1.0]])))

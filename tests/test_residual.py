@@ -27,7 +27,6 @@ from muskatss.residual import (
     delta_tilde,
     discretization,
     residual_at,
-    residual_jacobian,
     residual_vector,
 )
 
@@ -476,7 +475,7 @@ class TestResidualJacobian:
             x[1:][cols] = xc
             return residual_vector(fit_spline(g, x, s), cfg).stacked()
 
-        exact = residual_jacobian(values, cfg)
+        exact = residual_vector(fit_spline(g, values, s), cfg, jacobian=True).jacobian
         assert exact.shape == (N + 1, N)
         fd = fd_jacobian(r, values[1:][cols], 1e-6)
         scale = np.max(np.abs(exact))
@@ -484,8 +483,9 @@ class TestResidualJacobian:
 
     def test_zero_and_boundary_rows(self):
         N = 17
-        J = residual_jacobian(perturbed_arctan(make_grid(N), 0.5),
-                              ResidualConfig(outer_nodes=77))
+        g = make_grid(N)
+        p = fit_spline(g, perturbed_arctan(g, 0.5), 0.5)
+        J = residual_vector(p, ResidualConfig(outer_nodes=77), jacobian=True).jacobian
         assert np.all(J[N - 2] == 0.0)                   # the z = pi/2 row
         assert np.array_equal(J[N - 1], np.eye(N)[0])    # bc0 = values[0]
         assert np.array_equal(J[N], np.eye(N)[-1])       # bc_end = values[-1] - s
@@ -498,8 +498,8 @@ def random_odd_profile(N, seed):
 
 
 class TestOnePass:
-    """One kernel pass gives the residual and the Jacobian; the
-    ``Discretization`` keeps the last pass's Jacobian for its values."""
+    """One kernel pass gives the residual and the Jacobian, and hands both
+    back."""
 
     @pytest.mark.parametrize("N", [17, 33, 129])
     @BAND_CASES
@@ -515,76 +515,35 @@ class TestOnePass:
                 rows[r] = np.tan(d.z[r]) * inp["uz"][:, 0] + _outer_integral(
                     d.w, d.z[r], d.yi, _integrand(geo, **inp), end[r])
             want = np.concatenate([rows, [0.0, p.values[0], p.values[-1] - p.s]])
-            assert np.array_equal(residual_vector(p, cfg).stacked(), want)
+            assert np.array_equal(residual_vector(p, cfg, jacobian=True).stacked(), want)
 
     @staticmethod
     def counting(d):
         """``d`` with its passes counted in the returned list."""
         calls, run = [], d._pass
-        d._pass = lambda values: calls.append(1) or run(values)
+        d._pass = lambda values, jacobian=True: calls.append(jacobian) or run(values, jacobian)
         return calls
 
     @pytest.mark.parametrize("N", [17, 129])
     def test_kept_jacobian_is_a_fresh_one(self, N):
+        # the Jacobian the caller keeps is a fresh discretization's, from
+        # the pass that gave the residual, and its own copy
         cfg = ResidualConfig()
         v = random_odd_profile(N, 1).values
         d = Discretization(N, cfg)
         passes = self.counting(d)
-        d.residual(v)
-        J = d.jacobian(v)
-        assert len(passes) == 1
-        assert np.array_equal(J, Discretization(N, cfg).jacobian(v))
-        # the caller's copy: changing it leaves the kept one as it was
+        out, J = d.linearize(v)
+        assert passes == [True]
+        assert out.tobytes() == d.residual(v).tobytes()
+        fresh = Discretization(N, cfg).linearize(v)[1]
+        assert np.array_equal(J, fresh)
         J[:] = 0.0
-        assert np.array_equal(d.jacobian(v), Discretization(N, cfg).jacobian(v))
-
-    def test_other_values_take_a_new_pass(self):
-        N, cfg = 33, ResidualConfig(outer_nodes=77)
-        v = random_odd_profile(N, 2).values
-        v2 = random_odd_profile(N, 3).values
-        fresh = Discretization(N, cfg)
-        Jv, Jv2 = fresh.jacobian(v), fresh.jacobian(v2)
-        assert not np.array_equal(Jv, Jv2)
-        d = Discretization(N, cfg)
-        passes = self.counting(d)
-        d.residual(v)
-        d.residual(v2)
-        assert np.array_equal(d.jacobian(v), Jv)      # not the kept one at v2
-        assert len(passes) == 3
-        v[5] += 1e-3                # the pass at v is kept now, with a copy of v
-        assert not np.array_equal(d.jacobian(v), Jv)
-
-    def test_row_keeps_its_parent_pass(self):
-        N, cfg = 33, ResidualConfig()
-        p = random_odd_profile(N, 4)
-        d = discretization(N, cfg)
-        d.residual(p.values)
-        kept = d._last
-        row = d.row(0.7)
-        assert row._last is None
-        row.residual(p.values)
-        assert row._last is not kept and row.jacobian(p.values).shape == (N + 1, N)
-        residual_at(p, 0.3, cfg)
-        assert d._last is kept
-        assert np.array_equal(d.jacobian(p.values), Discretization(N, cfg).jacobian(p.values))
-
-    def test_failed_pass_keeps_no_jacobian(self):
-        N, cfg = 17, ResidualConfig(outer_nodes=77)
-        v = random_odd_profile(N, 5).values
-        d = Discretization(N, cfg)
-        d.residual(v)
-        bad = 1e200 * v                 # the pair values overflow to inf and NaN
-        with pytest.raises(QuadratureError):
-            d.residual(bad)
-        assert d._last is None
-        with pytest.raises(QuadratureError):
-            d.jacobian(bad)
-        assert np.array_equal(d.jacobian(v), Discretization(N, cfg).jacobian(v))
+        assert np.array_equal(d.linearize(v)[1], fresh)
 
 
 class TestValueOnly:
-    """``residual(values, jacobian=False)`` is a pass without the partials:
-    the same residual bytes, and no pass kept."""
+    """``residual`` is a pass without the partials: the same residual bytes
+    as ``linearize``, and nothing kept for a later pass."""
 
     CFGS = pytest.mark.parametrize("cfg", [ResidualConfig(), ResidualConfig(outer_nodes=77)],
                                    ids=["default", "nodes77"])
@@ -595,26 +554,22 @@ class TestValueOnly:
         d = discretization(N, cfg)
         for seed in range(3):
             p = random_odd_profile(N, seed)
-            values_only = residual_vector(p, cfg, jacobian=False).stacked()
-            assert values_only.tobytes() == residual_vector(p, cfg).stacked().tobytes()
-            assert d.residual(p.values, jacobian=False).tobytes() == d.residual(p.values).tobytes()
+            values_only = residual_vector(p, cfg).stacked()
+            full = residual_vector(p, cfg, jacobian=True).stacked()
+            assert values_only.tobytes() == full.tobytes()
+            assert d.residual(p.values).tobytes() == d.linearize(p.values)[0].tobytes()
 
     @pytest.mark.parametrize("N", [17, 129])
     @CFGS
     def test_keeps_no_pass(self, cfg, N):
         v, v2 = (random_odd_profile(N, seed).values for seed in (1, 2))
         d = Discretization(N, cfg)
-        d.residual(v, jacobian=False)
-        assert d._last is None
-        d.residual(v)
-        kept = d._last
-        d.residual(v2, jacobian=False)
-        assert d._last is kept and np.array_equal(kept[0], v)
-        # a Jacobian at the value-only point runs its own full pass
         passes = TestOnePass.counting(d)
-        assert np.array_equal(d.jacobian(v2), Discretization(N, cfg).jacobian(v2))
-        assert len(passes) == 1
-        assert np.array_equal(d.jacobian(v), Discretization(N, cfg).jacobian(v))
+        d.linearize(v)
+        d.residual(v2)
+        # a Jacobian at the value-only point runs its own full pass
+        assert np.array_equal(d.linearize(v2)[1], Discretization(N, cfg).linearize(v2)[1])
+        assert passes == [True, False, True]
 
     def test_residual_at_forms_no_partials(self, monkeypatch):
         p = random_odd_profile(33, 4)
@@ -627,7 +582,8 @@ class TestValueOnly:
         monkeypatch.setattr(Discretization, "_pass", recording)
         residual_at(p, 0.3)
         residual_at(p, 1e-300)
-        assert kinds == [False, False]
+        residual_vector(p)
+        assert kinds == [False, False, False]
 
 
 class TestOuterIntegral:
@@ -711,7 +667,7 @@ class TestCoefficientSpace:
         for seed in range(2):
             v = random_odd_profile(N, seed).values
             want = dense_jacobian(d, v)
-            got = d.jacobian(v)
+            got = d.linearize(v)[1]
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("outer_nodes", [2 + _CHUNK // 2, 1 + 2 * _CHUNK],
@@ -722,10 +678,10 @@ class TestCoefficientSpace:
         d = Discretization(N, cfg)
         v = random_odd_profile(N, 3).values
         want = dense_jacobian(d, v)
-        assert np.max(np.abs(d.jacobian(v) - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.max(np.abs(d.linearize(v)[1] - want)) <= 1e-14 * np.max(np.abs(want))
         row = d.row(0.4)
         want = dense_jacobian(row, v)
-        assert np.max(np.abs(row.jacobian(v) - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.max(np.abs(row.linearize(v)[1] - want)) <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("N", [33, 129])
     @pytest.mark.parametrize("cfg", [ResidualConfig(), ResidualConfig(outer_nodes=77)],
@@ -809,11 +765,12 @@ class TestWorkspace:
         d = Discretization(self.N, self.cfg)
         if z is not None:
             d = d.row(z)
-        return d.residual(values), d.jacobian(values)
+        return d.linearize(values)
 
     def same(self, d, values, z=None):
-        got, want = (d.residual(values), d.jacobian(values)), self.fresh(values, z)
-        return all(np.array_equal(a, b) for a, b in zip(got, want))
+        (out, J), want = d.linearize(values), self.fresh(values, z)
+        return all(np.array_equal(a, b) for a, b in zip((d.residual(values), out, J),
+                                                        (want[0], *want)))
 
     def test_aligned(self):
         d = Discretization(self.N, self.cfg)
@@ -822,14 +779,14 @@ class TestWorkspace:
     def test_two_values(self):
         v, v2 = (random_odd_profile(self.N, seed).values for seed in (6, 7))
         d = Discretization(self.N, self.cfg)
-        d.residual(v)
+        d.linearize(v)
         assert self.same(d, v2)
         assert self.same(d, v)
 
     def test_row_copy(self):
         v, v2 = (random_odd_profile(self.N, seed).values for seed in (6, 7))
         d = Discretization(self.N, self.cfg)
-        d.residual(v)
+        d.linearize(v)
         row = d.row(0.7)
         assert not np.shares_memory(row.work, d.work)
         assert self.same(row, v, 0.7)
@@ -839,8 +796,9 @@ class TestWorkspace:
     def test_pass_that_raises(self):
         v = random_odd_profile(self.N, 8).values
         d = Discretization(self.N, self.cfg)
-        with pytest.raises(QuadratureError):
-            d.residual(1e200 * v)        # the pair values overflow to inf and NaN
+        for run in (d.residual, d.linearize):
+            with pytest.raises(QuadratureError):
+                run(1e200 * v)           # the pair values overflow to inf and NaN
         assert self.same(d, v)
 
 
@@ -870,8 +828,9 @@ class TestWorkspaceBlocks(TestWorkspace):
         one = Discretization(self.N, self.cfg)
         assert len(one.blocks) == 1
         assert d.residual(v).tobytes() == one.residual(v).tobytes()
-        J = one.jacobian(v)
-        assert np.max(np.abs(d.jacobian(v) - J)) <= 1e-15 * np.max(np.abs(J))
+        (out, J), (one_out, one_J) = d.linearize(v), one.linearize(v)
+        assert out.tobytes() == one_out.tobytes()
+        assert np.max(np.abs(J - one_J)) <= 1e-15 * np.max(np.abs(one_J))
 
 
 def kernel_partials(g, inp):
