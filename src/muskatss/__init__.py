@@ -37,7 +37,7 @@ from .diagnostics import (
     h1_profile_distance,
 )
 from .grid_spline import Grid, Profile, fit_spline, make_grid
-from .lm import LMConfig, SolverError, SolverReport, fd_jacobian, lm_solve
+from .lm import LMConfig, Problem, SolverError, SolverReport, fd_jacobian, lm_solve
 from .quadrature import (
     QuadConfig,
     QuadratureError,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid_spline import Grid, Profile, fit_spline, make_grid
-from .lm import LMConfig, SolverError, SolverReport, lm_solve
+from .lm import LMConfig, Problem, SolverError, SolverReport, lm_solve
 from .quadrature import QuadratureError
 from .residual import ResidualConfig, residual_vector
 
@@ -129,13 +129,7 @@ def _residual_closure(grid: Grid, s: float, res_cfg: ResidualConfig):
             return np.full(grid.N + 1, np.nan), None
         return rv.stacked(), rv.jacobian[:, 1:] if jacobian else None
 
-    def r(x):
-        return evaluate(x, False)[0]
-
-    def linearize(x):
-        return evaluate(x, True)
-
-    return r, linearize
+    return (lambda x: evaluate(x, False)[0]), (lambda x: evaluate(x, True))
 
 
 def _linear_shift(grid: Grid) -> np.ndarray:
@@ -169,8 +163,8 @@ def solve_profile(s: float, N: int = 129,
         return profile, report
     if initial is None:
         initial = s * _linear_shift(grid)
-    r, linearize = _residual_closure(grid, s, res_cfg)
-    report = lm_solve(r, initial, lm_cfg, linearize=linearize, damping=damping)
+    # three arguments: bench/selftest.py swaps in solve(r, x0, cfg) for lm_solve
+    report = lm_solve(Problem(*_residual_closure(grid, s, res_cfg), damping), initial, lm_cfg)
     values = np.concatenate([[0.0], report.solution])
     return fit_spline(grid, values, s), report
 

@@ -2,23 +2,23 @@
 
 Damping uses Marquardt's diag(J^T J) scaling, which keeps steps invariant
 under uniform rescaling of the residuals and copes with the size gap
-between interior and boundary rows.  The Jacobian comes with the
-residual from the caller's ``linearize(x)`` when it gives one (continuation
-does), and r alone evaluates a trial after the first accepted step that
-is likely the last.  Without it, J is one-sided finite differences,
+between interior and boundary rows.  A ``Problem`` may give, with the
+residual, its ``linearize`` (continuation's does) and the damping to
+start from, which continuation carries over from the previous step.
+Without ``linearize``, J is one-sided finite differences,
 ``fd_jacobian``, which also serves the tests as an oracle.
-The caller may give the damping to start from, which continuation carries
-over from the previous step.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["LMConfig", "SolverReport", "SolverError", "fd_jacobian", "lm_solve"]
+__all__ = ["LMConfig", "Problem", "SolverReport", "SolverError", "fd_jacobian", "lm_solve"]
 
 
 class SolverError(Exception):
@@ -49,6 +49,15 @@ class LMConfig:
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+class Problem(NamedTuple):
+    """The residual r(x); linearize(x), when given, returns (r(x), J at x)
+    from one evaluation; damping, when given, is the lambda to start at."""
+
+    r: Callable
+    linearize: Callable | None = None
+    damping: float | None = None
 
 
 @dataclass
@@ -90,27 +99,27 @@ def fd_jacobian(r, x: np.ndarray, step: float = 1e-6,
     return J
 
 
-def lm_solve(r, x0: np.ndarray, cfg: LMConfig | None = None, *,
-             linearize=None, damping: float | None = None) -> SolverReport:
-    """Minimize ||r(x)||_2 by damped Gauss-Newton steps.
+def lm_solve(r, x0: np.ndarray, cfg: LMConfig | None = None) -> SolverReport:
+    """Minimize ||r(x)||_2 by damped Gauss-Newton steps; r is the residual
+    function or a ``Problem`` that also gives ``linearize`` and ``damping``.
 
     A trial step solves (J^T J + lambda diag(J^T J)) dx = -J^T r and is
     accepted iff the 2-norm of the residual decreases; lambda starts at
     ``damping`` (ValueError, before r is evaluated, unless it is positive
     and finite), _LAMBDA0 when None, and is multiplied by _LAMBDA_DOWN on
-    acceptance and by _LAMBDA_UP on rejection.  ``linearize(x)``, when
-    given, returns (r(x), J at x) from one evaluation: it evaluates the
-    start point and the trials.  A trial whose linear model converges,
-    max|r + J dx| <= tol_residual, after the first accepted step is
-    evaluated by r alone, as no Jacobian is likely to follow; if it is
-    accepted and the solve goes on, ``linearize`` runs there again.  r
-    must return linearize's values, so the iterates do not depend on that
-    guess.  Without ``linearize``, r evaluates every point and J is
-    ``fd_jacobian`` about it.  A J that is not finite raises SolverError.
-    Stops when the residual max-norm falls below tol_residual, the
-    accepted step falls below tol_step (converged), a rejected step does
-    (stalled), or after max_iters accepted steps.
+    acceptance and by _LAMBDA_UP on rejection.  ``linearize``, when
+    given, evaluates the start point and the trials.  A trial whose linear
+    model converges, max|r + J dx| <= tol_residual, after the first
+    accepted step is evaluated by r alone, as no Jacobian is likely to
+    follow; if it is accepted and the solve goes on, ``linearize`` runs
+    there again.  r must return linearize's values, so the iterates do not
+    depend on that guess.  Without ``linearize``, r evaluates every point
+    and J is ``fd_jacobian`` about it.  A J that is not finite raises
+    SolverError.  Stops when the residual max-norm falls below
+    tol_residual, the accepted step falls below tol_step (converged), a
+    rejected step does (stalled), or after max_iters accepted steps.
     """
+    r, linearize, damping = r if isinstance(r, Problem) else Problem(r)
     cfg = LMConfig() if cfg is None else cfg
     lam = _LAMBDA0 if damping is None else damping
     if not 0.0 < lam < math.inf:

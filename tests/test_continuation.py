@@ -17,7 +17,7 @@ from muskatss.continuation import (
 )
 from muskatss import cli, continuation, residual
 from muskatss.grid_spline import make_grid
-from muskatss.lm import _LAMBDA0, _LAMBDA_DOWN, _LAMBDA_UP, LMConfig, SolverReport, lm_solve
+from muskatss.lm import _LAMBDA0, _LAMBDA_DOWN, _LAMBDA_UP, LMConfig, Problem, SolverReport, lm_solve
 from muskatss.quadrature import QuadConfig, QuadratureError
 from muskatss.residual import ResidualConfig
 
@@ -125,7 +125,7 @@ class TestContinueBranch:
         grid = make_grid(SMALL_N)
         x0 = (2.0 / np.pi) * 0.1 * grid.nodes[1:]
         r, linearize = continuation._residual_closure(grid, 0.1, SMALL_RES)
-        a = lm_solve(r, x0, SMALL_LM, linearize=linearize)
+        a = lm_solve(Problem(r, linearize), x0, SMALL_LM)
         b = lm_solve(r, x0, SMALL_LM)    # no linearize: lm_solve takes fd_jacobian
         assert a.converged and b.converged
         assert a.iterations == b.iterations
@@ -212,7 +212,7 @@ class TestValueOnlyTrial:
         for name, f, lin in (("hint", r, linearize), ("forced", r, forced),
                              ("plain", plain, linearize)):
             calls.clear()
-            reports.append(lm_solve(f, x0, linearize=lin))
+            reports.append(lm_solve(Problem(f, lin), x0))
             kinds = [jac for _, jac in calls]
             # forced: one value-only call per linearize, plus the hint's
             want = {"hint": 1, "forced": kinds.count(True) + 1, "plain": 0}[name]
@@ -301,6 +301,23 @@ class TestWarmStart:
         assert half2[3] is branch.steps[1].report
         assert calls[4][1].tobytes() == (2.0 * x2 - x1).tobytes()
         assert calls[4][2] == half2[3].lambda_history[-1]
+
+    def test_solve_is_a_three_argument_call(self, monkeypatch):
+        # the warm start reaches lm_solve inside its first argument, so a
+        # stand-in taking (r, x0, cfg), as bench/selftest.py's does, gets
+        # the same branch
+        plain = continue_branch(0.3, 0.1, SMALL_N, SMALL_LM, SMALL_RES)
+        inner, calls = continuation.lm_solve, []
+
+        def solve(r, x0, cfg=None):
+            calls.append(r)
+            return inner(r, x0, cfg)
+
+        monkeypatch.setattr(continuation, "lm_solve", solve)
+        branch = continue_branch(0.3, 0.1, SMALL_N, SMALL_LM, SMALL_RES)
+        assert [p.damping for p in calls] == [None] + [
+            st.report.lambda_history[-1] for st in plain.steps[:2]]
+        assert branch_to_json(branch) == branch_to_json(plain)
 
     def test_agrees_with_the_cold_start_branch(self, coarse_branch):
         # every step re-solved from the previous solution shifted by

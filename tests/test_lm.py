@@ -6,6 +6,7 @@ from muskatss.lm import (
     _LAMBDA_DOWN,
     _LAMBDA_UP,
     LMConfig,
+    Problem,
     SolverError,
     fd_jacobian,
     lm_solve,
@@ -130,7 +131,7 @@ class TestLMSolve:
             calls.append(x)
             return A @ x - b
 
-        rep = lm_solve(r, np.zeros(2), linearize=lambda x: (r(x), A))
+        rep = lm_solve(Problem(r, lambda x: (r(x), A)), np.zeros(2))
         assert rep.converged
         # one residual per trial and one at the start: no Jacobian columns
         assert len(calls) == rep.iterations + 1
@@ -143,10 +144,10 @@ class TestLMSolve:
 
         cfg = LMConfig(max_iters=200)
         plain = lm_solve(r, np.array([-1.2, 1.0]), cfg)
-        same = lm_solve(r, np.array([-1.2, 1.0]), cfg, damping=_LAMBDA0)
+        same = lm_solve(Problem(r, damping=_LAMBDA0), np.array([-1.2, 1.0]), cfg)
         assert same.lambda_history == plain.lambda_history
         assert same.solution.tobytes() == plain.solution.tobytes()
-        rep = lm_solve(r, np.array([-1.2, 1.0]), cfg, damping=1e-6)
+        rep = lm_solve(Problem(r, damping=1e-6), np.array([-1.2, 1.0]), cfg)
         assert rep.converged
         assert rep.lambda_history[0] == 1e-6
         assert rep.lambda_history != plain.lambda_history
@@ -169,7 +170,7 @@ class TestLMSolve:
 
         for damping, want in ((1e-15, "FF"), (1e-6, "FFv")):
             kinds.clear()
-            rep = lm_solve(values_only, np.zeros(2), linearize=linearize, damping=damping)
+            rep = lm_solve(Problem(values_only, linearize, damping), np.zeros(2))
             assert rep.converged
             assert "".join(kinds) == want
 
@@ -182,13 +183,13 @@ class TestLMSolve:
 
         for bad in (0.0, -1e-3, float("nan"), float("inf")):
             with pytest.raises(ValueError, match=f"^damping must be positive and finite, got {bad}$"):
-                lm_solve(r, np.zeros(2), linearize=lambda x: (r(x), np.eye(2)), damping=bad)
+                lm_solve(Problem(r, lambda x: (r(x), np.eye(2)), bad), np.zeros(2))
         assert calls == []     # rejected before the first evaluation
 
     def test_non_finite_attached_jacobian_raises(self):
         r = lambda x: x - 1.0
         with pytest.raises(SolverError, match="non-finite Jacobian"):
-            lm_solve(r, np.zeros(2), linearize=lambda x: (r(x), np.full((2, 2), np.nan)))
+            lm_solve(Problem(r, lambda x: (r(x), np.full((2, 2), np.nan))), np.zeros(2))
 
     def test_finite_difference_step_search_is_pinned(self):
         # Rosenbrock rejects trials on the way; every lambda and the solution
@@ -267,7 +268,7 @@ class TestLMExits:
 
     def test_singular_solves_raise_lambda_and_recover(self, monkeypatch):
         calls = failing_solve(monkeypatch, 3, singular)
-        rep = lm_solve(self.r, np.zeros(2), linearize=self.linearize)
+        rep = lm_solve(Problem(self.r, self.linearize), np.zeros(2))
         assert rep.converged
         assert rep.lambda_history[1] == pytest.approx(_LAMBDA0 * _LAMBDA_UP ** 3 * _LAMBDA_DOWN)
         assert len(calls) > 3
@@ -275,14 +276,14 @@ class TestLMExits:
     def test_stays_singular_raises(self, monkeypatch):
         calls = failing_solve(monkeypatch, 10 ** 6, singular)
         with pytest.raises(SolverError, match="stayed singular"):
-            lm_solve(self.r, np.zeros(2), linearize=self.linearize)
+            lm_solve(Problem(self.r, self.linearize), np.zeros(2))
         assert len(calls) == 11           # ten retries, then the error
 
     def test_non_finite_step_is_damped(self, monkeypatch):
         evals = []
         counted = lambda x: evals.append(x) or self.r(x)
         failing_solve(monkeypatch, 2, lambda b: np.full_like(b, np.nan))
-        rep = lm_solve(counted, np.zeros(2), linearize=lambda x: (counted(x), self.A))
+        rep = lm_solve(Problem(counted, lambda x: (counted(x), self.A)), np.zeros(2))
         assert rep.converged
         assert rep.lambda_history[1] == pytest.approx(_LAMBDA0 * _LAMBDA_UP ** 2 * _LAMBDA_DOWN)
         # a non-finite step is never evaluated
@@ -303,5 +304,5 @@ class TestLMExits:
         # tol_step is too small for the damped steps to stall
         r = lambda x: np.array([1.0 + abs(x[0])])
         with pytest.raises(SolverError, match="no acceptable step"):
-            lm_solve(r, np.zeros(1), LMConfig(tol_step=1e-300),
-                     linearize=lambda x: (r(x), np.array([[-1.0]])))
+            lm_solve(Problem(r, lambda x: (r(x), np.array([[-1.0]]))), np.zeros(1),
+                     LMConfig(tol_step=1e-300))
